@@ -9,8 +9,8 @@ form, and the infinite loop sum collapses to a cotangent factor whose
 poles are the exact bound-state energies.  A Langer-uniform Airy
 approximation built on Hostler's closed form (n = 3) repairs the caustic,
 a complex-action continuation covers classically forbidden points, and an
-exact partial-wave reference (n = 3) backs the validation suite and the
-comparison CLI.
+exact reference (n = 3, Hostler's form on one Numerov-integrated radial
+channel) backs the validation suite and the comparison CLI.
 """
 
 from ._backend import NUMBA_ENABLED, backend_name
@@ -48,7 +48,7 @@ from .model import (
     energy_from_nu,
     quantization_action,
 )
-from .qm_oracle import RadialSolution, green_qm, legendre_p, qm_field, radial_green, solve_radial
+from .qm_oracle import RadialSolution, green_qm, qm_field, radial_green, solve_radial
 from .semiclassical import (
     FieldSample,
     green_sc_bound,
@@ -101,7 +101,6 @@ __all__ = [
     "green_uniform",
     "kepler_transfer_time",
     "lambert_variables",
-    "legendre_p",
     "loop_factor",
     "loop_variant",
     "morse_index",

@@ -634,59 +634,16 @@ def interp_u(u, r, h, j0, n):
 
 
 @njit(cache=True)
-def qm_accumulate(u_reg, u_irr, wron, h, j0, j_irr, n, l, g2mu,
-                  r_small, r_large, cos_th, p_lm1, p_l, acc):
-    """Add the l-th partial-wave term for every point; updates the Legendre
-    recurrence state in place and returns the per-point increments."""
-    npts = r_small.shape[0]
-    inc = np.empty(npts)
-    for i in range(npts):
-        x = cos_th[i]
-        if l == 0:
-            pl = 1.0
-            p_lm1[i] = 0.0
-        elif l == 1:
-            pl = x
-            p_lm1[i] = 1.0
-        else:
-            pl = ((2.0 * l - 1.0) * x * p_l[i] - (l - 1.0) * p_lm1[i]) / l
-            p_lm1[i] = p_l[i]
-        p_l[i] = pl
-        ur = interp_u(u_reg, r_small[i], h, j0, n)
-        ui = interp_u(u_irr, r_large[i], h, j_irr, n)
-        gl = g2mu * ur * ui / wron
-        term = (2.0 * l + 1.0) / (4.0 * math.pi * r_small[i] * r_large[i]) * pl * gl
-        acc[i] += term
-        inc[i] = term
-    return inc
+def hostler_bracket(u_reg, du_reg, j_reg, u_irr, du_irr, j_irr, h, n, rho_p, rho_m):
+    """u_irr'(rho_+) u_reg(rho_-) - u_irr(rho_+) u_reg'(rho_-) at every point.
 
-
-@njit(cache=True)
-def qm_accumulate_diff(u_reg, u_irr, wron, f_reg, f_irr, f_wron,
-                       h, j0, j_irr, n, l, g2mu,
-                       r_small, r_large, cos_th, p_lm1, p_l, acc):
-    """Like qm_accumulate but adds the difference between the interacting
-    and the free-particle channel (Kummer-style convergence acceleration);
-    the closed-form free Green function is restored by the caller."""
-    npts = r_small.shape[0]
-    inc = np.empty(npts)
+    Values and derivatives are interpolated alike, on mesh indices j_reg..n
+    for the regular pair and j_irr..n for the decaying pair."""
+    npts = rho_p.shape[0]
+    out = np.empty(npts)
     for i in range(npts):
-        x = cos_th[i]
-        if l == 0:
-            pl = 1.0
-            p_lm1[i] = 0.0
-        elif l == 1:
-            pl = x
-            p_lm1[i] = 1.0
-        else:
-            pl = ((2.0 * l - 1.0) * x * p_l[i] - (l - 1.0) * p_lm1[i]) / l
-            p_lm1[i] = p_l[i]
-        p_l[i] = pl
-        gl = g2mu * (interp_u(u_reg, r_small[i], h, j0, n)
-                     * interp_u(u_irr, r_large[i], h, j_irr, n) / wron
-                     - interp_u(f_reg, r_small[i], h, j0, n)
-                     * interp_u(f_irr, r_large[i], h, j_irr, n) / f_wron)
-        term = (2.0 * l + 1.0) / (4.0 * math.pi * r_small[i] * r_large[i]) * pl * gl
-        acc[i] += term
-        inc[i] = term
-    return inc
+        out[i] = (interp_u(du_irr, rho_p[i], h, j_irr, n)
+                  * interp_u(u_reg, rho_m[i], h, j_reg, n)
+                  - interp_u(u_irr, rho_p[i], h, j_irr, n)
+                  * interp_u(du_reg, rho_m[i], h, j_reg, n))
+    return out

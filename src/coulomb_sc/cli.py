@@ -10,7 +10,7 @@ tof          reduced actions, travel times and Morse indices of the four
 
 Common flags: --nu | --energy (one of), --ndim, --source x,y[,z],
 --grid ax:lo:hi:count (repeatable), --cut ax:lo:hi:count, --fix ax:val,
---method {sc,ua,qm,all}, --lmax, --exclude-radius, --out, --config file.json.
+--method {sc,ua,qm,all}, --exclude-radius, --out, --config file.json.
 Defaults: atomic units, ndim=3, method=sc.  A JSON config file mirrors the
 flags; explicit flags override it.
 
@@ -71,8 +71,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--source", type=str, default=None,
                    help="source point coordinates, e.g. 1232,0,0 (Bohr)")
     p.add_argument("--method", choices=["sc", "ua", "qm", "all"], default="sc")
-    p.add_argument("--lmax", type=int, default=80,
-                   help="partial-wave truncation for the exact reference")
     p.add_argument("--exclude-radius", type=float, default=5.0,
                    help="source exclusion radius for comparison columns (Bohr)")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
@@ -84,9 +82,12 @@ def _scan_config(args, want_grids: int) -> ScanConfig:
     cfg = ScanConfig()
     if args.config:
         data = load_json_config(args.config)
-        for key in ("method", "nu", "energy", "ndim", "lmax", "exclude_radius", "out"):
+        if "lmax" in data:
+            raise ConfigError("unknown key 'lmax': the exact reference is Hostler's "
+                              "closed form and has no partial-wave truncation")
+        for key in ("method", "nu", "energy", "ndim", "exclude_radius", "out"):
             if key in data:
-                setattr(cfg, {"lmax": "l_max"}.get(key, key), data[key])
+                setattr(cfg, key, data[key])
         if "source" in data:
             cfg.source = tuple(float(v) for v in data["source"])
         for spec_text in data.get("grid", []):
@@ -107,8 +108,6 @@ def _scan_config(args, want_grids: int) -> ScanConfig:
         cfg.ndim = args.ndim
     if args.method != "sc":
         cfg.method = args.method
-    if args.lmax != 80:
-        cfg.l_max = args.lmax
     if args.exclude_radius != 5.0:
         cfg.exclude_radius = args.exclude_radius
     if args.source is not None:

@@ -45,14 +45,6 @@ class PoleError(CoulombSCError, ArithmeticError):
         self.energy = energy
 
 
-class ConvergenceError(CoulombSCError, ArithmeticError):
-    """A truncated expansion did not converge; carries the tail estimate."""
-
-    def __init__(self, message, tail=None):
-        super().__init__(message)
-        self.tail = tail
-
-
 class IllConditionedError(CoulombSCError, ArithmeticError):
     """A finite-difference stencil degenerated (step underflow or noise)."""
 

@@ -1,23 +1,34 @@
 """Exact quantum-mechanical reference Green function for n = 3.
 
-Partial-wave construction: for each angular momentum l the radial equation
+Hostler's closed form (L. Hostler, J. Math. Phys. 5, 591 (1964)) depends
+on the endpoints only through Lambert's variables alpha_+- = r + r' +- s:
 
-    u'' + [2 mu (E + Kc/r)/hbar^2 - l(l+1)/r^2] u = 0
+    G = Gamma(1 - nu)/(2 pi s) (d_x - d_y)[W_{nu,1/2}(x) M_{nu,1/2}(y)],
+    x, y = kappa alpha_+-.
 
-is integrated on a uniform mesh with the Numerov scheme -- outward from a
-power-series boundary layer at the origin, inward from a WKB-seeded point
-far beyond the outermost turning radius -- and the radial Green component
-is g_l = (2 mu/hbar^2) u_reg(r_<) u_irr(r_>) / W[u_reg, u_irr].  The full
-value is the Legendre sum over channels.
+M and W are the regular and the decaying solution of the l = 0 radial
+equation
 
-A numerical ODE path is used rather than closed-form confluent
-hypergeometric evaluation because the arguments of interest (2r/nu with
-r of order 10^3 Bohr) make naive series evaluation unstable; an
-independent Whittaker-function oracle exists in the test suite at modest
-arguments.
+    u'' + 2 mu (E + Kc/rho)/hbar^2 u = 0
 
-Caching: RadialSolution construction is pure; the module keeps a small
-idempotent cache keyed by (l, E, mesh) that concurrent readers may share.
+at rho = alpha/2, and their Wronskian supplies Gamma(1 - nu).  So one
+radial channel gives the whole Green function:
+
+    G = -(2 mu/hbar^2)/(4 pi s)
+        [u_irr'(rho_+) u_reg(rho_-) - u_irr(rho_+) u_reg'(rho_-)] / W[u_reg, u_irr].
+
+No gamma function is evaluated: the poles at integer nu are the zeros of
+the Wronskian, and as rho_+ -> rho_- near the source the bracket tends to
+the Wronskian, which leaves the free -(2 mu/hbar^2)/(4 pi s).
+
+Each channel is integrated on a uniform mesh with the Numerov scheme --
+outward from a power-series boundary layer at the origin, inward from a
+WKB-seeded point far beyond the outermost turning radius.  A numerical ODE
+path is used rather than closed-form confluent hypergeometric evaluation
+because the arguments of interest (alpha/nu up to about 100) make naive
+series evaluation unstable; independent Whittaker-function oracles exist in
+the test suite.  ``radial_green`` gives the radial component g_l of any
+channel, which the tests sum over l as an independent partial-wave check.
 """
 
 from __future__ import annotations
@@ -28,33 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import ConvergenceError, PoleError, RegionError
+from .errors import PoleError, RegionError
 from .geometry import classify_region, lambert_variables
 from .model import EnergySpec, SystemParams
 from .semiclassical import FieldSample, _check_pole
 
-_SOLUTION_CACHE: dict = {}
-_CACHE_MAX = 8
-
-
-def legendre_p(l: int, x: float) -> float:
-    """Legendre polynomial P_l(x) by upward three-term recurrence."""
-    if l < 0 or int(l) != l:
-        raise ValueError("l must be a nonnegative integer")
-    if abs(x) > 1.0 + 1e-12:
-        raise ValueError("argument must lie in [-1, 1]")
-    x = min(1.0, max(-1.0, x))
-    if l == 0:
-        return 1.0
-    pm, p = 1.0, x
-    for ll in range(2, l + 1):
-        pm, p = p, ((2.0 * ll - 1.0) * x * p - (ll - 1.0) * pm) / ll
-    return p
-
 
 def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:
     """(r_max, h) giving ~1e-7 phase accuracy and a deeply decayed
-    inward-integration start for all channels."""
+    inward-integration start for every radius up to r_need."""
     a = spec.a
     r_turn = 2.0 * a
     r_max = max(1.3 * r_turn, 1.2 * r_need)
@@ -78,12 +71,11 @@ def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple
     return float(r_max), float(h)
 
 
-def _series_start(l: int, E: float, params: SystemParams, r1: float, r2: float,
-                  coulomb: bool = True):
+def _series_start(l: int, E: float, params: SystemParams, r1: float, r2: float):
     """Regular-solution values at two startup radii from the origin series
     u = r^(l+1) sum c_k r^k, returned in a common scale with the r^(l+1)
     prefactor normalized at r2 (only the ratio matters downstream)."""
-    c1 = 2.0 * params.mu * params.Kc / params.hbar**2 if coulomb else 0.0
+    c1 = 2.0 * params.mu * params.Kc / params.hbar**2
     e2 = 2.0 * params.mu * E / params.hbar**2
     out = []
     for r in (r1, r2):
@@ -137,11 +129,25 @@ class RadialSolution:
             )
         return K.interp_u(self.u_irr, r, self.h, self.j_service, len(self.grid) - 1)
 
+    def _ode_terms(self) -> tuple[float, float]:
+        """(e2, c1) of the radial equation u'' = -(e2 + c1/r - l(l+1)/r^2) u."""
+        c1 = 2.0 * self.params.mu * self.params.Kc / self.params.hbar**2
+        e2 = 2.0 * self.params.mu * self.E / self.params.hbar**2
+        return e2, c1
+
+    def derivative(self, u: np.ndarray, lo: int) -> np.ndarray:
+        """u' on mesh indices lo .. n-1 (zero elsewhere) for u = u_reg or
+        u_irr; lo must leave u[lo - 1] inside the tabulated range."""
+        n = len(self.grid) - 1
+        du = np.zeros(n + 1)
+        du[lo:n] = K.ode_derivative(u, np.arange(lo, n), self.h, self.l,
+                                    *self._ode_terms())
+        return du
+
     def wronskian_on_mesh(self, indices) -> np.ndarray:
         """Wronskian recomputed at the given mesh indices (constancy check);
         indices must lie inside the service window."""
-        c1 = 2.0 * self.params.mu * self.params.Kc / self.params.hbar**2
-        e2 = 2.0 * self.params.mu * self.E / self.params.hbar**2
+        e2, c1 = self._ode_terms()
         return np.array([
             K.wronskian_at(self.u_reg, self.u_irr, int(j), self.h, self.l, e2, c1)
             for j in indices
@@ -149,28 +155,20 @@ class RadialSolution:
 
 
 def solve_radial(l: int, E: float, params: SystemParams,
-                 r_max: float, h: float, coulomb: bool = True,
-                 r_service: float = 0.0) -> RadialSolution:
-    """Integrate one channel and package both solutions (cached).
+                 r_max: float, h: float, r_service: float = 0.0) -> RadialSolution:
+    """Integrate one channel and package both solutions.
 
-    With ``coulomb=False`` the potential is dropped (free particle plus
-    centrifugal term); those channels back the convergence acceleration of
-    the full partial-wave sum.  ``r_service`` is the smallest radius at
-    which the decaying solution must be usable.
+    ``r_service`` is the smallest radius at which the decaying solution
+    must be usable.
     """
-    key = (l, E, round(r_max / h), h, params.mu, params.Kc, params.hbar,
-           coulomb, round(r_service / h))
-    hit = _SOLUTION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    c1 = 2.0 * params.mu * params.Kc / params.hbar**2 if coulomb else 0.0
+    c1 = 2.0 * params.mu * params.Kc / params.hbar**2
     e2 = 2.0 * params.mu * E / params.hbar**2
     n = int(round(r_max / h))
     j0 = max(1, int(math.ceil(1.45 * math.sqrt(l * (l + 1.0)))))
     if j0 > n - 10:
         raise ValueError("mesh too coarse for this angular momentum")
     j_service = max(j0, int(r_service / h) - 6)
-    u0, u1 = _series_start(l, E, params, j0 * h, (j0 + 1) * h, coulomb)
+    u0, u1 = _series_start(l, E, params, j0 * h, (j0 + 1) * h)
     u_reg = K.numerov_fill_outward(l, e2, c1, h, n, j0, u0, u1)
     kap = math.sqrt(max(1e-300, -K.radial_rhs((n - 0.5) * h, l, e2, c1)))
     u_irr = K.numerov_fill_inward(l, e2, c1, h, n, j_service, 1.0, math.exp(kap * h))
@@ -178,13 +176,9 @@ def solve_radial(l: int, E: float, params: SystemParams,
     u_reg = u_reg / abs(u_reg[jm])
     u_irr = u_irr / abs(u_irr[jm])
     wron = K.wronskian_at(u_reg, u_irr, jm, h, l, e2, c1)
-    sol = RadialSolution(l=l, E=E, params=params, h=h, j0=j0, j_service=j_service,
-                         grid=np.arange(n + 1) * h,
-                         u_reg=u_reg, u_irr=u_irr, wronskian=wron)
-    if len(_SOLUTION_CACHE) >= _CACHE_MAX:
-        _SOLUTION_CACHE.pop(next(iter(_SOLUTION_CACHE)))
-    _SOLUTION_CACHE[key] = sol
-    return sol
+    return RadialSolution(l=l, E=E, params=params, h=h, j0=j0, j_service=j_service,
+                          grid=np.arange(n + 1) * h,
+                          u_reg=u_reg, u_irr=u_irr, wronskian=wron)
 
 
 def _check_channel_pole(l: int, spec: EnergySpec, tol: float = 1e-9):
@@ -216,31 +210,18 @@ def radial_green(l: int, r_small: float, r_large: float, E: float,
     return g2mu * sol.eval_reg(r_small) * sol.eval_irr(r_large) / sol.wronskian
 
 
-def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams,
-             l_max: int = 80, r_max: float | None = None,
-             h: float | None = None):
-    """Partial-wave Green values at many points for one source and energy.
+def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
+    """Exact Green values at many points for one source and energy.
 
-    Streams over channels: each l is integrated once and its contribution
-    accumulated into every point, so memory stays O(mesh + points).
-
-    Convergence acceleration: the free-particle channels (same centrifugal
-    term, no Coulomb potential) are subtracted term by term and the free
-    Green function -(2mu/hbar^2) exp(-kappa s)/(4 pi s) is added back in
-    closed form.  The plain sum converges only conditionally (like
-    l^(-1/2)) near the sphere |r| = |r'|; the subtracted series is fast
-    everywhere away from the true source point.
-
-    Returns (values, tail) where tail is the per-point relative size of the
-    last few channel contributions (convergence estimate).
+    Hostler's form on one l = 0 channel (module docstring), integrated out
+    to the largest rho_+ = alpha_+/2 of the points.  Values and derivatives
+    are interpolated with the same cubic stencil.
     """
     if params.ndim != 3:
         raise ValueError("the quantum reference is implemented for n = 3")
     if spec.E >= 0.0:
         raise ValueError("qm_field requires E < 0")
     _check_pole(spec)
-    for l in range(l_max + 1):
-        _check_channel_pole(l, spec)
 
     R = np.atleast_2d(np.asarray(R, dtype=float))
     rp = np.asarray(rp_vec, dtype=float)
@@ -251,55 +232,28 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams,
     s_norm = np.linalg.norm(R - rp[None, :], axis=1)
     if np.any(s_norm <= 0.0):
         raise RegionError("points at the source are excluded")
-    cos_th = np.clip(R @ rp / (r_norm * rp_norm), -1.0, 1.0)
-    r_small = np.minimum(r_norm, rp_norm)
-    r_large = np.maximum(r_norm, rp_norm)
+    rho_p = 0.5 * (r_norm + rp_norm + s_norm)
+    # r + r' - s >= 0 by the triangle inequality; rounding can undershoot
+    rho_m = np.maximum(0.5 * (r_norm + rp_norm - s_norm), 0.0)
 
-    if r_max is None or h is None:
-        auto_rmax, auto_h = default_mesh(spec, params, float(np.max(r_large)))
-        r_max = auto_rmax if r_max is None else r_max
-        h = auto_h if h is None else h
-
-    npts = len(r_small)
-    acc = np.zeros(npts)
-    p_lm1 = np.zeros(npts)
-    p_l = np.zeros(npts)
-    last = np.zeros((3, npts))
+    r_max, h = default_mesh(spec, params, float(np.max(rho_p)))
+    sol = solve_radial(0, spec.E, params, r_max, h,
+                       r_service=0.95 * float(np.min(rho_p)))
+    # the derivative stencil reaches one index below its own, so the
+    # decaying solution is usable one index above its tabulated start;
+    # u_reg[0] = 0 is exact for l = 0
+    j_irr = sol.j_service + 1
+    bracket = K.hostler_bracket(
+        sol.u_reg, sol.derivative(sol.u_reg, 1), 1,
+        sol.u_irr, sol.derivative(sol.u_irr, j_irr), j_irr,
+        h, len(sol.grid) - 2, rho_p, rho_m)
     g2mu = 2.0 * params.mu / params.hbar**2
-    n = int(round(r_max / h))
-    r_service = 0.95 * float(np.min(r_large))
-    for l in range(l_max + 1):
-        sol = solve_radial(l, spec.E, params, r_max, h, r_service=r_service)
-        free = solve_radial(l, spec.E, params, r_max, h, coulomb=False,
-                            r_service=r_service)
-        inc = K.qm_accumulate_diff(
-            sol.u_reg, sol.u_irr, sol.wronskian,
-            free.u_reg, free.u_irr, free.wronskian,
-            h, sol.j0, sol.j_service, n, l, g2mu,
-            r_small, r_large, cos_th, p_lm1, p_l, acc)
-        last[l % 3] = np.abs(inc)
-    kappa = math.sqrt(2.0 * params.mu * abs(spec.E)) / params.hbar
-    vals = acc - g2mu * np.exp(-kappa * s_norm) / (4.0 * math.pi * s_norm)
-    scale = np.maximum(np.abs(vals), np.max(np.abs(vals)) * 1e-30 + 1e-300)
-    tail = np.max(last, axis=0) / scale
-    return vals, tail
+    return -g2mu * bracket / (4.0 * math.pi * s_norm * sol.wronskian)
 
 
-def green_qm(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
-             l_max: int = 80, r_max: float | None = None,
-             h: float | None = None, tail_tol: float = 1e-5) -> FieldSample:
-    """Exact (partial-wave) Green function at one endpoint pair, n = 3.
-
-    Raises ConvergenceError with the tail estimate if the channel sum has
-    not settled at l_max.
-    """
-    vals, tail = qm_field(np.asarray(r_vec, float)[None, :], rp_vec, spec, params,
-                          l_max=l_max, r_max=r_max, h=h)
-    if tail[0] > tail_tol:
-        raise ConvergenceError(
-            f"partial-wave sum unconverged at l_max = {l_max}: tail ~ {tail[0]:.2e}",
-            tail=float(tail[0]),
-        )
+def green_qm(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
+    """Exact Green function at one endpoint pair, n = 3 (Hostler's form)."""
+    vals = qm_field(np.asarray(r_vec, float)[None, :], rp_vec, spec, params)
     pair = lambert_variables(r_vec, rp_vec, params)
     region = classify_region(pair, spec, params.attractive)
     return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),

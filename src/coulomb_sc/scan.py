@@ -59,7 +59,6 @@ class ScanConfig:
     grids: list = field(default_factory=list)  # [(axis, lo, hi, count), ...]
     fixes: dict = field(default_factory=dict)  # axis -> value
     out: str | None = None
-    l_max: int = 80
     exclude_radius: float = 5.0
     caustic_tol: float = 1e-9
 
@@ -166,9 +165,9 @@ def eval_ua(points, source, spec: EnergySpec, params: SystemParams):
     return K.ua_field(pts3, src3, *ua_constants(spec, params), 1e-12)
 
 
-def eval_qm(points, source, spec: EnergySpec, params: SystemParams,
-            l_max: int, tail_tol: float = 1e-5):
-    """Exact field over points; per-point region/status like the others."""
+def eval_qm(points, source, spec: EnergySpec, params: SystemParams):
+    """Exact field over points; per-point region/status like the others.
+    A value that comes out non-finite is NaN with status unconverged."""
     vals = np.full(points.shape[0], np.nan, dtype=complex)
     region = np.zeros(points.shape[0], dtype=np.int8)
     status = np.zeros(points.shape[0], dtype=np.int8)
@@ -182,13 +181,11 @@ def eval_qm(points, source, spec: EnergySpec, params: SystemParams,
     region[ap > four_a] = K.REGION_FORBIDDEN
     region[np.abs(ap - four_a) <= 1e-9 * four_a] = K.REGION_CAUSTIC
     if np.any(ok):
-        v, tail = qm_field(points[ok], src, spec, params, l_max=l_max)
-        vals[ok] = v
-        bad = tail > tail_tol
-        if np.any(bad):
-            idx = np.where(ok)[0][bad]
-            status[idx] = K.STATUS_UNCONVERGED
-            vals[idx] = np.nan
+        v = qm_field(points[ok], src, spec, params)
+        idx = np.where(ok)[0]
+        bad = ~np.isfinite(v)
+        vals[idx[~bad]] = v[~bad]
+        status[idx[bad]] = K.STATUS_UNCONVERGED
     return vals, region, status
 
 
@@ -207,7 +204,7 @@ def run_scan(config: ScanConfig) -> str:
         elif m == "ua":
             results[m] = eval_ua(points, config.source, spec, params)
         else:
-            results[m] = eval_qm(points, config.source, spec, params, config.l_max)
+            results[m] = eval_qm(points, config.source, spec, params)
 
     lines = ["x,y,re,im,method,region,reason"]
     for i in range(points.shape[0]):
@@ -241,7 +238,7 @@ def run_cut(config: ScanConfig) -> str:
     sc_vals, sc_region, sc_status = eval_sc(points, config.source, spec, params,
                                             config.caustic_tol)
     ua_vals, _, ua_status = eval_ua(points, config.source, spec, params)
-    qm_vals, _, qm_status = eval_qm(points, config.source, spec, params, config.l_max)
+    qm_vals, _, qm_status = eval_qm(points, config.source, spec, params)
 
     s = np.linalg.norm(points - np.asarray(config.source, float)[None, :], axis=1)
     excluded = s < config.exclude_radius

@@ -8,7 +8,7 @@ positive-imaginary continuation of the outer action.
 
 Global phase convention: fixed so that G -> -mu / (2 pi hbar^2 s) as
 s -> 0 in three dimensions (the free source singularity), which also
-matches the exact partial-wave reference.  All evaluators are pure; grid
+matches the exact reference.  All evaluators are pure; grid
 scans map them pointwise with no shared mutable state.
 """
 

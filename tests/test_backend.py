@@ -25,7 +25,7 @@ WORKLOAD = textwrap.dedent("""
     pts = np.stack([xs, np.full_like(xs, 10.0), np.zeros_like(xs)], axis=1)
     sc, reg, st = eval_sc(pts, rp, spec, par)
     ua, _, _ = eval_ua(pts, rp, spec, par)
-    qm, _ = qm_field(pts, rp, spec, par, l_max=30)
+    qm = qm_field(pts, rp, spec, par)
     print(json.dumps({
         "backend": cs.backend_name(),
         "sc": [[v.real, v.imag] for v in sc],

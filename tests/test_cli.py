@@ -63,8 +63,7 @@ def test_scan_method_all_has_rows_per_method(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(["scan", "--nu", "5.3", "--source", "20,0,0",
                           "--grid", "x:10:40:3", "--grid", "y:5:25:3",
-                          "--method", "all", "--lmax", "40",
-                          "--out", str(out)], capsys)
+                          "--method", "all", "--out", str(out)], capsys)
     assert code == 0
     lines = out.read_text().strip().split("\n")[1:]
     assert len(lines) == 3 * 3 * 3
@@ -107,7 +106,7 @@ def test_cut_csv(tmp_path, capsys):
     out = tmp_path / "cut.csv"
     code, _, err = run_cli(["cut", "--nu", "5.3", "--source", "20,0,0",
                             "--cut", "x:-15:40:12", "--fix", "y:10",
-                            "--lmax", "50", "--out", str(out)], capsys)
+                            "--out", str(out)], capsys)
     assert code == 0
     assert "exclude" in err
     lines = out.read_text().strip().split("\n")
@@ -163,6 +162,20 @@ def test_config_errors_exit_two(capsys, tmp_path):
     for args in bad:
         code, _, err = run_cli(args, capsys)
         assert code == 2, args
+
+
+def test_lmax_retired_exits_two(capsys, tmp_path):
+    # the exact reference has no partial-wave truncation left to set
+    code, _, _ = run_cli(["cut", "--nu", "5.3", "--source", "20,0,0",
+                          "--cut", "x:-15:40:12", "--fix", "y:10", "--lmax", "40"],
+                         capsys)
+    assert code == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nu": 5.3, "source": [20.0, 0.0, 0.0],
+                                "cut": "x:-15:40:12", "fix": ["y:10"], "lmax": 40}))
+    code, _, err = run_cli(["cut", "--config", str(path)], capsys)
+    assert code == 2
+    assert "lmax" in err
 
 
 def test_io_error_exit_four(capsys):

@@ -236,7 +236,7 @@ def test_bound_value_against_exact_reference_point(au):
     rp = np.array([1232.0, 0.0, 0.0])
     r = np.array([1232.0, 400.0, 0.0])
     sc = cs.green_sc_bound(r, rp, spec, au).value.real
-    qm = cs.green_qm(r, rp, spec, au, l_max=160).value.real
+    qm = cs.green_qm(r, rp, spec, au).value.real
     assert sc == pytest.approx(qm, rel=5e-2)
 
 
