@@ -13,7 +13,6 @@ exact reference (n = 3, Hostler's form on one Numerov-integrated radial
 channel) backs the validation suite and the comparison CLI.
 """
 
-from ._backend import NUMBA_ENABLED, backend_name
 from .actions import (
     BasicActions,
     PathQuantity,
@@ -71,7 +70,6 @@ __all__ = [
     "EnergySpec",
     "FieldSample",
     "LambertPair",
-    "NUMBA_ENABLED",
     "PathQuantity",
     "RadialSolution",
     "Region",
@@ -83,7 +81,6 @@ __all__ = [
     "airy_ai",
     "airy_ai_prime",
     "anomaly_angles",
-    "backend_name",
     "basic_actions",
     "classify_region",
     "dimensional_factor",

@@ -1,10 +1,19 @@
 """Numerically hot cores shared by the public modules.
 
-Every function here is nopython-compilable.  When numba is unavailable, or
-disabled through ``COULOMB_SC_DISABLE_NUMBA=1``, the same source runs as
-plain Python (see ``_backend``), so both backends produce identical values.
+Each formula has two forms:
 
-Conventions used throughout (all plain floats, no objects):
+* scalar kernels (``sc_bound_point``, ``ua_point`` and the actions, Airy
+  and Langer functions they call) take plain floats; the per-point APIs
+  call them at a few microseconds per point;
+* array kernels (``sc_bound_field``, ``ua_field`` and the ``*_array``
+  functions) evaluate the same expressions in the same order with NumPy,
+  one masked set of array operations per branch of the scalar code, over
+  blocks of ``FIELD_BLOCK`` points; the grid scans use them.  Series stop
+  per element where the scalar loop stops, so both forms agree to
+  rounding.
+
+Conventions used throughout (plain floats, or float arrays in the array
+kernels):
 
     a    -- orbit scale Kc / (2|E|); semimajor axis for E < 0
     sk   -- momentum scale sqrt(2 mu |E|) = sqrt(Kc mu / a)
@@ -22,8 +31,6 @@ import cmath
 import math
 
 import numpy as np
-
-from ._backend import njit, prange
 
 # --- region / status codes shared with the scan layer ---------------------
 REGION_ALLOWED = 0
@@ -45,7 +52,6 @@ _SQRT_PI = math.sqrt(math.pi)
 # one-dimensional actions, times, velocities
 # ==========================================================================
 
-@njit(cache=True)
 def gamma_angle(alpha, a):
     """Anomaly angle on the principal branch: sin^2(gamma/2) = alpha/(4a)."""
     x = alpha / (4.0 * a)
@@ -56,27 +62,23 @@ def gamma_angle(alpha, a):
     return 2.0 * math.asin(math.sqrt(x))
 
 
-@njit(cache=True)
 def w_bound(alpha, a, sk):
     """Half-action W(alpha) for bound motion, 0 <= alpha <= 4a."""
     g = gamma_angle(alpha, a)
     return sk * a * (g + math.sin(g))
 
 
-@njit(cache=True)
 def t_bound(alpha, a, ts):
     """Half travel time t(alpha) for bound motion (Kepler equation form)."""
     g = gamma_angle(alpha, a)
     return ts * (g - math.sin(g))
 
 
-@njit(cache=True)
 def v_bound(alpha, a, cv):
     """Collinear speed at path coordinate alpha/2 for bound motion."""
     return cv * math.sqrt((4.0 * a - alpha) / alpha)
 
 
-@njit(cache=True)
 def w_scatter_attr(alpha, a, sk):
     """Half-action for E > 0, attractive (hyperbolic), anchored at alpha = 0."""
     if alpha <= 0.0:
@@ -85,12 +87,10 @@ def w_scatter_attr(alpha, a, sk):
                  + 2.0 * a * math.asinh(math.sqrt(alpha / (4.0 * a))))
 
 
-@njit(cache=True)
 def v_scatter_attr(alpha, a, cv):
     return cv * math.sqrt((4.0 * a + alpha) / alpha)
 
 
-@njit(cache=True)
 def w_scatter_rep(alpha, a, sk):
     """Half-action for E > 0, repulsive, allowed side alpha >= 4|a|;
     vanishes at the turning point alpha = 4|a|."""
@@ -100,12 +100,10 @@ def w_scatter_rep(alpha, a, sk):
                  - 2.0 * a * math.acosh(math.sqrt(alpha / (4.0 * a))))
 
 
-@njit(cache=True)
 def v_scatter_rep(alpha, a, cv):
     return cv * math.sqrt((alpha - 4.0 * a) / alpha)
 
 
-@njit(cache=True)
 def w_rep_forbidden_mag(alpha, a, sk):
     """|Im W| for E > 0 repulsive inside the barrier (0 <= alpha <= 4|a|).
 
@@ -116,7 +114,6 @@ def w_rep_forbidden_mag(alpha, a, sk):
     return sk * a * (math.pi - g) - sk * 0.5 * math.sqrt((4.0 * a - alpha) * alpha)
 
 
-@njit(cache=True)
 def w_bound_forbidden_im(alpha, a, sk):
     """Im W_+ for bound motion continued past the caustic (alpha > 4a).
 
@@ -150,7 +147,6 @@ def _airy_asymptotic_coeffs(m=26):
 _AIRY_U, _AIRY_V = _airy_asymptotic_coeffs()
 
 
-@njit(cache=True)
 def airy_ai_both(x):
     """(Ai(x), Ai'(x)) by Maclaurin series for |x| <= 7 and large-argument
     expansions beyond; absolute error stays below 1e-10 on the real line."""
@@ -223,19 +219,18 @@ def airy_ai_both(x):
 # semiclassical point evaluators (bound E < 0)
 # ==========================================================================
 
-@njit(cache=True)
 def lambert_alphas(x, y, z, xp, yp, zp):
-    """(r, rp, s, alpha_plus, alpha_minus) for a 3-vector pair."""
-    r = math.sqrt(x * x + y * y + z * z)
-    rp = math.sqrt(xp * xp + yp * yp + zp * zp)
+    """(r, rp, s, alpha_plus, alpha_minus) for 3-vector pairs; the
+    components may be arrays."""
+    r = np.sqrt(x * x + y * y + z * z)
+    rp = np.sqrt(xp * xp + yp * yp + zp * zp)
     dx = x - xp
     dy = y - yp
     dz = z - zp
-    s = math.sqrt(dx * dx + dy * dy + dz * dz)
+    s = np.sqrt(dx * dx + dy * dy + dz * dz)
     return r, rp, s, r + rp + s, r + rp - s
 
 
-@njit(cache=True)
 def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
                    pref_merged, pref_elem, pglob, sinpk,
                    caustic_tol, focal_tol):
@@ -318,7 +313,6 @@ def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
 # turning point by the same uniform Airy form about z_in.
 
 
-@njit(cache=True)
 def _odd_tail(x, sign):
     """x - sin(x) (sign = -1) or sinh(x) - x (sign = +1), x >= 0, without
     cancellation for small x."""
@@ -335,7 +329,6 @@ def _odd_tail(x, sign):
     return total
 
 
-@njit(cache=True)
 def langer_phase(t, z, d, c, sigma):
     """Signed phase integral of sqrt|Q_L| between z and one turning point.
 
@@ -355,7 +348,6 @@ def langer_phase(t, z, d, c, sigma):
     return -(sigma * 0.5 * d * _odd_tail(et, 1.0) + 0.5 * (ch - c * et))
 
 
-@njit(cache=True)
 def _langer_amplitude(t, z, nu, d, z_out, c, sigma):
     """(zeta, f, f') about one turning point: the Airy variable, the
     amplitude f = (zeta/Q_L)^(1/4) of the uniform form f(z) Ai(-zeta(z)),
@@ -369,7 +361,6 @@ def _langer_amplitude(t, z, nu, d, z_out, c, sigma):
     return zeta, f, fp
 
 
-@njit(cache=True)
 def langer_airy(z, nu, outer):
     """Langer-uniform Airy solution f Ai(-zeta) and its z-derivative,
     about z_out (outer=True; decays beyond it) or about z_in (times
@@ -411,7 +402,6 @@ XI_A = 1.0
 XI_B = 3.0
 
 
-@njit(cache=True)
 def langer_regular(z, nu):
     """M_L(z) = Q_L^(-1/4) sin(int_z_in^z sqrt(Q_L) + pi/4) and its
     derivative, continued uniformly through the inner turning point."""
@@ -437,7 +427,6 @@ def langer_regular(z, nu):
     return ma + w * (m - ma), mpa + w * (mp - mpa) + dw * (m - ma)
 
 
-@njit(cache=True)
 def ua_point(r, rp, s, four_a, nu, kappa, g0, focal_tol):
     """Langer-uniform approximation at one point, three dimensions only.
 
@@ -472,61 +461,374 @@ def ua_point(r, rp, s, four_a, nu, kappa, g0, focal_tol):
     return complex(g0 * (wp * m - w * mp) / s, 0.0), region, STATUS_OK
 
 
-# --- array drivers ---------------------------------------------------------
+# ==========================================================================
+# array kernels: the scalar kernels above over blocks of points
+# ==========================================================================
+#
+# Every branch of a scalar kernel becomes one masked set of array
+# operations, written in the scalar operation order; a series loop keeps
+# the still-running elements only and stops each where the scalar loop
+# stops.
 
-@njit(cache=True, parallel=True)
+#: points per block of the array drivers (bounds the temporaries)
+FIELD_BLOCK = 4096
+
+
+def _cplx(re, im):
+    """complex(re, im) elementwise, without arithmetic on either part."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _w_bound_array(alpha, a, sk):
+    """w_bound over an array."""
+    g = 2.0 * np.arcsin(np.sqrt(np.clip(alpha / (4.0 * a), 0.0, 1.0)))
+    return sk * a * (g + np.sin(g))
+
+
+def _w_bound_forbidden_im_array(alpha, a, sk):
+    """w_bound_forbidden_im over an array with alpha >= 4a."""
+    return sk * (0.5 * np.sqrt((alpha - 4.0 * a) * alpha)
+                 - 2.0 * a * np.arccosh(np.sqrt(alpha / (4.0 * a))))
+
+
+def _airy_decaying(x):
+    """airy_ai_both for x > 7."""
+    xi = 2.0 / 3.0 * x * np.sqrt(x)
+    su = np.ones_like(x)
+    sv = np.ones_like(x)
+    idx = np.arange(x.shape[0])
+    m = np.ones_like(x)
+    prev = np.ones_like(x)
+    xr = xi
+    for k in range(1, _AIRY_U.shape[0]):
+        if idx.size == 0:
+            break
+        m = -m / xr
+        tu = _AIRY_U[k] * m
+        go = ~(np.abs(tu) > prev)
+        idx, m, tu, xr = idx[go], m[go], tu[go], xr[go]
+        prev = np.abs(tu)
+        su[idx] += tu
+        sv[idx] += _AIRY_V[k] * m
+        go = ~(prev < 1e-18)
+        idx, m, prev, xr = idx[go], m[go], prev[go], xr[go]
+    pre = np.exp(-xi) / (2.0 * _SQRT_PI)
+    q = x ** 0.25
+    return pre * su / q, -pre * sv * q
+
+
+def _airy_oscillating(x):
+    """airy_ai_both for x < -7 (a fixed number of terms)."""
+    z = -x
+    xi = 2.0 / 3.0 * z * np.sqrt(z)
+    c = np.cos(xi - 0.25 * math.pi)
+    s = np.sin(xi - 0.25 * math.pi)
+    inv2 = 1.0 / (xi * xi)
+    me = 1.0
+    se_u = 1.0
+    se_v = 1.0
+    so_u = _AIRY_U[1] / xi
+    so_v = _AIRY_V[1] / xi
+    mo = 1.0 / xi
+    for k in range(1, (_AIRY_U.shape[0] - 1) // 2):
+        me = -me * inv2
+        mo = -mo * inv2
+        se_u = se_u + _AIRY_U[2 * k] * me
+        se_v = se_v + _AIRY_V[2 * k] * me
+        so_u = so_u + _AIRY_U[2 * k + 1] * mo
+        so_v = so_v + _AIRY_V[2 * k + 1] * mo
+    q = z ** 0.25
+    ai = (c * se_u + s * so_u) / (_SQRT_PI * q)
+    aip = (s * se_v - c * so_v) * q / _SQRT_PI
+    return ai, aip
+
+
+def _airy_maclaurin(x):
+    """airy_ai_both for |x| <= 7 (and NaN)."""
+    n = x.shape[0]
+    out = np.empty((4, n))
+    idx = np.arange(n)
+    x2 = x * x
+    tf = np.ones(n)
+    f = np.ones(n)
+    fp = np.zeros(n)
+    tg = x.copy()
+    g = x.copy()
+    gp = np.ones(n)
+    for k in range(1, 80):
+        if idx.size == 0:
+            break
+        fp = fp + tf * x2 / (3.0 * k - 1.0)
+        tf = tf * x2 * x / ((3.0 * k) * (3.0 * k - 1.0))
+        f = f + tf
+        gp = gp + tg * x2 / (3.0 * k)
+        tg = tg * x2 * x / ((3.0 * k + 1.0) * (3.0 * k))
+        g = g + tg
+        done = np.abs(tf) + np.abs(tg) < 1e-20 * (1.0 + np.abs(f) + np.abs(g))
+        if done.any():
+            out[:, idx[done]] = f[done], fp[done], g[done], gp[done]
+            go = ~done
+            idx, x, x2, tf, f, fp, tg, g, gp = (
+                v[go] for v in (idx, x, x2, tf, f, fp, tg, g, gp))
+    out[:, idx] = f, fp, g, gp
+    f, fp, g, gp = out
+    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
+
+
+def airy_ai_both_array(x):
+    """airy_ai_both over a float array: (Ai(x), Ai'(x))."""
+    ai = np.empty_like(x)
+    aip = np.empty_like(x)
+    big = x > 7.0
+    neg = x < -7.0
+    mid = ~(big | neg)
+    for part, evaluate in ((big, _airy_decaying), (neg, _airy_oscillating),
+                           (mid, _airy_maclaurin)):
+        ai[part], aip[part] = evaluate(x[part])
+    return ai, aip
+
+
+def _odd_tail_array(x, sign):
+    """_odd_tail over an array."""
+    out = np.empty_like(x)
+    big = x > 0.5
+    xb = x[big]
+    out[big] = xb - np.sin(xb) if sign < 0.0 else np.sinh(xb) - xb
+    idx = np.flatnonzero(~big)
+    x2 = x[idx] * x[idx]
+    term = x[idx] * x2 / 6.0
+    total = term
+    k = 1
+    while idx.size:
+        go = np.abs(term) > 1e-17 * total
+        out[idx[~go]] = total[~go]
+        idx, x2, term, total = idx[go], x2[go], term[go], total[go]
+        term = term * (sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))
+        total = total + term
+        k += 1
+    return out
+
+
+def langer_phase_array(t, z, d, c, sigma):
+    """langer_phase over arrays t, z."""
+    out = np.empty_like(t)
+    pos = t >= 0.0
+    tp, zp = t[pos], z[pos]
+    th = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(tp / (2.0 * d))))
+    ps = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(tp * c / (2.0 * zp * d))))
+    out[pos] = sigma * 0.5 * d * _odd_tail_array(th, -1.0) + 0.5 * (c * th - ps)
+    neg = ~pos
+    tn, zn = t[neg], z[neg]
+    et = 2.0 * np.arcsinh(np.sqrt(-tn / (2.0 * d)))
+    ch = 2.0 * np.arcsinh(np.sqrt(-tn * c / (2.0 * zn * d)))
+    out[neg] = -(sigma * 0.5 * d * _odd_tail_array(et, 1.0) + 0.5 * (ch - c * et))
+    return out
+
+
+def _langer_amplitude_array(t, z, nu, d, z_out, c, sigma):
+    """_langer_amplitude over arrays t, z."""
+    xi = langer_phase_array(t, z, d, c, sigma)
+    zeta = np.copysign((1.5 * np.abs(xi)) ** (2.0 / 3.0), xi)
+    q = t * (z_out - z if sigma < 0.0 else z - 1.0 / z_out) / (4.0 * z * z)
+    qp = (1.0 - 2.0 * nu * z) / (2.0 * z * z * z)
+    f = (zeta / q) ** 0.25
+    fp = 0.25 * f * (-sigma / (f * f * zeta) - qp / q)
+    return zeta, f, fp
+
+
+def langer_airy_array(z, nu, outer):
+    """langer_airy over an array z."""
+    d = math.sqrt(4.0 * nu * nu - 1.0)
+    z_out = 2.0 * nu + d
+    if outer:
+        z_turn, c, sigma, norm = z_out, 1.0 / z_out, 1.0, 1.0
+        t = z_out - z
+    else:
+        z_turn, c, sigma, norm = 1.0 / z_out, z_out, -1.0, _SQRT_PI
+        t = z - z_turn
+    ts = 1e-5 * z_turn
+    zeta = np.empty_like(z)
+    f = np.empty_like(z)
+    fp = np.empty_like(z)
+    far = np.abs(t) >= ts
+    zeta[far], f[far], fp[far] = _langer_amplitude_array(t[far], z[far], nu, d, z_out,
+                                                         c, sigma)
+    near = ~far
+    tn = t[near]
+    zeta[near] = np.copysign((1.5 * np.abs(langer_phase_array(tn, z[near], d, c, sigma)))
+                             ** (2.0 / 3.0), tn)
+    _, f1, fp1 = _langer_amplitude(ts, z_turn - sigma * ts, nu, d, z_out, c, sigma)
+    _, f2, fp2 = _langer_amplitude(-ts, z_turn + sigma * ts, nu, d, z_out, c, sigma)
+    w = 0.5 * (tn + ts) / ts
+    f[near] = f2 + w * (f1 - f2)
+    fp[near] = fp2 + w * (fp1 - fp2)
+    ai, aip = airy_ai_both_array(-zeta)
+    return norm * f * ai, norm * (fp * ai + sigma * aip / f)
+
+
+def langer_regular_array(z, nu):
+    """langer_regular over an array z."""
+    d = math.sqrt(4.0 * nu * nu - 1.0)
+    z_out = 2.0 * nu + d
+    t = z - 1.0 / z_out
+    xi = np.zeros_like(z)
+    pos = t > 0.0
+    xi[pos] = langer_phase_array(t[pos], z[pos], d, z_out, -1.0)
+    m = np.empty_like(z)
+    mp = np.empty_like(z)
+    airy = xi < XI_B
+    m[airy], mp[airy] = langer_airy_array(z[airy], nu, False)
+    prim = ~(xi <= XI_A)
+    blend = airy & prim
+    ma, mpa = m[blend], mp[blend]
+    tp, zp, xp = t[prim], z[prim], xi[prim]
+    q = tp * (z_out - zp) / (4.0 * zp * zp)
+    qp = (1.0 - 2.0 * nu * zp) / (2.0 * zp * zp * zp)
+    q4 = q ** 0.25
+    mq = np.sin(xp + 0.25 * math.pi) / q4
+    m[prim] = mq
+    mp[prim] = q4 * np.cos(xp + 0.25 * math.pi) - 0.25 * qp / q * mq
+    # C2 weight (xi' = sqrt(Q_L)), so that G, which holds M_L', stays C1
+    u = (xi[blend] - XI_A) / (XI_B - XI_A)
+    w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+    q4 = q4[blend[prim]]
+    dw = 30.0 * (u * (1.0 - u)) ** 2 / (XI_B - XI_A) * q4 * q4
+    mb, mpb = m[blend], mp[blend]
+    m[blend] = ma + w * (mb - ma)
+    mp[blend] = mpa + w * (mpb - mpa) + dw * (mb - ma)
+    return m, mp
+
+
+def _map_blocks(block_kernel, R, rp_vec, *args):
+    """(values, region, status) of block_kernel over blocks of FIELD_BLOCK
+    rows of R (N x 3)."""
+    n = R.shape[0]
+    vals = np.empty(n, dtype=np.complex128)
+    region = np.empty(n, dtype=np.int8)
+    status = np.empty(n, dtype=np.int8)
+    for i in range(0, n, FIELD_BLOCK):
+        b = slice(i, i + FIELD_BLOCK)
+        vals[b], region[b], status[b] = block_kernel(R[b], rp_vec, *args)
+    return vals, region, status
+
+
+def _sc_bound_block(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
+                    pref_merged, pref_elem, pglob, sinpk,
+                    caustic_tol, focal_tol):
+    _, _, s, ap, am = lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+    four_a = 4.0 * a
+    vals = np.full(ap.shape, complex(np.nan, np.nan))
+    inside = ap < four_a
+    region = np.where(inside, REGION_ALLOWED, REGION_FORBIDDEN).astype(np.int8)
+    status = np.full(ap.shape, STATUS_OK, dtype=np.int8)
+    source = s <= 0.0
+    focal = ~source & (am <= focal_tol * ap)
+    caustic = ~(source | focal) & (np.abs(ap - four_a) <= caustic_tol * four_a)
+    region[source] = REGION_ALLOWED
+    region[caustic] = REGION_CAUSTIC
+    status[source] = STATUS_SOURCE
+    status[focal] = STATUS_FOCAL
+    status[caustic] = STATUS_CAUSTIC
+    rest = ~(source | focal | caustic)
+    p = (ndim - 1.0) / 2.0
+
+    # classically allowed: merged interference of the two path families
+    ok = rest & inside
+    s_, ap_, am_ = s[ok], ap[ok], am[ok]
+    vp = cv * np.sqrt((four_a - ap_) / ap_)
+    vm = cv * np.sqrt((four_a - am_) / am_)
+    wp = _w_bound_array(ap_, a, sk)
+    wm = _w_bound_array(am_, a, sk)
+    den = np.sqrt(vp * vm)
+    sd1 = (mu * (vp + vm) / (2.0 * s_)) ** p / den
+    sd2 = (mu * (vm - vp) / (2.0 * s_)) ** p / den
+    w1 = wp - wm
+    w2 = wp + wm
+    br = (sd1 * np.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))
+          + sd2 * np.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
+    vals[ok] = pref_merged * br / sinpk
+
+    # forbidden region: continue v_plus -> i w, W_plus -> pi a sk + i Im
+    ok = rest & ~inside
+    s_, ap_, am_ = s[ok], ap[ok], am[ok]
+    wtp = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(ap_, a, sk))
+    wvel_p = cv * np.sqrt((ap_ - four_a) / ap_)
+    wtm = np.empty(ap_.shape, dtype=np.complex128)
+    vmc = np.empty(ap_.shape, dtype=np.complex128)
+    dbl = am_ >= four_a
+    # doubly forbidden: continue the minus leg the same way
+    amd = am_[dbl]
+    wtm[dbl] = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(amd, a, sk))
+    vmc[dbl] = _cplx(0.0, cv * np.sqrt((amd - four_a) / amd))
+    amd = am_[~dbl]
+    wtm[~dbl] = _w_bound_array(amd, a, sk)
+    vmc[~dbl] = cv * np.sqrt((four_a - amd) / amd)
+    vpc = _cplx(0.0, wvel_p)
+    denc = np.sqrt(vpc * vmc)
+    b1 = mu * (vmc + vpc) / (2.0 * s_)
+    b2 = mu * (vmc - vpc) / (2.0 * s_)
+    a1 = b1 ** p / denc
+    a2 = cmath.exp(-0.5j * math.pi * (ndim - 2.0)) * b2 ** p / denc
+    w1 = wtp - wtm
+    w2 = wtp + wtm
+    vals[ok] = pref_elem * pglob * (a1 * np.exp(1j * w1 / hbar)
+                                    + a2 * np.exp(1j * w2 / hbar))
+    return vals, region, status
+
+
 def sc_bound_field(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
                    pref_merged, pref_elem, pglob, sinpk,
                    caustic_tol, focal_tol):
-    """sc_bound_point mapped over rows of R (N x 3); order-independent."""
-    n = R.shape[0]
-    vals = np.empty(n, dtype=np.complex128)
-    region = np.empty(n, dtype=np.int8)
-    status = np.empty(n, dtype=np.int8)
-    for i in prange(n):
-        r, rr, s, _, _ = lambert_alphas(R[i, 0], R[i, 1], R[i, 2],
-                                        rp_vec[0], rp_vec[1], rp_vec[2])
-        v, reg, st = sc_bound_point(r, rr, s, a, k, ndim, mu, hbar, sk, cv,
-                                    pref_merged, pref_elem, pglob, sinpk,
-                                    caustic_tol, focal_tol)
-        vals[i] = v
-        region[i] = reg
-        status[i] = st
+    """sc_bound_point over the rows of R (N x 3), array-wise."""
+    return _map_blocks(_sc_bound_block, R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
+                       pref_merged, pref_elem, pglob, sinpk, caustic_tol, focal_tol)
+
+
+def _ua_block(R, rp_vec, four_a, nu, kappa, g0, focal_tol):
+    _, _, s, ap, am = lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+    vals = np.full(ap.shape, complex(np.nan, np.nan))
+    source = s <= 0.0
+    focal = ~source & (am <= focal_tol * ap)
+    rest = ~(source | focal)
+    region = np.where(ap < four_a, REGION_ALLOWED, REGION_FORBIDDEN).astype(np.int8)
+    region[rest & (np.abs(ap - four_a) < 1e-7 * four_a)] = REGION_CAUSTIC
+    region[source] = REGION_ALLOWED
+    x = kappa * ap
+    y = kappa * am
+    z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
+    status = np.full(ap.shape, STATUS_OK, dtype=np.int8)
+    status[source] = STATUS_SOURCE
+    status[focal] = STATUS_FOCAL
+    # doubly forbidden, or both legs inside the inner turning point
+    status[rest & ((y >= 0.999 * z_out) | (x <= 1.0 / z_out))] = STATUS_UNSUPPORTED
+    ok = status == STATUS_OK
+    w, wp = langer_airy_array(x[ok], nu, True)
+    m, mp = langer_regular_array(y[ok], nu)
+    vals[ok] = g0 * (wp * m - w * mp) / s[ok]
     return vals, region, status
 
 
-@njit(cache=True, parallel=True)
 def ua_field(R, rp_vec, four_a, nu, kappa, g0, focal_tol):
-    n = R.shape[0]
-    vals = np.empty(n, dtype=np.complex128)
-    region = np.empty(n, dtype=np.int8)
-    status = np.empty(n, dtype=np.int8)
-    for i in prange(n):
-        r, rr, s, _, _ = lambert_alphas(R[i, 0], R[i, 1], R[i, 2],
-                                        rp_vec[0], rp_vec[1], rp_vec[2])
-        v, reg, st = ua_point(r, rr, s, four_a, nu, kappa, g0, focal_tol)
-        vals[i] = v
-        region[i] = reg
-        status[i] = st
-    return vals, region, status
+    """ua_point over the rows of R (N x 3), array-wise."""
+    return _map_blocks(_ua_block, R, rp_vec, four_a, nu, kappa, g0, focal_tol)
 
 
 # ==========================================================================
 # radial Schroedinger solver (quantum-mechanical reference, n = 3)
 # ==========================================================================
 
-@njit(cache=True)
 def radial_rhs(r, l, e2, c1):
     """f(r) in u'' = -f u:  f = 2mu(E + Kc/r)/hbar^2 - l(l+1)/r^2."""
     return e2 + c1 / r - l * (l + 1.0) / (r * r)
 
 
-@njit(cache=True)
 def radial_rhs_prime(r, l, e2, c1):
     return -c1 / (r * r) + 2.0 * l * (l + 1.0) / (r * r * r)
 
 
-@njit(cache=True)
 def numerov_fill_outward(l, e2, c1, h, n, j0, u0, u1):
     """Fill u[j0..n] by the Numerov recurrence given the two start values.
 
@@ -551,7 +853,6 @@ def numerov_fill_outward(l, e2, c1, h, n, j0, u0, u1):
     return u
 
 
-@njit(cache=True)
 def numerov_fill_inward(l, e2, c1, h, n, j_stop, un, unm1):
     """Inward Numerov fill on [j_stop, n].
 
@@ -578,7 +879,6 @@ def numerov_fill_inward(l, e2, c1, h, n, j_stop, un, unm1):
     return u
 
 
-@njit(cache=True)
 def ode_derivative(u, j, h, l, e2, c1):
     """u'(r_j) from neighbors with the leading ODE-aware h^2 correction
     subtracted; accurate to O(h^4) without extra stencil points."""
@@ -589,14 +889,12 @@ def ode_derivative(u, j, h, l, e2, c1):
     return num / (1.0 - h * h * f / 6.0)
 
 
-@njit(cache=True)
 def wronskian_at(u, v, j, h, l, e2, c1):
     up = ode_derivative(u, j, h, l, e2, c1)
     vp = ode_derivative(v, j, h, l, e2, c1)
     return u[j] * vp - up * v[j]
 
 
-@njit(cache=True)
 def best_match_index(u_reg, u_irr, j0, n):
     """Mesh index where both solutions are healthiest (max |u_reg*u_irr|,
     evaluated in logs to dodge overflow)."""
@@ -613,7 +911,6 @@ def best_match_index(u_reg, u_irr, j0, n):
     return jbest
 
 
-@njit(cache=True)
 def interp_u(u, r, h, j0, n):
     """Cubic 4-point Lagrange interpolation of u at radius r on the mesh."""
     x = r / h
@@ -633,7 +930,6 @@ def interp_u(u, r, h, j0, n):
             + t * (t * t - 1.0) / 6.0 * u2)
 
 
-@njit(cache=True)
 def hostler_bracket(u_reg, du_reg, j_reg, u_irr, du_irr, j_irr, h, n, rho_p, rho_m):
     """u_irr'(rho_+) u_reg(rho_-) - u_irr(rho_+) u_reg'(rho_-) at every point.
 

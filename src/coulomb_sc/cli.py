@@ -12,7 +12,8 @@ Common flags: --nu | --energy (one of), --ndim, --source x,y[,z],
 --grid ax:lo:hi:count (repeatable), --cut ax:lo:hi:count, --fix ax:val,
 --method {sc,ua,qm,all}, --exclude-radius, --out, --config file.json.
 Defaults: atomic units, ndim=3, method=sc.  A JSON config file mirrors the
-flags; explicit flags override it.
+flags; explicit flags override it.  Without --out, scan and cut write the
+CSV to stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -148,9 +149,11 @@ def cmd_eigenvalues(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _scan_config(args, want_grids=2)
-    run_scan(cfg)
+    text = run_scan(cfg)
     if cfg.out:
         print(f"scan written to {cfg.out}")
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -170,6 +173,8 @@ def cmd_tof(args) -> int:
     params = SystemParams(ndim=args.ndim)
     if (args.nu is None) == (args.energy is None):
         raise ConfigError("exactly one of --nu / --energy must be given")
+    if args.loops < 0:
+        raise ConfigError(f"--loops must be >= 0, got {args.loops}")
     spec = energy_from_nu(args.nu, params) if args.nu is not None \
         else EnergySpec.from_energy(args.energy, params)
     r_vec = _parse_vector(args.r)

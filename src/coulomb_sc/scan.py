@@ -1,13 +1,14 @@
 """Grid scans, comparison cuts and CSV emission.
 
-Grid points are evaluated as an order-independent parallel map (the numba
-kernels use prange; each point writes its own slot), and output rows are
-assembled in deterministic grid order regardless of completion order.
-Per-point failures never abort a scan: they become NaN rows with a reason
-column.
+Grid points are evaluated by the array kernels (``_kernels.sc_bound_field``,
+``ua_field``: NumPy over blocks of points, each point its own slot), and
+output rows are assembled in deterministic grid order.  Per-point failures
+never abort a scan: they become NaN rows with a reason column.
 
 CSV format: header line, comma-separated, UTF-8, LF line endings, floats
-in scientific notation with 17 significant digits.
+in scientific notation with 17 significant digits.  The text is formatted
+in blocks of ``CSV_BLOCK`` rows, one ``%`` operation per block, and is
+byte-identical to formatting every value with ``fmt``.
 """
 
 from __future__ import annotations
@@ -15,21 +16,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import _kernels as K
-from .actions import round_trip, _scales
 from .errors import ConfigError
 from .model import EnergySpec, SystemParams, energy_eigenvalue, energy_from_nu, quantization_action
 from .qm_oracle import qm_field
 from .uniform import ua_constants
-from .semiclassical import (
-    POLE_GUARD,
-    _elementary_prefactor,
-    _merged_prefactor,
-    loop_factor,
-)
+from .semiclassical import POLE_GUARD, sc_constants
 
 AXIS_NAMES = ("x", "y", "z", "x4", "x5", "x6")
 
@@ -45,6 +41,41 @@ def fmt(x: float) -> str:
     if math.isnan(x):
         return "nan"
     return f"{x:.16e}"
+
+
+#: rows per formatted CSV block (bounds the temporary Python objects)
+CSV_BLOCK = 4096
+
+# "region,reason" for every (region, status) code pair
+_LABELS = np.array([[f"{_REGION_NAMES[r]},{_REASONS[s]}" for s in sorted(_REASONS)]
+                    for r in sorted(_REGION_NAMES)], dtype=object)
+
+
+def _fmt_strings(values) -> np.ndarray:
+    """fmt of each value, as an object array."""
+    return np.array([fmt(v) for v in values.tolist()], dtype=object)
+
+
+def csv_text(header: str, row: str, columns, n: int) -> str:
+    """The header line, then ``row`` %-formatted with the values of entry i
+    of every column in turn, for i = 0..n-1.
+
+    Columns are arrays: object arrays of strings for ``%s`` fields, float
+    arrays for ``%.16e`` fields, which print exactly as ``fmt`` does
+    ('nan' for a NaN of either sign).  Each block of CSV_BLOCK entries is
+    one ``%`` operation over ``.tolist()`` columns.
+    """
+    parts = [header + "\n"]
+    for i in range(0, n, CSV_BLOCK):
+        cols = [c[i:i + CSV_BLOCK].tolist() for c in columns]
+        parts.append((row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
+    return "".join(parts)
+
+
+def _write(text: str, path: str | None):
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 @dataclass
@@ -75,6 +106,9 @@ class ScanConfig:
             raise ConfigError(
                 f"expected {want_grids} swept axis(es), got {len(self.grids)}"
             )
+        swept = [g[0] for g in self.grids]
+        if len(set(swept)) != len(swept):
+            raise ConfigError(f"an axis is swept twice: {swept}")
         for ax, lo, hi, count in self.grids:
             if count < 2:
                 raise ConfigError(f"grid axis {ax!r} needs count >= 2, got {count}")
@@ -82,10 +116,19 @@ class ScanConfig:
                 raise ConfigError(f"grid axis {ax!r}: bad range [{lo}, {hi}]")
             if ax not in AXIS_NAMES[: self.ndim]:
                 raise ConfigError(f"axis {ax!r} not valid for ndim = {self.ndim}")
+        for ax, val in self.fixes.items():
+            if ax in swept:
+                raise ConfigError(f"axis {ax!r} is both swept and fixed")
+            if ax not in AXIS_NAMES[: self.ndim]:
+                raise ConfigError(f"fixed axis {ax!r} not valid for ndim = {self.ndim}")
+            if not math.isfinite(val):
+                raise ConfigError(f"fixed axis {ax!r}: value {val} is not finite")
         if len(self.source) != self.ndim:
             raise ConfigError(
                 f"source has {len(self.source)} components, ndim = {self.ndim}"
             )
+        if not all(math.isfinite(v) for v in self.source):
+            raise ConfigError(f"source {self.source} has a non-finite component")
 
     def energy_spec(self, params: SystemParams) -> EnergySpec:
         if self.nu is not None:
@@ -143,17 +186,9 @@ def _embed3(points: np.ndarray, ndim: int) -> np.ndarray:
 def eval_sc(points, source, spec: EnergySpec, params: SystemParams,
             caustic_tol: float = 1e-9):
     """Bound semiclassical field over points: (values, region, status)."""
-    sk, cv, _ = _scales(spec, params)
-    w2pi, _ = round_trip(spec, params)
     pts3 = _embed3(points, params.ndim)
     src3 = _embed3(np.asarray(source, float)[None, :], params.ndim)[0]
-    return K.sc_bound_field(
-        pts3, src3, spec.a, spec.k, params.ndim, params.mu, params.hbar, sk, cv,
-        _merged_prefactor(params.ndim, params.hbar),
-        _elementary_prefactor(params.ndim, params.hbar),
-        loop_factor(w2pi, params.ndim, params.hbar),
-        math.sin(math.pi * spec.k), caustic_tol, 1e-12,
-    )
+    return K.sc_bound_field(pts3, src3, *sc_constants(spec, params), caustic_tol, 1e-12)
 
 
 def eval_ua(points, source, spec: EnergySpec, params: SystemParams):
@@ -206,19 +241,17 @@ def run_scan(config: ScanConfig) -> str:
         else:
             results[m] = eval_qm(points, config.source, spec, params)
 
-    lines = ["x,y,re,im,method,region,reason"]
-    for i in range(points.shape[0]):
-        for m in methods:
-            vals, region, status = results[m]
-            lines.append(",".join([
-                fmt(c1[i]), fmt(c2[i]),
-                fmt(float(np.real(vals[i]))), fmt(float(np.imag(vals[i]))),
-                m, _REGION_NAMES[int(region[i])], _REASONS[int(status[i])],
-            ]))
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    # each swept value formatted once: c1 = repeat(v1, n2), c2 = tile(v2, n1)
+    n2 = int(config.grids[1][3])
+    x_str = np.repeat(_fmt_strings(c1[::n2]), n2)
+    y_str = np.tile(_fmt_strings(c2[:n2]), len(c1) // n2)
+    row, columns = "", []
+    for m in methods:
+        vals, region, status = results[m]
+        row += f"%s,%s,%.16e,%.16e,{m},%s\n"
+        columns += [x_str, y_str, vals.real, vals.imag, _LABELS[region, status]]
+    text = csv_text("x,y,re,im,method,region,reason", row, columns, points.shape[0])
+    _write(text, config.out)
     return text
 
 
@@ -242,7 +275,7 @@ def run_cut(config: ScanConfig) -> str:
 
     s = np.linalg.norm(points - np.asarray(config.source, float)[None, :], axis=1)
     excluded = s < config.exclude_radius
-    qm_ref = np.where(np.asarray([st == K.STATUS_OK for st in qm_status]) & ~excluded,
+    qm_ref = np.where((qm_status == K.STATUS_OK) & ~excluded,
                       np.real(qm_vals), np.nan)
     scale = np.nanmax(np.abs(qm_ref))
     if not math.isfinite(scale) or scale == 0.0:
@@ -253,17 +286,11 @@ def run_cut(config: ScanConfig) -> str:
     dev_sc[excluded] = np.nan
     dev_ua[excluded] = np.nan
 
-    lines = ["x,G_qm,G_sc,G_ua,dev_sc,dev_ua"]
-    for i in range(points.shape[0]):
-        lines.append(",".join([
-            fmt(c1[i]), fmt(float(np.real(qm_vals[i]))),
-            fmt(float(np.real(sc_vals[i]))), fmt(float(np.real(ua_vals[i]))),
-            fmt(float(dev_sc[i])), fmt(float(dev_ua[i])),
-        ]))
-    text = "\n".join(lines) + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    text = csv_text("x,G_qm,G_sc,G_ua,dev_sc,dev_ua",
+                    "%s,%.16e,%.16e,%.16e,%.16e,%.16e\n",
+                    [_fmt_strings(c1), qm_vals.real, sc_vals.real, ua_vals.real,
+                     dev_sc, dev_ua], points.shape[0])
+    _write(text, config.out)
     return text
 
 

@@ -9,7 +9,7 @@ positive-imaginary continuation of the outer action.
 Global phase convention: fixed so that G -> -mu / (2 pi hbar^2 s) as
 s -> 0 in three dimensions (the free source singularity), which also
 matches the exact reference.  All evaluators are pure; grid
-scans map them pointwise with no shared mutable state.
+scans evaluate the same formulas array-wise (``_kernels.sc_bound_field``).
 """
 
 from __future__ import annotations
@@ -101,6 +101,18 @@ def _elementary_prefactor(ndim: int, hbar: float) -> complex:
     return -1.0 / (1j * hbar * (-2j * math.pi * hbar) ** ((ndim - 1) / 2.0))
 
 
+def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
+    """(a, k, ndim, mu, hbar, sk, cv, merged prefactor, elementary
+    prefactor, loop factor, sin(pi k)): the energy-dependent arguments of
+    the bound SC kernels, ahead of their two tolerances."""
+    sk, cv, _ = _scales(spec, params)
+    return (spec.a, spec.k, params.ndim, params.mu, params.hbar, sk, cv,
+            _merged_prefactor(params.ndim, params.hbar),
+            _elementary_prefactor(params.ndim, params.hbar),
+            loop_factor(round_trip(spec, params)[0], params.ndim, params.hbar),
+            math.sin(math.pi * spec.k))
+
+
 def _bound_guards(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     if spec.E >= 0.0:
         raise ValueError("bound-state evaluator requires E < 0")
@@ -129,16 +141,8 @@ def green_sc_bound(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fie
     if region.tag is Region.FORBIDDEN:
         raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
 
-    sk, cv, _ = _scales(spec, params)
-    val, _, status = K.sc_bound_point(
-        pair.r, pair.rp, pair.s, spec.a, spec.k, params.ndim, params.mu,
-        params.hbar, sk, cv,
-        _merged_prefactor(params.ndim, params.hbar),
-        _elementary_prefactor(params.ndim, params.hbar),
-        loop_factor(round_trip(spec, params)[0], params.ndim, params.hbar),
-        math.sin(math.pi * spec.k),
-        1e-9, 1e-12,
-    )
+    val, _, status = K.sc_bound_point(pair.r, pair.rp, pair.s,
+                                      *sc_constants(spec, params), 1e-9, 1e-12)
     if status != K.STATUS_OK:
         raise RegionError(f"point evaluation failed with status {status}")
     return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),
@@ -158,16 +162,8 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
     if region.tag is not Region.FORBIDDEN:
         raise RegionError("green_sc_tunnel requires a point beyond the caustic")
 
-    sk, cv, _ = _scales(spec, params)
-    val, _, status = K.sc_bound_point(
-        pair.r, pair.rp, pair.s, spec.a, spec.k, params.ndim, params.mu,
-        params.hbar, sk, cv,
-        _merged_prefactor(params.ndim, params.hbar),
-        _elementary_prefactor(params.ndim, params.hbar),
-        loop_factor(round_trip(spec, params)[0], params.ndim, params.hbar),
-        math.sin(math.pi * spec.k),
-        1e-9, 1e-12,
-    )
+    val, _, status = K.sc_bound_point(pair.r, pair.rp, pair.s,
+                                      *sc_constants(spec, params), 1e-9, 1e-12)
     if status != K.STATUS_OK:
         raise RegionError(f"point evaluation failed with status {status}")
     return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),

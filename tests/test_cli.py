@@ -59,6 +59,18 @@ def test_scan_csv_roundtrip(tmp_path, capsys):
     assert regions <= {"Allowed", "OnCaustic", "Forbidden"}
 
 
+def test_scan_without_out_writes_csv_to_stdout(tmp_path, capsys):
+    args = ["scan", "--nu", "9.7", "--source", "50,0,0",
+            "--grid", "x:40:120:5", "--grid", "y:10:60:4"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    path = tmp_path / "scan.csv"
+    code, msg, _ = run_cli(args + ["--out", str(path)], capsys)
+    assert code == 0 and msg == f"scan written to {path}\n"
+    assert out == path.read_text()
+    assert out.startswith("x,y,re,im,method,region,reason\n") and out.count("\n") == 21
+
+
 def test_scan_method_all_has_rows_per_method(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, _, _ = run_cli(["scan", "--nu", "5.3", "--source", "20,0,0",
@@ -158,10 +170,25 @@ def test_config_errors_exit_two(capsys, tmp_path):
         ["cut", "--nu", "9.7", "--cut", "q:0:1:5"],                         # bad axis
         ["scan", "--nu", "9.7", "--ndim", "2", "--method", "qm",
          "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # qm needs 3d
+        ["scan", "--nu", "9.7", "--source", "nan,0,0",
+         "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # NaN source
+        ["scan", "--nu", "9.7", "--source", "50,-inf,0",
+         "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # infinite source
+        ["scan", "--nu", "9.7", "--grid", "x:0:1:5", "--grid", "x:2:3:5"],  # axis twice
+        ["scan", "--nu", "9.7", "--grid", "x:0:1:5", "--grid", "y:0:1:5",
+         "--fix", "x:0.5"],                                                 # fix a swept axis
+        ["cut", "--nu", "9.7", "--cut", "x:0:1:5", "--fix", "x:0.5"],       # the same, cut
+        ["scan", "--nu", "9.7", "--grid", "x:0:1:5", "--grid", "y:0:1:5",
+         "--fix", "q:0.5"],                                                 # bad fixed axis
+        ["scan", "--nu", "9.7", "--grid", "x:0:1:5", "--grid", "y:0:1:5",
+         "--fix", "z:nan"],                                                 # NaN fixed value
+        ["tof", "--nu", "9.7", "--source", "50,0,0", "--r", "80,30,0",
+         "--loops", "-1"],                                                  # negative loops
     ]
     for args in bad:
-        code, _, err = run_cli(args, capsys)
+        code, out, err = run_cli(args, capsys)
         assert code == 2, args
+        assert "config error" in err and out == "", args
 
 
 def test_lmax_retired_exits_two(capsys, tmp_path):
