@@ -134,13 +134,14 @@ _AIP0 = -0.2588194037928067984051835601892039634793  # Ai'(0) = -3^(-1/3)/Gamma(
 
 
 def _airy_asymptotic_coeffs(m=26):
-    u = np.empty(m)
-    v = np.empty(m)
-    u[0] = 1.0
-    v[0] = 1.0
+    """u_k, v_k of the large-argument expansions, as lists of floats: the
+    scalar series read them one at a time, and a NumPy scalar would make
+    every term several times dearer."""
+    u = [1.0]
+    v = [1.0]
     for k in range(1, m):
-        u[k] = u[k - 1] * (6.0 * k - 5.0) * (6.0 * k - 1.0) / (72.0 * k)
-        v[k] = u[k] * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
+        u.append(u[k - 1] * (6.0 * k - 5.0) * (6.0 * k - 1.0) / (72.0 * k))
+        v.append(u[k] * (6.0 * k + 1.0) / (1.0 - 6.0 * k))
     return u, v
 
 
@@ -156,7 +157,7 @@ def airy_ai_both(x):
         su = 1.0
         sv = 1.0
         prev = 1.0
-        for k in range(1, _AIRY_U.shape[0]):
+        for k in range(1, len(_AIRY_U)):
             m = -m / xi
             tu = _AIRY_U[k] * m
             if abs(tu) > prev:
@@ -182,7 +183,7 @@ def airy_ai_both(x):
         so_u = _AIRY_U[1] / xi
         so_v = _AIRY_V[1] / xi
         mo = 1.0 / xi
-        for k in range(1, (_AIRY_U.shape[0] - 1) // 2):
+        for k in range(1, (len(_AIRY_U) - 1) // 2):
             me = -me * inv2
             mo = -mo * inv2
             se_u += _AIRY_U[2 * k] * me
@@ -238,7 +239,10 @@ def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
 
     Allowed region: merged two-path interference form (real for odd ndim).
     Forbidden region: two-path tunneling continuation with the
-    positive-imaginary action branch, times the loop factor.
+    positive-imaginary action branch, times the loop factor (real for odd
+    ndim while the inner leg is allowed, alpha_- < 4a).  The caustic
+    alpha_+ = 4a and the inner leg's turning point alpha_- = 4a, each
+    within caustic_tol * 4a, get NaN with STATUS_CAUSTIC.
 
     Returns (value, region_code, status_code).
     """
@@ -252,6 +256,9 @@ def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
         return complex(np.nan, np.nan), region, STATUS_FOCAL
     if abs(ap - four_a) <= caustic_tol * four_a:
         return complex(np.nan, np.nan), REGION_CAUSTIC, STATUS_CAUSTIC
+    if abs(am - four_a) <= caustic_tol * four_a:
+        # the inner leg at its own turning point (v_minus = 0), beyond the caustic
+        return complex(np.nan, np.nan), REGION_FORBIDDEN, STATUS_CAUSTIC
 
     p = (ndim - 1.0) / 2.0
     if ap < four_a:
@@ -269,7 +276,20 @@ def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
               + sd2 * math.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
         return pref_merged * br / sinpk, REGION_ALLOWED, STATUS_OK
 
-    # forbidden region: continue v_plus -> i w, W_plus -> pi a sk + i Im
+    val = sc_forbidden_value(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
+    if am < four_a and ndim % 2 == 1:
+        # inner leg allowed, odd n: the value is real; its imaginary part
+        # is rounding noise whose sign follows the last bit of the arithmetic
+        val = complex(val.real, 0.0)
+    return val, REGION_FORBIDDEN, STATUS_OK
+
+
+def sc_forbidden_value(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob):
+    """Complex two-path tunnelling value beyond the caustic (alpha_+ > 4a),
+    before sc_bound_point drops the imaginary rounding noise of odd n."""
+    four_a = 4.0 * a
+    p = (ndim - 1.0) / 2.0
+    # continue v_plus -> i w, W_plus -> pi a sk + i Im
     w_im_p = w_bound_forbidden_im(ap, a, sk)
     wtp = complex(math.pi * a * sk, w_im_p)
     wvel_p = cv * math.sqrt((ap - four_a) / ap)
@@ -289,9 +309,8 @@ def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
     a2 = cmath.exp(-0.5j * math.pi * (ndim - 2.0)) * b2 ** p / denc
     w1 = wtp - wtm
     w2 = wtp + wtm
-    val = pref_elem * pglob * (a1 * cmath.exp(1j * w1 / hbar)
-                               + a2 * cmath.exp(1j * w2 / hbar))
-    return val, REGION_FORBIDDEN, STATUS_OK
+    return pref_elem * pglob * (a1 * cmath.exp(1j * w1 / hbar)
+                                + a2 * cmath.exp(1j * w2 / hbar))
 
 
 # ==========================================================================
@@ -503,7 +522,7 @@ def _airy_decaying(x):
     m = np.ones_like(x)
     prev = np.ones_like(x)
     xr = xi
-    for k in range(1, _AIRY_U.shape[0]):
+    for k in range(1, len(_AIRY_U)):
         if idx.size == 0:
             break
         m = -m / xr
@@ -533,7 +552,7 @@ def _airy_oscillating(x):
     so_u = _AIRY_U[1] / xi
     so_v = _AIRY_V[1] / xi
     mo = 1.0 / xi
-    for k in range(1, (_AIRY_U.shape[0] - 1) // 2):
+    for k in range(1, (len(_AIRY_U) - 1) // 2):
         me = -me * inv2
         mo = -mo * inv2
         se_u = se_u + _AIRY_U[2 * k] * me
@@ -733,6 +752,9 @@ def _sc_bound_block(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
     status[focal] = STATUS_FOCAL
     status[caustic] = STATUS_CAUSTIC
     rest = ~(source | focal | caustic)
+    # the inner leg at its own turning point (v_minus = 0), beyond the caustic
+    status[rest & (np.abs(am - four_a) <= caustic_tol * four_a)] = STATUS_CAUSTIC
+    rest &= status == STATUS_OK
     p = (ndim - 1.0) / 2.0
 
     # classically allowed: merged interference of the two path families
@@ -751,32 +773,44 @@ def _sc_bound_block(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
           + sd2 * np.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
     vals[ok] = pref_merged * br / sinpk
 
-    # forbidden region: continue v_plus -> i w, W_plus -> pi a sk + i Im
     ok = rest & ~inside
-    s_, ap_, am_ = s[ok], ap[ok], am[ok]
-    wtp = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(ap_, a, sk))
-    wvel_p = cv * np.sqrt((ap_ - four_a) / ap_)
-    wtm = np.empty(ap_.shape, dtype=np.complex128)
-    vmc = np.empty(ap_.shape, dtype=np.complex128)
-    dbl = am_ >= four_a
+    am_ = am[ok]
+    val = sc_forbidden_array(ap[ok], am_, s[ok], a, ndim, mu, hbar, sk, cv,
+                             pref_elem, pglob)
+    if ndim % 2 == 1:
+        # inner leg allowed, odd n: real up to rounding noise
+        val.imag[am_ < four_a] = 0.0
+    vals[ok] = val
+    return vals, region, status
+
+
+def sc_forbidden_array(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob):
+    """sc_forbidden_value over arrays with alpha_+ > 4a."""
+    four_a = 4.0 * a
+    p = (ndim - 1.0) / 2.0
+    # continue v_plus -> i w, W_plus -> pi a sk + i Im
+    wtp = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(ap, a, sk))
+    wvel_p = cv * np.sqrt((ap - four_a) / ap)
+    wtm = np.empty(ap.shape, dtype=np.complex128)
+    vmc = np.empty(ap.shape, dtype=np.complex128)
+    dbl = am >= four_a
     # doubly forbidden: continue the minus leg the same way
-    amd = am_[dbl]
+    amd = am[dbl]
     wtm[dbl] = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(amd, a, sk))
     vmc[dbl] = _cplx(0.0, cv * np.sqrt((amd - four_a) / amd))
-    amd = am_[~dbl]
+    amd = am[~dbl]
     wtm[~dbl] = _w_bound_array(amd, a, sk)
     vmc[~dbl] = cv * np.sqrt((four_a - amd) / amd)
     vpc = _cplx(0.0, wvel_p)
     denc = np.sqrt(vpc * vmc)
-    b1 = mu * (vmc + vpc) / (2.0 * s_)
-    b2 = mu * (vmc - vpc) / (2.0 * s_)
+    b1 = mu * (vmc + vpc) / (2.0 * s)
+    b2 = mu * (vmc - vpc) / (2.0 * s)
     a1 = b1 ** p / denc
     a2 = cmath.exp(-0.5j * math.pi * (ndim - 2.0)) * b2 ** p / denc
     w1 = wtp - wtm
     w2 = wtp + wtm
-    vals[ok] = pref_elem * pglob * (a1 * np.exp(1j * w1 / hbar)
-                                    + a2 * np.exp(1j * w2 / hbar))
-    return vals, region, status
+    return pref_elem * pglob * (a1 * np.exp(1j * w1 / hbar)
+                                + a2 * np.exp(1j * w2 / hbar))
 
 
 def sc_bound_field(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,

@@ -21,14 +21,23 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
 from .errors import ConfigError, CoulombSCError, PoleError
 from .geometry import classify_region, lambert_variables
-from .model import EnergySpec, SystemParams, energy_from_nu
+from .model import SystemParams
 from .actions import four_paths, loop_variant
-from .scan import ScanConfig, eigenvalue_table, fmt, load_json_config, run_cut, run_scan
+from .scan import (
+    ScanConfig,
+    bound_energy_spec,
+    eigenvalue_table,
+    fmt,
+    load_json_config,
+    run_cut,
+    run_scan,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -175,12 +184,13 @@ def cmd_tof(args) -> int:
         raise ConfigError("exactly one of --nu / --energy must be given")
     if args.loops < 0:
         raise ConfigError(f"--loops must be >= 0, got {args.loops}")
-    spec = energy_from_nu(args.nu, params) if args.nu is not None \
-        else EnergySpec.from_energy(args.energy, params)
+    spec = bound_energy_spec(args.nu, args.energy, params)
     r_vec = _parse_vector(args.r)
     rp_vec = _parse_vector(args.source) if args.source else (1.0,) + (0.0,) * (args.ndim - 1)
     if len(r_vec) != args.ndim or len(rp_vec) != args.ndim:
         raise ConfigError("endpoint vectors must have ndim components")
+    if not all(math.isfinite(v) for v in r_vec + rp_vec):
+        raise ConfigError(f"endpoints {r_vec} and {rp_vec} have a non-finite component")
     pair = lambert_variables(r_vec, rp_vec, params)
     region = classify_region(pair, spec, params.attractive)
     print(f"# alpha_plus = {pair.alpha_plus:.12g}, alpha_minus = "

@@ -54,22 +54,39 @@ class RegionClass:
     margin: float
 
 
+def endpoint_lists(r_vec, rp_vec, params: SystemParams | None = None):
+    """(r_vec, rp_vec, pair): the endpoints as lists of floats and their
+    Lambert combinations.
+
+    The lengths come from math.hypot / math.dist on the lists; NumPy
+    norms cost several microseconds more on vectors of 2 to 4
+    components.  A non-finite component raises ValueError.
+    """
+    r_arr = np.asarray(r_vec, dtype=float)
+    rp_arr = np.asarray(rp_vec, dtype=float)
+    if r_arr.shape != rp_arr.shape or r_arr.ndim != 1:
+        raise DimensionMismatchError(
+            f"expected two equal-length vectors, got shapes {r_arr.shape} and {rp_arr.shape}"
+        )
+    if params is not None and r_arr.shape[0] != params.ndim:
+        raise DimensionMismatchError(
+            f"vectors have dimension {r_arr.shape[0]}, params.ndim = {params.ndim}"
+        )
+    x = r_arr.tolist()
+    xp = rp_arr.tolist()
+    r = math.hypot(*x)
+    rp = math.hypot(*xp)
+    s = math.dist(x, xp)
+    ap = r + rp + s
+    # a non-finite component makes r or rp inf or NaN, and with it ap
+    if not math.isfinite(ap):
+        raise ValueError(f"endpoints {x} and {xp} have a non-finite component or length")
+    return x, xp, LambertPair(r, rp, s, ap, r + rp - s)
+
+
 def lambert_variables(r_vec, rp_vec, params: SystemParams | None = None) -> LambertPair:
     """Lambert combinations for two position vectors (force center at origin)."""
-    r_vec = np.asarray(r_vec, dtype=float)
-    rp_vec = np.asarray(rp_vec, dtype=float)
-    if r_vec.shape != rp_vec.shape or r_vec.ndim != 1:
-        raise DimensionMismatchError(
-            f"expected two equal-length vectors, got shapes {r_vec.shape} and {rp_vec.shape}"
-        )
-    if params is not None and r_vec.shape[0] != params.ndim:
-        raise DimensionMismatchError(
-            f"vectors have dimension {r_vec.shape[0]}, params.ndim = {params.ndim}"
-        )
-    r = float(np.linalg.norm(r_vec))
-    rp = float(np.linalg.norm(rp_vec))
-    s = float(np.linalg.norm(r_vec - rp_vec))
-    return LambertPair(r=r, rp=rp, s=s, alpha_plus=r + rp + s, alpha_minus=r + rp - s)
+    return endpoint_lists(r_vec, rp_vec, params)[2]
 
 
 def classify_region(pair: LambertPair, spec: EnergySpec,

@@ -98,6 +98,8 @@ def energy_from_nu(nu: float, params: SystemParams) -> EnergySpec:
         raise ValueError(f"nu must be positive, got {nu}")
     n = params.ndim
     denom = (nu - 1.0 + (n - 1) / 2.0) ** 2
+    if denom == 0.0:
+        raise ValueError(f"nu = {nu} gives an infinite energy")
     E = -params.mu * params.Kc**2 / (2.0 * params.hbar**2 * denom)
     return EnergySpec.from_energy(E, params)
 

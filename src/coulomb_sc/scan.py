@@ -129,13 +129,11 @@ class ScanConfig:
             )
         if not all(math.isfinite(v) for v in self.source):
             raise ConfigError(f"source {self.source} has a non-finite component")
+        self.energy_spec(self.params())
 
     def energy_spec(self, params: SystemParams) -> EnergySpec:
-        if self.nu is not None:
-            spec = energy_from_nu(self.nu, params)
-        else:
-            spec = EnergySpec.from_energy(self.energy, params)
-        if spec.E < 0.0 and abs(spec.k - round(spec.k)) < POLE_GUARD:
+        spec = bound_energy_spec(self.nu, self.energy, params)
+        if abs(spec.k - round(spec.k)) < POLE_GUARD:
             raise ConfigError(
                 f"nu = {spec.nu} sits on a bound-state pole; offset it"
             )
@@ -143,6 +141,22 @@ class ScanConfig:
 
     def params(self) -> SystemParams:
         return SystemParams(ndim=self.ndim)
+
+
+def bound_energy_spec(nu: float | None, energy: float | None,
+                      params: SystemParams) -> EnergySpec:
+    """EnergySpec from nu or, when nu is None, from the energy.  Scans, cuts
+    and tof evaluate the bound regime only: anything but a finite negative
+    energy is a ConfigError."""
+    try:
+        spec = energy_from_nu(nu, params) if nu is not None \
+            else EnergySpec.from_energy(energy, params)
+    except (ValueError, OverflowError) as exc:  # OverflowError: nu beyond ~1e154
+        raise ConfigError(f"no usable energy for nu = {nu}, energy = {energy}: {exc}") \
+            from exc
+    if spec.E > 0.0:
+        raise ConfigError(f"energy {spec.E} > 0: only the bound regime (E < 0) is evaluated")
+    return spec
 
 
 def _axis_index(ax: str, ndim: int) -> int:

@@ -18,8 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels as K
 from .actions import (
     four_paths,
@@ -37,7 +35,14 @@ from .errors import (
     PoleError,
     RegionError,
 )
-from .geometry import LambertPair, Region, RegionClass, classify_region, lambert_variables
+from .geometry import (
+    LambertPair,
+    Region,
+    RegionClass,
+    classify_region,
+    endpoint_lists,
+    lambert_variables,
+)
 from .model import EnergySpec, SystemParams
 from .vvpm import vvpm_det
 
@@ -127,26 +132,37 @@ def _bound_guards(pair: LambertPair, spec: EnergySpec, params: SystemParams):
         )
 
 
+def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
+              forbidden: bool) -> FieldSample:
+    """Bound SC value at one endpoint pair, which must lie beyond the
+    caustic if ``forbidden`` and inside it otherwise."""
+    x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
+    _bound_guards(pair, spec, params)
+    region = classify_region(pair, spec, params.attractive)
+    if forbidden:
+        if region.tag is not Region.FORBIDDEN:
+            raise RegionError("green_sc_tunnel requires a point beyond the caustic")
+    elif region.tag is Region.ON_CAUSTIC:
+        raise OnCausticError("on the caustic: use green_uniform")
+    elif region.tag is Region.FORBIDDEN:
+        raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
+
+    val, _, status = K.sc_bound_point(pair.r, pair.rp, pair.s,
+                                      *sc_constants(spec, params), 1e-9, 1e-12)
+    if status == K.STATUS_CAUSTIC:
+        raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
+    if status != K.STATUS_OK:
+        raise RegionError(f"point evaluation failed with status {status}")
+    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val, region)
+
+
 def green_sc_bound(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
     """Semiclassical bound-state Green function at one endpoint pair
     (classically allowed region).
 
     Real for odd n; even n carries the principal-branch complex prefactor.
     """
-    pair = lambert_variables(r_vec, rp_vec, params)
-    _bound_guards(pair, spec, params)
-    region = classify_region(pair, spec, params.attractive)
-    if region.tag is Region.ON_CAUSTIC:
-        raise OnCausticError("on the caustic: use green_uniform")
-    if region.tag is Region.FORBIDDEN:
-        raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
-
-    val, _, status = K.sc_bound_point(pair.r, pair.rp, pair.s,
-                                      *sc_constants(spec, params), 1e-9, 1e-12)
-    if status != K.STATUS_OK:
-        raise RegionError(f"point evaluation failed with status {status}")
-    return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),
-                       spec.E, "SC", val, region)
+    return _green_sc(r_vec, rp_vec, spec, params, False)
 
 
 def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
@@ -155,19 +171,10 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
     The outer action takes the positive-imaginary branch, so the value
     decays exponentially with tunnel depth; the inner (allowed) leg is
     unchanged, and the loop factor still carries the bound-state poles.
+    Raises OnCausticError where the inner leg reaches its own turning
+    point, alpha_minus = 4a.
     """
-    pair = lambert_variables(r_vec, rp_vec, params)
-    _bound_guards(pair, spec, params)
-    region = classify_region(pair, spec, params.attractive)
-    if region.tag is not Region.FORBIDDEN:
-        raise RegionError("green_sc_tunnel requires a point beyond the caustic")
-
-    val, _, status = K.sc_bound_point(pair.r, pair.rp, pair.s,
-                                      *sc_constants(spec, params), 1e-9, 1e-12)
-    if status != K.STATUS_OK:
-        raise RegionError(f"point evaluation failed with status {status}")
-    return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),
-                       spec.E, "SC", val, region)
+    return _green_sc(r_vec, rp_vec, spec, params, True)
 
 
 # --- explicit loop summation (diagnostic / factorization check) -------------
@@ -247,7 +254,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
     (no caustic; every point is classically reachable)."""
     if spec.E <= 0.0:
         raise ValueError("green_sc_scatter_attractive requires E > 0")
-    pair = lambert_variables(r_vec, rp_vec, params)
+    x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     if pair.s <= 0.0:
         raise RegionError("coincident endpoints")
     if pair.alpha_minus <= 1e-12 * pair.alpha_plus:
@@ -266,8 +273,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
         + sd2 * cmath.exp(1j * (wp + wm) / hbar - 0.5j * math.pi * (n - 2))
     )
     region = classify_region(pair, spec, attractive=True)
-    return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),
-                       spec.E, "SC", val, region)
+    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val, region)
 
 
 def green_sc_scatter_repulsive(r_vec, rp_vec, spec: EnergySpec,
@@ -280,7 +286,7 @@ def green_sc_scatter_repulsive(r_vec, rp_vec, spec: EnergySpec,
     """
     if spec.E <= 0.0:
         raise ValueError("green_sc_scatter_repulsive requires E > 0")
-    pair = lambert_variables(r_vec, rp_vec, params)
+    x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     if pair.s <= 0.0:
         raise RegionError("coincident endpoints")
     region = classify_region(pair, spec, attractive=False)
@@ -305,5 +311,4 @@ def green_sc_scatter_repulsive(r_vec, rp_vec, spec: EnergySpec,
         sd1 * cmath.exp(1j * (wp - wm) / hbar)
         + sd2 * cmath.exp(1j * (wp + wm) / hbar - 0.5j * math.pi)
     )
-    return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),
-                       spec.E, "SC", val, region)
+    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val, region)

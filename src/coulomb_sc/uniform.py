@@ -28,12 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels as K
 from .actions import round_trip, _scales
 from .errors import RegionError, UnsupportedDimensionError
-from .geometry import classify_region, lambert_variables
+from .geometry import classify_region, endpoint_lists, lambert_variables
 from .model import EnergySpec, SystemParams
 from .semiclassical import FieldSample, _bound_guards, _check_pole
 
@@ -113,12 +111,11 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
         raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
     if spec.E >= 0.0:
         raise ValueError("green_uniform requires E < 0")
-    pair = lambert_variables(r_vec, rp_vec, params)
+    x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     _bound_guards(pair, spec, params)
     region = classify_region(pair, spec, params.attractive)
     val, _, status = K.ua_point(pair.r, pair.rp, pair.s, *ua_constants(spec, params),
                                 1e-12)
     if status != K.STATUS_OK:
         raise RegionError(f"uniform evaluation failed with status {status}")
-    return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),
-                       spec.E, "UA", val, region)
+    return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val, region)

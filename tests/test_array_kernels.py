@@ -84,6 +84,8 @@ def sc_points(rng, rp, a, ndim):
     if 2.0 * rp > four_a:  # alpha_- can pass 4a: doubly forbidden
         parts.append(elliptic_points(rp, rng.uniform(rp, 3 * rp, k),
                                      rng.uniform(four_a - rp, rp, k)))
+        parts.append(elliptic_points(rp, rng.uniform(rp, 3 * rp, k),
+                                     four_a - rp))                # inner turning point
     return np.concatenate(parts)
 
 
@@ -109,10 +111,67 @@ def test_sc_field_matches_point_kernel(ndim):
     assert reached >= {
         (K.REGION_ALLOWED, K.STATUS_SOURCE),
         (K.REGION_ALLOWED, K.STATUS_FOCAL), (K.REGION_FORBIDDEN, K.STATUS_FOCAL),
-        (K.REGION_CAUSTIC, K.STATUS_CAUSTIC),
+        (K.REGION_CAUSTIC, K.STATUS_CAUSTIC), (K.REGION_FORBIDDEN, K.STATUS_CAUSTIC),
         (K.REGION_ALLOWED, K.STATUS_OK), (K.REGION_FORBIDDEN, K.STATUS_OK),
         ("doubly", K.STATUS_OK),
     }
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_sc_inner_turning_point_is_flagged(ndim):
+    # r - s = 4a - r': alpha_- = 4a to rounding, beyond the caustic; the
+    # inner leg's velocity vanishes there and the primitive form divides by it
+    params = cs.SystemParams(ndim=ndim)
+    spec = cs.energy_from_nu(NU, params)
+    args = sc_constants(spec, params) + (1e-9, 1e-12)
+    four_a = 4.0 * spec.a
+    rp = 2.5 * spec.a
+    rp_vec = np.array([rp, 0.0, 0.0])
+    R = elliptic_points(rp, np.linspace(1.2 * rp, 3.0 * rp, 7), four_a - rp)
+    _, _, _, ap, am = K.lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+    assert np.all(np.abs(am - four_a) <= 1e-12 * four_a) and np.all(ap > four_a)
+    # the scalar kernel on the same points is held to this by the tie test
+    with np.errstate(all="raise"):
+        vals, region, status = K.sc_bound_field(R, rp_vec, *args)
+    assert np.all(np.isnan(vals))
+    assert np.all(region == K.REGION_FORBIDDEN) and np.all(status == K.STATUS_CAUSTIC)
+    # alpha_- = 4a to the last bit, where a complex division by zero was raised
+    r = 0.5 * four_a + 1.0
+    assert r + r - 2.0 == four_a
+    val, reg, st = K.sc_bound_point(r, r, 2.0, *args)
+    assert math.isnan(val.real) and (reg, st) == (K.REGION_FORBIDDEN, K.STATUS_CAUSTIC)
+
+
+@pytest.mark.parametrize("ndim", [3, 5])
+def test_odd_n_forbidden_value_is_real(ndim):
+    # inner leg allowed (alpha_- < 4a): the tunnelling value of odd n is
+    # real, and its computed imaginary part is rounding noise
+    params = cs.SystemParams(ndim=ndim)
+    spec = cs.energy_from_nu(NU, params)
+    args = sc_constants(spec, params)
+    a, mu, hbar, sk, cv, pref_elem, pglob = (args[0], *args[3:7], *args[8:10])
+    four_a = 4.0 * a
+    rng = np.random.default_rng(20261020 + ndim)
+    rp = 0.35 * a
+    rp_vec = np.array([rp, 0.0, 0.0])
+    R = elliptic_points(rp, rng.uniform(four_a * 1.001 - rp, 3.0 * four_a, 200),
+                        rng.uniform(-0.99 * rp, 0.99 * rp, 200))
+    _, _, s, ap, am = K.lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+    assert np.all(ap > four_a) and np.all(am < four_a)
+    raw = K.sc_forbidden_array(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
+    assert np.max(np.abs(raw.imag) / np.abs(raw)) <= 1e-10
+    raw_point = [K.sc_forbidden_value(*v, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
+                 for v in zip(ap.tolist(), am.tolist(), s.tolist())]
+    assert max(abs(v.imag) / abs(v) for v in raw_point) <= 1e-10
+    assert any(v.imag != 0.0 for v in raw_point)  # the noise the kernels drop
+    vals, _, status = K.sc_bound_field(R, rp_vec, *args, 1e-9, 1e-12)
+    assert np.all(status == K.STATUS_OK)
+    assert np.all(vals.imag == 0.0) and not np.any(np.signbit(vals.imag))
+    np.testing.assert_array_equal(vals.real, raw.real)
+    for row, want in zip(R, raw_point):
+        r, rp_, s_ = (float(v) for v in K.lambert_alphas(*row, *rp_vec)[:3])
+        val = K.sc_bound_point(r, rp_, s_, *args, 1e-9, 1e-12)[0]
+        assert val.imag == 0.0 and val.real == want.real
 
 
 def test_ua_field_matches_point_kernel():

@@ -184,6 +184,15 @@ def test_config_errors_exit_two(capsys, tmp_path):
          "--fix", "z:nan"],                                                 # NaN fixed value
         ["tof", "--nu", "9.7", "--source", "50,0,0", "--r", "80,30,0",
          "--loops", "-1"],                                                  # negative loops
+        ["scan", "--energy", "0.5", "--grid", "x:0:1:5", "--grid", "y:0:1:5"],  # E > 0
+        ["cut", "--energy", "0.5", "--cut", "x:0:1:5"],                     # E > 0, cut
+        ["tof", "--energy", "0.5", "--r", "80,30,0"],                       # E > 0, tof
+        ["scan", "--energy", "inf", "--grid", "x:0:1:5", "--grid", "y:0:1:5"],  # E infinite
+        ["scan", "--nu", "1e-300", "--grid", "x:0:1:5", "--grid", "y:0:1:5"],  # E = -inf
+        ["cut", "--nu", "1e300", "--cut", "x:0:1:5"],                       # E = 0
+        ["tof", "--nu", "1e-300", "--r", "80,30,0"],                        # E = -inf, tof
+        ["tof", "--nu", "9.7", "--r", "nan,2,3"],                           # NaN endpoint
+        ["tof", "--nu", "9.7", "--source", "50,inf,0", "--r", "80,30,0"],   # infinite source
     ]
     for args in bad:
         code, out, err = run_cli(args, capsys)

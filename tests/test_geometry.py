@@ -37,6 +37,49 @@ def test_dimension_mismatch():
         cs.lambert_variables([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DimensionMismatchError):
         cs.lambert_variables([1.0, 2.0], [0.0, 1.0], cs.AU)  # ndim = 3
+    with pytest.raises(DimensionMismatchError):
+        cs.lambert_variables([[1.0, 2.0, 3.0]], [[0.0, 1.0, 0.0]])
+    with pytest.raises(DimensionMismatchError):
+        cs.lambert_variables(1.0, 2.0)
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+def test_lengths_against_numpy_norm(ndim):
+    # math.hypot / math.dist against np.linalg.norm, over seven decades
+    rng = np.random.default_rng(20261018 + ndim)
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-3.0, 4.0, size=2)
+        r_vec = rng.normal(size=ndim) * scale[0]
+        rp_vec = rng.normal(size=ndim) * scale[1]
+        pair = cs.lambert_variables(r_vec, rp_vec)
+        want = (np.linalg.norm(r_vec), np.linalg.norm(rp_vec), np.linalg.norm(r_vec - rp_vec))
+        for got, w in zip((pair.r, pair.rp, pair.s), want):
+            assert type(got) is float
+            assert abs(got - w) <= 4e-16 * w
+        assert pair.alpha_plus == pair.r + pair.rp + pair.s
+        assert pair.alpha_minus == pair.r + pair.rp - pair.s
+
+
+def test_input_types():
+    want = cs.lambert_variables(np.array([3.0, 4.0, 0.0]), np.array([0.0, 0.0, 12.0]))
+    assert (want.r, want.rp, want.s) == (5.0, 12.0, 13.0)
+    for r_vec, rp_vec in (([3.0, 4.0, 0.0], [0.0, 0.0, 12.0]),
+                          ((3.0, 4.0, 0.0), (0.0, 0.0, 12.0)),
+                          ([3, 4, 0], (0, 0, 12))):
+        pair = cs.lambert_variables(r_vec, rp_vec, cs.AU)
+        assert pair == want
+        assert all(type(v) is float for v in (pair.r, pair.rp, pair.s))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_component(bad):
+    # math.hypot(inf, nan) is inf: unchecked, such a pair would pass as a
+    # point far beyond the caustic
+    for r_vec, rp_vec in (([bad, 2.0, 3.0], [1.0, 0.0, 0.0]),
+                          ([1.0, 2.0, 3.0], [1.0, bad, 0.0]),
+                          ([math.inf, math.nan, 3.0], [1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            cs.lambert_variables(r_vec, rp_vec)
 
 
 def test_triangle_inequality_nonnegative_alpha_minus(rng):

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 import coulomb_sc as cs
+from coulomb_sc import _kernels as K
 from coulomb_sc.errors import (
     FocalLineError,
     ForbiddenRegionError,
     OnCausticError,
     PoleError,
+    RegionError,
 )
+from coulomb_sc.semiclassical import sc_constants
+from coulomb_sc.uniform import ua_constants
 
 from conftest import random_allowed_pair
 
@@ -91,19 +95,25 @@ def test_region_dispatch_errors(au):
     spec = cs.energy_from_nu(9.7, au)  # a = 94.09
     rp = np.array([50.0, 0.0, 0.0])
     tunnel_point = np.array([200.0, 150.0, 0.0])
-    with pytest.raises(ForbiddenRegionError):
+    with pytest.raises(ForbiddenRegionError, match="beyond the caustic"):
         cs.green_sc_bound(tunnel_point, rp, spec, au)
     allowed_point = np.array([80.0, 30.0, 0.0])
-    with pytest.raises(cs.errors.RegionError):
+    with pytest.raises(RegionError, match="requires a point beyond the caustic"):
         cs.green_sc_tunnel(allowed_point, rp, spec, au)
+    with pytest.raises(RegionError, match="coincident"):
+        cs.green_sc_tunnel(tunnel_point, tunnel_point, spec, au)
+    with pytest.raises(ValueError, match="non-finite"):
+        cs.green_sc_tunnel([math.inf, math.nan, 0.0], rp, spec, au)
     # on-caustic: r on the x axis beyond the source at x = 2a gives
     # alpha_plus = 2a + 50 + (2a - 50) = 4a exactly
     a = spec.a
     on = np.array([2.0 * a, 0.0, 0.0])
     pair = cs.lambert_variables(on, rp)
     assert cs.classify_region(pair, spec).tag is cs.Region.ON_CAUSTIC
-    with pytest.raises(OnCausticError):
+    with pytest.raises(OnCausticError, match="on the caustic"):
         cs.green_sc_bound(on, rp, spec, au)
+    with pytest.raises(RegionError, match="requires a point beyond the caustic"):
+        cs.green_sc_tunnel(on, rp, spec, au)
     with pytest.raises(FocalLineError):
         # chord through the force center: alpha_minus = 0
         cs.green_sc_bound(np.array([-60.0, 0.0, 0.0]), rp, spec, au)
@@ -248,3 +258,91 @@ def test_field_sample_metadata(au):
     assert sample.method == "SC"
     assert sample.region.tag is cs.Region.ALLOWED
     assert sample.E == spec.E
+    # the endpoints come back as tuples of plain floats, whatever came in
+    for fn, point in ((cs.green_sc_bound, r), (cs.green_sc_bound, [80, 30, 0]),
+                      (cs.green_sc_tunnel, np.array([200.0, 150.0, 0.0])),
+                      (cs.green_uniform, r)):
+        sample = fn(point, rp, spec, au)
+        for vec, given in ((sample.r, point), (sample.rp, rp)):
+            assert type(vec) is tuple and all(type(v) is float for v in vec)
+            assert vec == tuple(float(v) for v in given)
+
+
+def test_tunnel_at_inner_turning_point(au):
+    # source at 2.5a on the x axis; r - s = 4a - r' puts alpha_minus on 4a,
+    # where the inner leg's velocity in the primitive amplitude vanishes
+    spec = cs.energy_from_nu(5.3, au)
+    four_a = 4.0 * spec.a
+    rp = 2.5 * spec.a
+    u, v = 3.0 * rp, four_a - rp  # r + s, r - s
+    x = (rp * rp + u * v) / (2.0 * rp)
+    r_vec = [x, math.sqrt((0.5 * (u + v)) ** 2 - x * x), 0.0]
+    pair = cs.lambert_variables(r_vec, [rp, 0.0, 0.0], au)
+    assert abs(pair.alpha_minus - four_a) <= 1e-12 * four_a < pair.alpha_plus - four_a
+    with pytest.raises(OnCausticError, match="alpha_minus = 4a"):
+        cs.green_sc_tunnel(r_vec, [rp, 0.0, 0.0], spec, au)
+
+
+def seeded_pair(rng, ndim, kind):
+    """(r_vec, rp_vec, spec, params) with nu in [5, 30]; kind 'allowed'
+    (alpha_+ < 4a) or 'tunnel' (alpha_+ > 4a > alpha_-), randomly turned."""
+    params = cs.SystemParams(ndim=ndim)
+    spec = cs.energy_from_nu(rng.uniform(5.0, 30.0), params)
+    four_a = 4.0 * spec.a
+    if kind == "allowed":
+        ap = four_a * rng.uniform(0.02, 0.999)
+        am = ap * rng.uniform(0.01, 1.0)
+    else:
+        ap = four_a * rng.uniform(1.001, 1.5)
+        am = four_a * rng.uniform(0.01, 0.99)
+    s = 0.5 * (ap - am)
+    d = 0.45 * s * rng.uniform(-1.0, 1.0)
+    r, rp = 0.25 * (ap + am) + d, 0.25 * (ap + am) - d
+    th = math.acos(min(1.0, max(-1.0, (r * r + rp * rp - s * s) / (2.0 * r * rp))))
+    r_vec, rp_vec = np.zeros(ndim), np.zeros(ndim)
+    r_vec[:2] = r * math.cos(th), r * math.sin(th)
+    rp_vec[0] = rp
+    q, rr = np.linalg.qr(rng.normal(size=(ndim, ndim)))
+    q *= np.sign(np.diag(rr))
+    return q @ r_vec, q @ rp_vec, spec, params
+
+
+def ulp_response(kernel, lengths, args):
+    """Sum over the three lengths of the largest change of the kernel
+    value when that length moves by one ulp."""
+    base = kernel(*lengths, *args)[0]
+    total = 0.0
+    for j in range(3):
+        moved = list(lengths)
+        change = 0.0
+        for direction in (math.inf, -math.inf):
+            moved[j] = math.nextafter(lengths[j], direction)
+            change = max(change, abs(kernel(*moved, *args)[0] - base))
+        total += change
+    return total
+
+
+def test_per_point_apis_match_kernels_on_numpy_norm_lengths():
+    # the per-point APIs take their lengths from math.hypot / math.dist;
+    # fed the np.linalg.norm lengths instead, the kernels must give the same
+    # value to 1e-13 plus whatever the one-ulp length differences cause
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    for ndim in (2, 3, 4):
+        for kind, sc_api in (("allowed", cs.green_sc_bound), ("tunnel", cs.green_sc_tunnel)):
+            for _ in range(20):
+                r_vec, rp_vec, spec, params = seeded_pair(rng, ndim, kind)
+                cases = [(sc_api, K.sc_bound_point, sc_constants(spec, params) + (1e-9, 1e-12))]
+                if ndim == 3:
+                    cases.append((cs.green_uniform, K.ua_point,
+                                  ua_constants(spec, params) + (1e-12,)))
+                pair = cs.lambert_variables(r_vec, rp_vec, params)
+                lengths = [float(np.linalg.norm(v)) for v in (r_vec, rp_vec, r_vec - rp_vec)]
+                for api, kernel, args in cases:
+                    got = api(r_vec, rp_vec, spec, params).value
+                    assert got == kernel(pair.r, pair.rp, pair.s, *args)[0]
+                    want = kernel(*lengths, *args)[0]
+                    tol = 1e-13 * abs(want) + ulp_response(kernel, lengths, args)
+                    assert abs(got - want) <= tol
+                    checked += 1
+    assert checked == 160
