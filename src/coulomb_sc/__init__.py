@@ -54,7 +54,6 @@ from .semiclassical import (
     green_sc_bound_product,
     green_sc_bound_sum,
     green_sc_scatter_attractive,
-    green_sc_scatter_repulsive,
     green_sc_tunnel,
     loop_factor,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "green_sc_bound_product",
     "green_sc_bound_sum",
     "green_sc_scatter_attractive",
-    "green_sc_scatter_repulsive",
     "green_sc_tunnel",
     "green_uniform",
     "kepler_transfer_time",

@@ -1,5 +1,14 @@
 """Numerically hot cores shared by the public modules.
 
+Every evaluator sees the endpoints only through their Lambert lengths
+(s, alpha_+, alpha_-), alpha_+- = r + r' +- s: the reduction
+(``lambert_arrays`` for point sets, ``geometry.lambert_variables`` for
+one pair) runs before any kernel.  One rule then labels a point by its
+region and status (``region_status``, ``region_status_array``): the
+source point s = 0, the focal line alpha_- <= FOCAL_TOL alpha_+, and the
+side of the caustic alpha_+ = 4a, with a relative band of CAUSTIC_TOL
+labelled on the caustic.  Each method adds only its own statuses.
+
 Each formula has two forms:
 
 * scalar kernels (``sc_bound_point``, ``ua_point`` and the actions, Airy
@@ -19,7 +28,7 @@ kernels):
     sk   -- momentum scale sqrt(2 mu |E|) = sqrt(Kc mu / a)
     cv   -- velocity scale sqrt(2|E| / mu)
     ts   -- time scale mu a / sk = sqrt(mu a^3 / Kc)
-    alpha_plus / alpha_minus -- the two Lambert combinations r + r' +- s
+    s, ap, am -- the chord s and the Lambert combinations alpha_+-
 
 The one-dimensional reduced actions below are algebraically identical to
 the closed arctan/log forms; they are written through the single anomaly
@@ -44,6 +53,12 @@ STATUS_FOCAL = 3
 STATUS_SOURCE = 4
 STATUS_UNSUPPORTED = 5
 STATUS_UNCONVERGED = 6
+
+#: relative half-width of the band about alpha_+ = 4a labelled on the caustic
+CAUSTIC_TOL = 1e-9
+#: alpha_- <= FOCAL_TOL alpha_+ is the focal line (endpoints collinear
+#: through the force centre)
+FOCAL_TOL = 1e-12
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -217,48 +232,82 @@ def airy_ai_both(x):
 
 
 # ==========================================================================
-# semiclassical point evaluators (bound E < 0)
+# Lambert reduction and the region/status rule
 # ==========================================================================
 
-def lambert_alphas(x, y, z, xp, yp, zp):
-    """(r, rp, s, alpha_plus, alpha_minus) for 3-vector pairs; the
-    components may be arrays."""
-    r = np.sqrt(x * x + y * y + z * z)
-    rp = np.sqrt(xp * xp + yp * yp + zp * zp)
-    dx = x - xp
-    dy = y - yp
-    dz = z - zp
-    s = np.sqrt(dx * dx + dy * dy + dz * dz)
+def lambert_arrays(points, source):
+    """(r, rp, s, alpha_plus, alpha_minus) for the rows of ``points``
+    (N x n) against one ``source`` point (n components): r = |x|,
+    rp = |x'| (a float), s = |x - x'|.  The squares are summed column by
+    column, in the order of the components."""
+    points = np.asarray(points, dtype=float)
+    source = np.asarray(source, dtype=float).tolist()
+    if points.ndim != 2 or points.shape[1] != len(source):
+        raise ValueError(f"points of shape {points.shape} against a source "
+                         f"of {len(source)} components")
+    r2 = np.zeros(points.shape[0])
+    s2 = np.zeros(points.shape[0])
+    rp2 = 0.0
+    for x, xp in zip(points.T, source):
+        d = x - xp
+        r2 += x * x
+        s2 += d * d
+        rp2 += xp * xp
+    r = np.sqrt(r2)
+    rp = math.sqrt(rp2)
+    s = np.sqrt(s2)
     return r, rp, s, r + rp + s, r + rp - s
 
 
-def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
-                   pref_merged, pref_elem, pglob, sinpk,
-                   caustic_tol, focal_tol):
+def region_status(s, ap, am, four_a):
+    """(region, status) of one point: the region is the side of the
+    caustic alpha_+ = 4a, on it within CAUSTIC_TOL * 4a; the status is
+    STATUS_SOURCE at s = 0, STATUS_FOCAL on the focal line and STATUS_OK
+    elsewhere."""
+    if abs(ap - four_a) <= CAUSTIC_TOL * four_a:
+        region = REGION_CAUSTIC
+    else:
+        region = REGION_ALLOWED if ap < four_a else REGION_FORBIDDEN
+    if s <= 0.0:
+        return region, STATUS_SOURCE
+    return region, STATUS_FOCAL if am <= FOCAL_TOL * ap else STATUS_OK
+
+
+def region_status_array(s, ap, am, four_a):
+    """region_status over arrays: int8 (region, status)."""
+    region = np.where(ap < four_a, REGION_ALLOWED, REGION_FORBIDDEN).astype(np.int8)
+    region[np.abs(ap - four_a) <= CAUSTIC_TOL * four_a] = REGION_CAUSTIC
+    status = np.where(am <= FOCAL_TOL * ap, STATUS_FOCAL, STATUS_OK).astype(np.int8)
+    status[s <= 0.0] = STATUS_SOURCE
+    return region, status
+
+
+# ==========================================================================
+# semiclassical point evaluators (bound E < 0)
+# ==========================================================================
+
+def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
+                   pref_merged, pref_elem, pglob, sinpk):
     """Semiclassical bound-state Green value at one point.
 
     Allowed region: merged two-path interference form (real for odd ndim).
     Forbidden region: two-path tunneling continuation with the
     positive-imaginary action branch, times the loop factor (real for odd
-    ndim while the inner leg is allowed, alpha_- < 4a).  The caustic
-    alpha_+ = 4a and the inner leg's turning point alpha_- = 4a, each
-    within caustic_tol * 4a, get NaN with STATUS_CAUSTIC.
+    ndim while the inner leg is allowed, alpha_- < 4a).  Besides the
+    source and the focal line, the caustic band and the inner leg's
+    turning point alpha_- = 4a (within CAUSTIC_TOL * 4a) get NaN, with
+    STATUS_CAUSTIC.
 
     Returns (value, region_code, status_code).
     """
-    ap = r + rp + s
-    am = r + rp - s
     four_a = 4.0 * a
-    if s <= 0.0:
-        return complex(np.nan, np.nan), REGION_ALLOWED, STATUS_SOURCE
-    if am <= focal_tol * ap:
-        region = REGION_ALLOWED if ap < four_a else REGION_FORBIDDEN
-        return complex(np.nan, np.nan), region, STATUS_FOCAL
-    if abs(ap - four_a) <= caustic_tol * four_a:
-        return complex(np.nan, np.nan), REGION_CAUSTIC, STATUS_CAUSTIC
-    if abs(am - four_a) <= caustic_tol * four_a:
-        # the inner leg at its own turning point (v_minus = 0), beyond the caustic
-        return complex(np.nan, np.nan), REGION_FORBIDDEN, STATUS_CAUSTIC
+    region, status = region_status(s, ap, am, four_a)
+    if status == STATUS_OK and (region == REGION_CAUSTIC
+                                or abs(am - four_a) <= CAUSTIC_TOL * four_a):
+        # on the caustic, or the inner leg at its own turning point (v_minus = 0)
+        status = STATUS_CAUSTIC
+    if status != STATUS_OK:
+        return complex(math.nan, math.nan), region, status
 
     p = (ndim - 1.0) / 2.0
     if ap < four_a:
@@ -274,14 +323,14 @@ def sc_bound_point(r, rp, s, a, k, ndim, mu, hbar, sk, cv,
         w2 = wp + wm
         br = (sd1 * math.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))
               + sd2 * math.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
-        return pref_merged * br / sinpk, REGION_ALLOWED, STATUS_OK
+        return pref_merged * br / sinpk, region, STATUS_OK
 
     val = sc_forbidden_value(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
     if am < four_a and ndim % 2 == 1:
         # inner leg allowed, odd n: the value is real; its imaginary part
         # is rounding noise whose sign follows the last bit of the arithmetic
         val = complex(val.real, 0.0)
-    return val, REGION_FORBIDDEN, STATUS_OK
+    return val, region, STATUS_OK
 
 
 def sc_forbidden_value(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob):
@@ -446,35 +495,27 @@ def langer_regular(z, nu):
     return ma + w * (m - ma), mpa + w * (mp - mpa) + dw * (m - ma)
 
 
-def ua_point(r, rp, s, four_a, nu, kappa, g0, focal_tol):
+def ua_point(s, ap, am, four_a, nu, kappa, g0):
     """Langer-uniform approximation at one point, three dimensions only.
 
     G = g0 / s * (W_L'(x) M_L(y) - W_L(x) M_L'(y)) with x, y = kappa
     alpha_+-, g0 = mu / (2 sqrt(pi) hbar^2 sin(pi nu)); finite and smooth
-    across the caustic.
+    across the caustic.  Besides the source and the focal line, doubly
+    forbidden points and points with both legs inside the inner turning
+    point get NaN with STATUS_UNSUPPORTED.
 
     Returns (value, region_code, status_code).
     """
-    ap = r + rp + s
-    am = r + rp - s
-    if s <= 0.0:
-        return complex(np.nan, np.nan), REGION_ALLOWED, STATUS_SOURCE
-    if am <= focal_tol * ap:
-        region = REGION_ALLOWED if ap < four_a else REGION_FORBIDDEN
-        return complex(np.nan, np.nan), region, STATUS_FOCAL
-    if abs(ap - four_a) < 1e-7 * four_a:
-        region = REGION_CAUSTIC
-    elif ap < four_a:
-        region = REGION_ALLOWED
-    else:
-        region = REGION_FORBIDDEN
+    region, status = region_status(s, ap, am, four_a)
+    if status != STATUS_OK:
+        return complex(math.nan, math.nan), region, status
     x = kappa * ap
     y = kappa * am
     z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
     if y >= 0.999 * z_out or x <= 1.0 / z_out:
         # doubly forbidden (inner leg at or past its own turning point), or
         # both legs inside the inner turning point: outside this construction
-        return complex(np.nan, np.nan), region, STATUS_UNSUPPORTED
+        return complex(math.nan, math.nan), region, STATUS_UNSUPPORTED
     w, wp = langer_airy(x, nu, True)
     m, mp = langer_regular(y, nu)
     return complex(g0 * (wp * m - w * mp) / s, 0.0), region, STATUS_OK
@@ -721,40 +762,32 @@ def langer_regular_array(z, nu):
     return m, mp
 
 
-def _map_blocks(block_kernel, R, rp_vec, *args):
-    """(values, region, status) of block_kernel over blocks of FIELD_BLOCK
-    rows of R (N x 3)."""
-    n = R.shape[0]
+def _map_blocks(block_kernel, points, source, *args):
+    """(values, region, status) of block_kernel(s, ap, am, *args) over
+    blocks of FIELD_BLOCK rows of points (N x n), each block reduced to
+    its Lambert lengths first."""
+    n = points.shape[0]
     vals = np.empty(n, dtype=np.complex128)
     region = np.empty(n, dtype=np.int8)
     status = np.empty(n, dtype=np.int8)
     for i in range(0, n, FIELD_BLOCK):
         b = slice(i, i + FIELD_BLOCK)
-        vals[b], region[b], status[b] = block_kernel(R[b], rp_vec, *args)
+        _, _, s, ap, am = lambert_arrays(points[b], source)
+        vals[b], region[b], status[b] = block_kernel(s, ap, am, *args)
     return vals, region, status
 
 
-def _sc_bound_block(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
-                    pref_merged, pref_elem, pglob, sinpk,
-                    caustic_tol, focal_tol):
-    _, _, s, ap, am = lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
+                    pref_merged, pref_elem, pglob, sinpk):
     four_a = 4.0 * a
-    vals = np.full(ap.shape, complex(np.nan, np.nan))
+    region, status = region_status_array(s, ap, am, four_a)
+    # on the caustic, or the inner leg at its own turning point (v_minus = 0)
+    status[(status == STATUS_OK)
+           & ((region == REGION_CAUSTIC)
+              | (np.abs(am - four_a) <= CAUSTIC_TOL * four_a))] = STATUS_CAUSTIC
+    rest = status == STATUS_OK
     inside = ap < four_a
-    region = np.where(inside, REGION_ALLOWED, REGION_FORBIDDEN).astype(np.int8)
-    status = np.full(ap.shape, STATUS_OK, dtype=np.int8)
-    source = s <= 0.0
-    focal = ~source & (am <= focal_tol * ap)
-    caustic = ~(source | focal) & (np.abs(ap - four_a) <= caustic_tol * four_a)
-    region[source] = REGION_ALLOWED
-    region[caustic] = REGION_CAUSTIC
-    status[source] = STATUS_SOURCE
-    status[focal] = STATUS_FOCAL
-    status[caustic] = STATUS_CAUSTIC
-    rest = ~(source | focal | caustic)
-    # the inner leg at its own turning point (v_minus = 0), beyond the caustic
-    status[rest & (np.abs(am - four_a) <= caustic_tol * four_a)] = STATUS_CAUSTIC
-    rest &= status == STATUS_OK
+    vals = np.full(ap.shape, complex(math.nan, math.nan))
     p = (ndim - 1.0) / 2.0
 
     # classically allowed: merged interference of the two path families
@@ -813,41 +846,32 @@ def sc_forbidden_array(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob):
                                 + a2 * np.exp(1j * w2 / hbar))
 
 
-def sc_bound_field(R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
-                   pref_merged, pref_elem, pglob, sinpk,
-                   caustic_tol, focal_tol):
-    """sc_bound_point over the rows of R (N x 3), array-wise."""
-    return _map_blocks(_sc_bound_block, R, rp_vec, a, k, ndim, mu, hbar, sk, cv,
-                       pref_merged, pref_elem, pglob, sinpk, caustic_tol, focal_tol)
+def sc_bound_field(points, source, a, k, ndim, mu, hbar, sk, cv,
+                   pref_merged, pref_elem, pglob, sinpk):
+    """sc_bound_point at every row of points (N x n), array-wise."""
+    return _map_blocks(_sc_bound_block, points, source, a, k, ndim, mu, hbar, sk, cv,
+                       pref_merged, pref_elem, pglob, sinpk)
 
 
-def _ua_block(R, rp_vec, four_a, nu, kappa, g0, focal_tol):
-    _, _, s, ap, am = lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
-    vals = np.full(ap.shape, complex(np.nan, np.nan))
-    source = s <= 0.0
-    focal = ~source & (am <= focal_tol * ap)
-    rest = ~(source | focal)
-    region = np.where(ap < four_a, REGION_ALLOWED, REGION_FORBIDDEN).astype(np.int8)
-    region[rest & (np.abs(ap - four_a) < 1e-7 * four_a)] = REGION_CAUSTIC
-    region[source] = REGION_ALLOWED
+def _ua_block(s, ap, am, four_a, nu, kappa, g0):
+    region, status = region_status_array(s, ap, am, four_a)
     x = kappa * ap
     y = kappa * am
     z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
-    status = np.full(ap.shape, STATUS_OK, dtype=np.int8)
-    status[source] = STATUS_SOURCE
-    status[focal] = STATUS_FOCAL
     # doubly forbidden, or both legs inside the inner turning point
-    status[rest & ((y >= 0.999 * z_out) | (x <= 1.0 / z_out))] = STATUS_UNSUPPORTED
+    status[(status == STATUS_OK) & ((y >= 0.999 * z_out) | (x <= 1.0 / z_out))] = \
+        STATUS_UNSUPPORTED
     ok = status == STATUS_OK
+    vals = np.full(ap.shape, complex(math.nan, math.nan))
     w, wp = langer_airy_array(x[ok], nu, True)
     m, mp = langer_regular_array(y[ok], nu)
     vals[ok] = g0 * (wp * m - w * mp) / s[ok]
     return vals, region, status
 
 
-def ua_field(R, rp_vec, four_a, nu, kappa, g0, focal_tol):
-    """ua_point over the rows of R (N x 3), array-wise."""
-    return _map_blocks(_ua_block, R, rp_vec, four_a, nu, kappa, g0, focal_tol)
+def ua_field(points, source, four_a, nu, kappa, g0):
+    """ua_point at every row of points (N x 3), array-wise."""
+    return _map_blocks(_ua_block, points, source, four_a, nu, kappa, g0)
 
 
 # ==========================================================================

@@ -77,12 +77,16 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--nu", type=float, default=None,
                    help="principal label nu = k + 1 (mutually exclusive with --energy)")
     p.add_argument("--energy", type=float, default=None, help="energy in Hartree")
-    p.add_argument("--ndim", type=int, default=3, help="spatial dimension (default 3)")
+    # no argparse defaults for what the config file can also set: a flag
+    # given with its default value must still override the file
+    p.add_argument("--ndim", type=int, default=None, help="spatial dimension (default 3)")
     p.add_argument("--source", type=str, default=None,
                    help="source point coordinates, e.g. 1232,0,0 (Bohr)")
-    p.add_argument("--method", choices=["sc", "ua", "qm", "all"], default="sc")
-    p.add_argument("--exclude-radius", type=float, default=5.0,
-                   help="source exclusion radius for comparison columns (Bohr)")
+    p.add_argument("--method", choices=["sc", "ua", "qm", "all"], default=None,
+                   help="default sc")
+    p.add_argument("--exclude-radius", type=float, default=None,
+                   help="source exclusion radius for comparison columns "
+                        "(Bohr, default 5)")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.add_argument("--config", type=str, default=None,
                    help="JSON file mirroring the flags; flags override it")
@@ -114,12 +118,9 @@ def _scan_config(args, want_grids: int) -> ScanConfig:
         cfg.nu, cfg.energy = args.nu, None
     if args.energy is not None:
         cfg.energy, cfg.nu = args.energy, None
-    if args.ndim != 3 or cfg.ndim is None:
-        cfg.ndim = args.ndim
-    if args.method != "sc":
-        cfg.method = args.method
-    if args.exclude_radius != 5.0:
-        cfg.exclude_radius = args.exclude_radius
+    for key in ("ndim", "method", "exclude_radius"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if args.source is not None:
         cfg.source = _parse_vector(args.source)
     if args.out is not None:
@@ -133,15 +134,18 @@ def _scan_config(args, want_grids: int) -> ScanConfig:
     for fix_text in getattr(args, "fix", None) or []:
         ax, val = _parse_fix(fix_text)
         cfg.fixes[ax] = val
-    if len(cfg.source) != cfg.ndim:
-        # tolerate a 3-component default for 2-D runs
-        cfg.source = tuple(cfg.source[: cfg.ndim])
     cfg.validate(want_grids)
     return cfg
 
 
+def _params(ndim: int) -> SystemParams:
+    if ndim < 2:
+        raise ConfigError(f"ndim must be >= 2, got {ndim}")
+    return SystemParams(ndim=ndim)
+
+
 def cmd_eigenvalues(args) -> int:
-    params = SystemParams(ndim=args.ndim)
+    params = _params(args.ndim)
     rows = eigenvalue_table(args.kmax, params)
     lines = ["k,E,W_2pi"] if args.out else []
     print(f"# bound states, ndim = {args.ndim} (atomic units)")
@@ -179,7 +183,7 @@ def cmd_cut(args) -> int:
 
 
 def cmd_tof(args) -> int:
-    params = SystemParams(ndim=args.ndim)
+    params = _params(args.ndim)
     if (args.nu is None) == (args.energy is None):
         raise ConfigError("exactly one of --nu / --energy must be given")
     if args.loops < 0:

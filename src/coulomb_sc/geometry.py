@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import DimensionMismatchError, ForbiddenRegionError
 from .model import EnergySpec, SystemParams
 
@@ -89,29 +90,31 @@ def lambert_variables(r_vec, rp_vec, params: SystemParams | None = None) -> Lamb
     return endpoint_lists(r_vec, rp_vec, params)[2]
 
 
+_REGION_TAGS = {K.REGION_ALLOWED: Region.ALLOWED, K.REGION_CAUSTIC: Region.ON_CAUSTIC,
+                K.REGION_FORBIDDEN: Region.FORBIDDEN}
+
+
 def classify_region(pair: LambertPair, spec: EnergySpec,
-                    attractive: bool = True, tol: float = 1e-9) -> RegionClass:
+                    attractive: bool = True) -> RegionClass:
     """Classify an endpoint pair as Allowed / OnCaustic / Forbidden.
 
-    E < 0 attractive: the caustic is alpha_plus = 4a.
+    E < 0 attractive: the caustic is alpha_plus = 4a, with the kernels'
+    region rule (``_kernels.region_status``).
     E > 0 repulsive:  allowed motion needs alpha_minus > 4|a|.
     E > 0 attractive: every point is reachable.
+    Both caustics carry the relative band ``_kernels.CAUSTIC_TOL``.
     """
     four_a = 4.0 * spec.a
     if spec.E < 0.0:
         if not attractive:
             raise ValueError("E < 0 with a repulsive interaction has no "
                              "classically allowed region")
-        margin = (four_a - pair.alpha_plus) / four_a
-        if abs(pair.alpha_plus - four_a) <= tol * four_a:
-            return RegionClass(Region.ON_CAUSTIC, margin)
-        if pair.alpha_plus < four_a:
-            return RegionClass(Region.ALLOWED, margin)
-        return RegionClass(Region.FORBIDDEN, margin)
+        region, _ = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
+        return RegionClass(_REGION_TAGS[region], (four_a - pair.alpha_plus) / four_a)
     if attractive:
         return RegionClass(Region.ALLOWED, math.inf)
     margin = (pair.alpha_minus - four_a) / four_a
-    if abs(pair.alpha_minus - four_a) <= tol * four_a:
+    if abs(pair.alpha_minus - four_a) <= K.CAUSTIC_TOL * four_a:
         return RegionClass(Region.ON_CAUSTIC, margin)
     if pair.alpha_minus > four_a:
         return RegionClass(Region.ALLOWED, margin)

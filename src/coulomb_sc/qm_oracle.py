@@ -223,18 +223,14 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
         raise ValueError("qm_field requires E < 0")
     _check_pole(spec)
 
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    rp = np.asarray(rp_vec, dtype=float)
-    r_norm = np.linalg.norm(R, axis=1)
-    rp_norm = float(np.linalg.norm(rp))
-    if rp_norm <= 0.0 or np.any(r_norm <= 0.0):
+    r, rp, s, ap, am = K.lambert_arrays(np.atleast_2d(R), rp_vec)
+    if rp <= 0.0 or np.any(r <= 0.0):
         raise RegionError("points at the force center are excluded")
-    s_norm = np.linalg.norm(R - rp[None, :], axis=1)
-    if np.any(s_norm <= 0.0):
+    if np.any(s <= 0.0):
         raise RegionError("points at the source are excluded")
-    rho_p = 0.5 * (r_norm + rp_norm + s_norm)
+    rho_p = 0.5 * ap
     # r + r' - s >= 0 by the triangle inequality; rounding can undershoot
-    rho_m = np.maximum(0.5 * (r_norm + rp_norm - s_norm), 0.0)
+    rho_m = np.maximum(0.5 * am, 0.0)
 
     r_max, h = default_mesh(spec, params, float(np.max(rho_p)))
     sol = solve_radial(0, spec.E, params, r_max, h,
@@ -248,7 +244,7 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
         sol.u_irr, sol.derivative(sol.u_irr, j_irr), j_irr,
         h, len(sol.grid) - 2, rho_p, rho_m)
     g2mu = 2.0 * params.mu / params.hbar**2
-    return -g2mu * bracket / (4.0 * math.pi * s_norm * sol.wronskian)
+    return -g2mu * bracket / (4.0 * math.pi * s * sol.wronskian)
 
 
 def green_qm(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:

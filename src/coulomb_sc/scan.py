@@ -1,8 +1,12 @@
 """Grid scans, comparison cuts and CSV emission.
 
 Grid points are evaluated by the array kernels (``_kernels.sc_bound_field``,
-``ua_field``: NumPy over blocks of points, each point its own slot), and
-output rows are assembled in deterministic grid order.  Per-point failures
+``ua_field``: NumPy over blocks of points, each point its own slot), which
+reduce every block to its Lambert lengths (s, alpha_+, alpha_-) with
+``_kernels.lambert_arrays``; the exact reference takes the same reduction.
+All three methods label a point by the one region/status rule of
+``_kernels`` (caustic band ``CAUSTIC_TOL``, focal line ``FOCAL_TOL``).
+Output rows are assembled in deterministic grid order.  Per-point failures
 never abort a scan: they become NaN rows with a reason column.
 
 CSV format: header line, comma-separated, UTF-8, LF line endings, floats
@@ -86,20 +90,24 @@ class ScanConfig:
     nu: float | None = None
     energy: float | None = None
     ndim: int = 3
-    source: tuple = (1.0, 0.0, 0.0)
+    source: tuple | None = None  # default (1, 0, ..., 0)
     grids: list = field(default_factory=list)  # [(axis, lo, hi, count), ...]
     fixes: dict = field(default_factory=dict)  # axis -> value
     out: str | None = None
     exclude_radius: float = 5.0
-    caustic_tol: float = 1e-9
 
     def validate(self, want_grids: int):
         if self.method not in ("sc", "ua", "qm", "all"):
             raise ConfigError(f"unknown method {self.method!r}")
         if (self.nu is None) == (self.energy is None):
             raise ConfigError("exactly one of nu / energy must be given")
-        if self.ndim < 2:
-            raise ConfigError("ndim must be >= 2")
+        if not isinstance(self.ndim, int) or self.ndim < 2:
+            raise ConfigError(f"ndim must be an integer >= 2, got {self.ndim!r}")
+        if self.ndim > 3:
+            # the kernels take any n, but their values are validated at n = 3 only
+            raise ConfigError("grid evaluation supports ndim in {2, 3}")
+        if self.source is None:
+            self.source = (1.0,) + (0.0,) * (self.ndim - 1)
         if self.method in ("ua", "qm", "all") and self.ndim != 3:
             raise ConfigError(f"method {self.method!r} requires ndim = 3")
         if len(self.grids) != want_grids:
@@ -129,6 +137,9 @@ class ScanConfig:
             )
         if not all(math.isfinite(v) for v in self.source):
             raise ConfigError(f"source {self.source} has a non-finite component")
+        if not (math.isfinite(self.exclude_radius) and self.exclude_radius >= 0.0):
+            raise ConfigError(f"exclude radius must be finite and >= 0, "
+                              f"got {self.exclude_radius}")
         self.energy_spec(self.params())
 
     def energy_spec(self, params: SystemParams) -> EnergySpec:
@@ -186,51 +197,31 @@ def build_points(config: ScanConfig, params: SystemParams):
     return pts, [c1, c2]
 
 
-def _embed3(points: np.ndarray, ndim: int) -> np.ndarray:
-    """Kernel drivers work with 3 columns; pad or reject."""
-    if ndim == 3:
-        return np.ascontiguousarray(points)
-    if ndim == 2:
-        out = np.zeros((points.shape[0], 3))
-        out[:, :2] = points
-        return out
-    raise ConfigError("grid evaluation drivers support ndim in {2, 3}")
-
-
-def eval_sc(points, source, spec: EnergySpec, params: SystemParams,
-            caustic_tol: float = 1e-9):
+def eval_sc(points, source, spec: EnergySpec, params: SystemParams):
     """Bound semiclassical field over points: (values, region, status)."""
-    pts3 = _embed3(points, params.ndim)
-    src3 = _embed3(np.asarray(source, float)[None, :], params.ndim)[0]
-    return K.sc_bound_field(pts3, src3, *sc_constants(spec, params), caustic_tol, 1e-12)
+    return K.sc_bound_field(points, source, *sc_constants(spec, params))
 
 
 def eval_ua(points, source, spec: EnergySpec, params: SystemParams):
     """Langer-uniform field over points: (values, region, status)."""
     if params.ndim != 3:
         raise ConfigError("the uniform approximation requires ndim = 3")
-    pts3 = _embed3(points, params.ndim)
-    src3 = np.asarray(source, float)
-    return K.ua_field(pts3, src3, *ua_constants(spec, params), 1e-12)
+    return K.ua_field(points, source, *ua_constants(spec, params))
 
 
 def eval_qm(points, source, spec: EnergySpec, params: SystemParams):
     """Exact field over points; per-point region/status like the others.
-    A value that comes out non-finite is NaN with status unconverged."""
+    The exact value is finite on the focal line; the force centre gets
+    status source.  A value that comes out non-finite is NaN with status
+    unconverged."""
+    r, _, s, ap, am = K.lambert_arrays(points, source)
+    region, status = K.region_status_array(s, ap, am, 4.0 * spec.a)
+    status[status == K.STATUS_FOCAL] = K.STATUS_OK
+    status[r <= 0.0] = K.STATUS_SOURCE
     vals = np.full(points.shape[0], np.nan, dtype=complex)
-    region = np.zeros(points.shape[0], dtype=np.int8)
-    status = np.zeros(points.shape[0], dtype=np.int8)
-    src = np.asarray(source, float)
-    r_norm = np.linalg.norm(points, axis=1)
-    s_norm = np.linalg.norm(points - src[None, :], axis=1)
-    ok = (r_norm > 0.0) & (s_norm > 0.0)
-    status[~ok] = K.STATUS_SOURCE
-    four_a = 4.0 * spec.a
-    ap = r_norm + np.linalg.norm(src) + s_norm
-    region[ap > four_a] = K.REGION_FORBIDDEN
-    region[np.abs(ap - four_a) <= 1e-9 * four_a] = K.REGION_CAUSTIC
+    ok = status == K.STATUS_OK
     if np.any(ok):
-        v = qm_field(points[ok], src, spec, params)
+        v = qm_field(points[ok], source, spec, params)
         idx = np.where(ok)[0]
         bad = ~np.isfinite(v)
         vals[idx[~bad]] = v[~bad]
@@ -249,7 +240,7 @@ def run_scan(config: ScanConfig) -> str:
     results = {}
     for m in methods:
         if m == "sc":
-            results[m] = eval_sc(points, config.source, spec, params, config.caustic_tol)
+            results[m] = eval_sc(points, config.source, spec, params)
         elif m == "ua":
             results[m] = eval_ua(points, config.source, spec, params)
         else:
@@ -282,13 +273,11 @@ def run_cut(config: ScanConfig) -> str:
     spec = config.energy_spec(params)
     points, (c1,) = build_points(config, params)
 
-    sc_vals, sc_region, sc_status = eval_sc(points, config.source, spec, params,
-                                            config.caustic_tol)
-    ua_vals, _, ua_status = eval_ua(points, config.source, spec, params)
+    sc_vals, _, _ = eval_sc(points, config.source, spec, params)
+    ua_vals, _, _ = eval_ua(points, config.source, spec, params)
     qm_vals, _, qm_status = eval_qm(points, config.source, spec, params)
 
-    s = np.linalg.norm(points - np.asarray(config.source, float)[None, :], axis=1)
-    excluded = s < config.exclude_radius
+    excluded = K.lambert_arrays(points, config.source)[2] < config.exclude_radius
     qm_ref = np.where((qm_status == K.STATUS_OK) & ~excluded,
                       np.real(qm_vals), np.nan)
     scale = np.nanmax(np.abs(qm_ref))

@@ -22,8 +22,6 @@ from . import _kernels as K
 from .actions import (
     four_paths,
     reduced_action_scatter_attractive,
-    reduced_action_scatter_repulsive,
-    reduced_action_repulsive_forbidden,
     round_trip,
     scatter_velocity,
     _scales,
@@ -109,7 +107,7 @@ def _elementary_prefactor(ndim: int, hbar: float) -> complex:
 def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
     """(a, k, ndim, mu, hbar, sk, cv, merged prefactor, elementary
     prefactor, loop factor, sin(pi k)): the energy-dependent arguments of
-    the bound SC kernels, ahead of their two tolerances."""
+    the bound SC kernels after the three Lambert lengths."""
     sk, cv, _ = _scales(spec, params)
     return (spec.a, spec.k, params.ndim, params.mu, params.hbar, sk, cv,
             _merged_prefactor(params.ndim, params.hbar),
@@ -118,18 +116,24 @@ def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
             math.sin(math.pi * spec.k))
 
 
+def _point_guards(pair: LambertPair, spec: EnergySpec):
+    """Refuse the source point and the focal line (``_kernels.region_status``)."""
+    _, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)
+    if status == K.STATUS_SOURCE:
+        raise RegionError("coincident endpoints: Green function source singularity")
+    if status == K.STATUS_FOCAL:
+        raise FocalLineError(
+            "endpoints collinear through the force center (alpha_minus = 0)"
+        )
+
+
 def _bound_guards(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     if spec.E >= 0.0:
         raise ValueError("bound-state evaluator requires E < 0")
     if not params.attractive:
         raise ValueError("bound states require an attractive interaction")
     _check_pole(spec)
-    if pair.s <= 0.0:
-        raise RegionError("coincident endpoints: Green function source singularity")
-    if pair.alpha_minus <= 1e-12 * pair.alpha_plus:
-        raise FocalLineError(
-            "endpoints collinear through the force center (alpha_minus = 0)"
-        )
+    _point_guards(pair, spec)
 
 
 def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
@@ -147,8 +151,8 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
     elif region.tag is Region.FORBIDDEN:
         raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
 
-    val, _, status = K.sc_bound_point(pair.r, pair.rp, pair.s,
-                                      *sc_constants(spec, params), 1e-9, 1e-12)
+    val, _, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
+                                      *sc_constants(spec, params))
     if status == K.STATUS_CAUSTIC:
         raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
     if status != K.STATUS_OK:
@@ -255,10 +259,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
     if spec.E <= 0.0:
         raise ValueError("green_sc_scatter_attractive requires E > 0")
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    if pair.s <= 0.0:
-        raise RegionError("coincident endpoints")
-    if pair.alpha_minus <= 1e-12 * pair.alpha_plus:
-        raise FocalLineError("endpoints collinear through the force center")
+    _point_guards(pair, spec)
     n = params.ndim
     hbar = params.hbar
     wp = reduced_action_scatter_attractive(pair.alpha_plus, spec, params)
@@ -273,42 +274,4 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
         + sd2 * cmath.exp(1j * (wp + wm) / hbar - 0.5j * math.pi * (n - 2))
     )
     region = classify_region(pair, spec, attractive=True)
-    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val, region)
-
-
-def green_sc_scatter_repulsive(r_vec, rp_vec, spec: EnergySpec,
-                               params: SystemParams) -> FieldSample:
-    """EXPERIMENTAL: two-path repulsive scattering composition.
-
-    Assembled from the repulsive allowed/forbidden action forms with the
-    caustic Morse index 1 on the second path; only the actions themselves
-    are independently verified, the composition is a structural guess.
-    """
-    if spec.E <= 0.0:
-        raise ValueError("green_sc_scatter_repulsive requires E > 0")
-    x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    if pair.s <= 0.0:
-        raise RegionError("coincident endpoints")
-    region = classify_region(pair, spec, attractive=False)
-    n = params.ndim
-    hbar = params.hbar
-    _, cv, _ = _scales(spec, params)
-    four_a = 4.0 * spec.a
-
-    def leg(alpha):
-        if alpha > four_a:
-            return (complex(reduced_action_scatter_repulsive(alpha, spec, params)),
-                    complex(K.v_scatter_rep(alpha, spec.a, cv)))
-        w = reduced_action_repulsive_forbidden(alpha, spec, params)[0]
-        return w, 1j * cv * math.sqrt((four_a - alpha) / alpha)
-
-    wp, vp = leg(pair.alpha_plus)
-    wm, vm = leg(pair.alpha_minus)
-    den = cmath.sqrt(vp * vm)
-    sd1 = (params.mu * (vp + vm) / (2.0 * pair.s)) ** ((n - 1) / 2.0) / den
-    sd2 = (params.mu * (vp - vm) / (2.0 * pair.s)) ** ((n - 1) / 2.0) / den
-    val = _scatter_prefactor(n, hbar) * (
-        sd1 * cmath.exp(1j * (wp - wm) / hbar)
-        + sd2 * cmath.exp(1j * (wp + wm) / hbar - 0.5j * math.pi)
-    )
     return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val, region)

@@ -114,8 +114,8 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     _bound_guards(pair, spec, params)
     region = classify_region(pair, spec, params.attractive)
-    val, _, status = K.ua_point(pair.r, pair.rp, pair.s, *ua_constants(spec, params),
-                                1e-12)
+    val, _, status = K.ua_point(pair.s, pair.alpha_plus, pair.alpha_minus,
+                                *ua_constants(spec, params))
     if status != K.STATUS_OK:
         raise RegionError(f"uniform evaluation failed with status {status}")
     return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val, region)

@@ -43,9 +43,11 @@ def cloud(rng, rp, ndim, n=N_CLOUD):
 
 
 def scalar_map(point_kernel, R, rp_vec, *args):
-    """The scalar kernel called point by point on the rows of R."""
-    out = [point_kernel(*(float(v) for v in K.lambert_alphas(*row, *rp_vec)[:3]), *args)
-           for row in R]
+    """The scalar kernel called point by point on the Lambert lengths
+    (s, alpha_+, alpha_-) of the rows of R."""
+    _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
+    out = [point_kernel(*lengths, *args)
+           for lengths in zip(s.tolist(), ap.tolist(), am.tolist())]
     vals = np.array([o[0] for o in out], dtype=complex)
     return (vals, np.array([o[1] for o in out], dtype=np.int8),
             np.array([o[2] for o in out], dtype=np.int8))
@@ -93,7 +95,7 @@ def sc_points(rng, rp, a, ndim):
 def test_sc_field_matches_point_kernel(ndim):
     params = cs.SystemParams(ndim=ndim)
     spec = cs.energy_from_nu(NU, params)
-    args = sc_constants(spec, params) + (1e-9, 1e-12)
+    args = sc_constants(spec, params)
     rng = np.random.default_rng(20261018 + ndim)
     reached = set()
     # the first source sees the caustic, the second the doubly forbidden zone
@@ -103,7 +105,7 @@ def test_sc_field_matches_point_kernel(ndim):
         assert R.shape[0] % K.FIELD_BLOCK != 0
         ref = scalar_map(K.sc_bound_point, R, rp_vec, *args)
         assert_same(K.sc_bound_field(R, rp_vec, *args), ref)
-        _, _, _, ap, am = K.lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+        _, _, _, ap, am = K.lambert_arrays(R, rp_vec)
         four_a = 4.0 * spec.a
         for reg, st, a_m in zip(ref[1], ref[2], am):
             doubly = st == K.STATUS_OK and a_m >= four_a
@@ -123,12 +125,12 @@ def test_sc_inner_turning_point_is_flagged(ndim):
     # inner leg's velocity vanishes there and the primitive form divides by it
     params = cs.SystemParams(ndim=ndim)
     spec = cs.energy_from_nu(NU, params)
-    args = sc_constants(spec, params) + (1e-9, 1e-12)
+    args = sc_constants(spec, params)
     four_a = 4.0 * spec.a
     rp = 2.5 * spec.a
     rp_vec = np.array([rp, 0.0, 0.0])
     R = elliptic_points(rp, np.linspace(1.2 * rp, 3.0 * rp, 7), four_a - rp)
-    _, _, _, ap, am = K.lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+    _, _, _, ap, am = K.lambert_arrays(R, rp_vec)
     assert np.all(np.abs(am - four_a) <= 1e-12 * four_a) and np.all(ap > four_a)
     # the scalar kernel on the same points is held to this by the tie test
     with np.errstate(all="raise"):
@@ -138,7 +140,7 @@ def test_sc_inner_turning_point_is_flagged(ndim):
     # alpha_- = 4a to the last bit, where a complex division by zero was raised
     r = 0.5 * four_a + 1.0
     assert r + r - 2.0 == four_a
-    val, reg, st = K.sc_bound_point(r, r, 2.0, *args)
+    val, reg, st = K.sc_bound_point(2.0, r + r + 2.0, r + r - 2.0, *args)
     assert math.isnan(val.real) and (reg, st) == (K.REGION_FORBIDDEN, K.STATUS_CAUSTIC)
 
 
@@ -156,7 +158,7 @@ def test_odd_n_forbidden_value_is_real(ndim):
     rp_vec = np.array([rp, 0.0, 0.0])
     R = elliptic_points(rp, rng.uniform(four_a * 1.001 - rp, 3.0 * four_a, 200),
                         rng.uniform(-0.99 * rp, 0.99 * rp, 200))
-    _, _, s, ap, am = K.lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+    _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
     assert np.all(ap > four_a) and np.all(am < four_a)
     raw = K.sc_forbidden_array(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
     assert np.max(np.abs(raw.imag) / np.abs(raw)) <= 1e-10
@@ -164,20 +166,19 @@ def test_odd_n_forbidden_value_is_real(ndim):
                  for v in zip(ap.tolist(), am.tolist(), s.tolist())]
     assert max(abs(v.imag) / abs(v) for v in raw_point) <= 1e-10
     assert any(v.imag != 0.0 for v in raw_point)  # the noise the kernels drop
-    vals, _, status = K.sc_bound_field(R, rp_vec, *args, 1e-9, 1e-12)
+    vals, _, status = K.sc_bound_field(R, rp_vec, *args)
     assert np.all(status == K.STATUS_OK)
     assert np.all(vals.imag == 0.0) and not np.any(np.signbit(vals.imag))
     np.testing.assert_array_equal(vals.real, raw.real)
-    for row, want in zip(R, raw_point):
-        r, rp_, s_ = (float(v) for v in K.lambert_alphas(*row, *rp_vec)[:3])
-        val = K.sc_bound_point(r, rp_, s_, *args, 1e-9, 1e-12)[0]
+    for s_, ap_, am_, want in zip(s.tolist(), ap.tolist(), am.tolist(), raw_point):
+        val = K.sc_bound_point(s_, ap_, am_, *args)[0]
         assert val.imag == 0.0 and val.real == want.real
 
 
 def test_ua_field_matches_point_kernel():
     params = cs.AU
     spec = cs.energy_from_nu(NU, params)
-    args = ua_constants(spec, params) + (1e-12,)
+    args = ua_constants(spec, params)
     _, nu, kappa, _ = args[:4]
     d = math.sqrt(4.0 * nu * nu - 1.0)
     z_out = 2.0 * nu + d
@@ -210,7 +211,7 @@ def test_ua_field_matches_point_kernel():
         assert R.shape[0] % K.FIELD_BLOCK != 0
         ref = scalar_map(K.ua_point, R, rp_vec, *args)
         assert_same(K.ua_field(R, rp_vec, *args), ref)
-        _, _, _, ap, am = K.lambert_alphas(R[:, 0], R[:, 1], R[:, 2], *rp_vec)
+        _, _, _, ap, am = K.lambert_arrays(R, rp_vec)
         ok = ref[2] == K.STATUS_OK
         ok_x.append(kappa * ap[ok])
         ok_y.append(kappa * am[ok])
@@ -231,8 +232,8 @@ def test_empty_input():
     spec = cs.energy_from_nu(NU, cs.AU)
     R = np.zeros((0, 3))
     rp_vec = np.array([20.0, 0.0, 0.0])
-    for result in (K.sc_bound_field(R, rp_vec, *sc_constants(spec, cs.AU), 1e-9, 1e-12),
-                   K.ua_field(R, rp_vec, *ua_constants(spec, cs.AU), 1e-12)):
+    for result in (K.sc_bound_field(R, rp_vec, *sc_constants(spec, cs.AU)),
+                   K.ua_field(R, rp_vec, *ua_constants(spec, cs.AU))):
         assert [v.shape for v in result] == [(0,)] * 3
         assert [v.dtype for v in result] == [np.complex128, np.int8, np.int8]
 

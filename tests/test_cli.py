@@ -193,6 +193,16 @@ def test_config_errors_exit_two(capsys, tmp_path):
         ["tof", "--nu", "1e-300", "--r", "80,30,0"],                        # E = -inf, tof
         ["tof", "--nu", "9.7", "--r", "nan,2,3"],                           # NaN endpoint
         ["tof", "--nu", "9.7", "--source", "50,inf,0", "--r", "80,30,0"],   # infinite source
+        ["eigenvalues", "--ndim", "1"],                                     # ndim < 2
+        ["tof", "--nu", "9.7", "--ndim", "1", "--source", "50", "--r", "80"],  # ndim < 2, tof
+        ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut", "x:-15:40:12",
+         "--fix", "y:10", "--exclude-radius", "nan"],                       # NaN exclusion
+        ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut", "x:-15:40:12",
+         "--fix", "y:10", "--exclude-radius", "-1"],                        # negative exclusion
+        ["scan", "--nu", "9.7", "--ndim", "4", "--method", "sc", "--source", "50,0,0,0",
+         "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # ndim 4
+        ["scan", "--nu", "9.7", "--ndim", "2", "--source", "50,0,7",
+         "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # source not 2-D
     ]
     for args in bad:
         code, out, err = run_cli(args, capsys)
@@ -236,6 +246,24 @@ def test_json_config_with_flag_override(tmp_path, capsys):
                           "--out", str(tmp_path / "b.csv")], capsys)
     assert code == 0
     assert (tmp_path / "b.csv").exists()
+    # ... also when the flag's value is its default
+    path.write_text(json.dumps({**cfg, "method": "ua", "out": None}))
+    code, out, _ = run_cli(["scan", "--config", str(path), "--method", "sc"], capsys)
+    assert code == 0
+    assert {ln.split(",")[4] for ln in out.splitlines()[1:]} == {"sc"}
+    path.write_text(json.dumps({**cfg, "ndim": 2, "source": [20.0, 0.0], "out": None}))
+    code, _, _ = run_cli(["scan", "--config", str(path), "--method", "ua"], capsys)
+    assert code == 2  # the uniform approximation needs ndim = 3
+    code, _, _ = run_cli(["scan", "--config", str(path), "--method", "ua", "--ndim", "3",
+                          "--source", "20,0,0"], capsys)
+    assert code == 0
+    path.write_text(json.dumps({"nu": 5.3, "source": [20.0, 0.0, 0.0], "cut": "x:-15:40:12",
+                                "fix": ["y:10"], "exclude_radius": 30.0}))
+    code, out, err = run_cli(["cut", "--config", str(path), "--exclude-radius", "5.0"],
+                             capsys)
+    assert code == 0 and "< 5.0 Bohr" in err
+    dev_ua = np.genfromtxt(out.splitlines(), delimiter=",", names=True)["dev_ua"]
+    assert np.isfinite(dev_ua).sum() >= 8  # the file's 30-Bohr exclusion leaves two
 
 
 def test_entry_point_runs():

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 import coulomb_sc as cs
+from coulomb_sc import _kernels as K
 from coulomb_sc.errors import DimensionMismatchError, ForbiddenRegionError
+from coulomb_sc.scan import eval_qm
+from coulomb_sc.semiclassical import sc_constants
+from coulomb_sc.uniform import ua_constants
 
 from conftest import random_allowed_pair
+from test_array_kernels import elliptic_points
 
 
 def test_three_four_five():
@@ -154,3 +159,44 @@ def test_anomaly_action_matches_one_dimensional_forms(au, rng):
         direct = (cs.reduced_action_bound(pair.alpha_plus, spec, au)
                   - cs.reduced_action_bound(pair.alpha_minus, spec, au))
         assert via_angles == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4, 5])
+def test_lambert_arrays_against_numpy_norm(ndim, rng):
+    # lengths over seven decades, summed column by column: the same floats
+    # as np.linalg.norm row by row
+    pts = rng.normal(size=(3000, ndim)) * 10.0 ** rng.uniform(-3.0, 4.0, size=(3000, 1))
+    src = rng.normal(size=ndim) * 50.0
+    r, rp, s, ap, am = K.lambert_arrays(pts, src)
+    np.testing.assert_array_equal(r, np.linalg.norm(pts, axis=1))
+    np.testing.assert_array_equal(s, np.linalg.norm(pts - src[None, :], axis=1))
+    assert isinstance(rp, float) and rp == pytest.approx(np.linalg.norm(src), rel=4e-16)
+    np.testing.assert_array_equal(ap, r + rp + s)
+    np.testing.assert_array_equal(am, r + rp - s)
+    with pytest.raises(ValueError):
+        K.lambert_arrays(pts, src[:-1])
+
+
+def test_one_region_rule_for_every_method(au):
+    # points 1e-8 (relative) outside and inside the caustic, and one inside
+    # its 1e-9 band: SC, UA, the exact reference and classify_region give
+    # each the same region
+    spec = cs.energy_from_nu(5.3, au)
+    four_a = 4.0 * spec.a
+    rp = 20.0
+    rp_vec = np.array([rp, 0.0, 0.0])
+    offsets = np.array([1e-8, -1e-8, 1e-10])
+    v = np.array([-0.5, 0.3, 0.1]) * rp
+    pts = elliptic_points(rp, four_a * (1.0 + offsets) - rp, v)
+    _, _, s, ap, am = K.lambert_arrays(pts, rp_vec)
+    np.testing.assert_allclose(ap / four_a - 1.0, offsets, rtol=1e-5)
+    want = [K.REGION_FORBIDDEN, K.REGION_ALLOWED, K.REGION_CAUSTIC]
+    for _, region, _ in (K.sc_bound_field(pts, rp_vec, *sc_constants(spec, au)),
+                         K.ua_field(pts, rp_vec, *ua_constants(spec, au)),
+                         eval_qm(pts, rp_vec, spec, au)):
+        assert region.tolist() == want
+    tags = {K.REGION_ALLOWED: cs.Region.ALLOWED, K.REGION_CAUSTIC: cs.Region.ON_CAUSTIC,
+            K.REGION_FORBIDDEN: cs.Region.FORBIDDEN}
+    for lengths, code in zip(zip(s.tolist(), ap.tolist(), am.tolist()), want):
+        pair = cs.LambertPair(math.nan, math.nan, *lengths)
+        assert cs.classify_region(pair, spec).tag is tags[code]

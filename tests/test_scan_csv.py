@@ -12,8 +12,7 @@ from coulomb_sc import _kernels as K
 from coulomb_sc import scan
 from coulomb_sc.scan import ScanConfig, fmt
 
-METHODS = {"sc": lambda pts, cfg, spec, par: scan.eval_sc(pts, cfg.source, spec, par,
-                                                          cfg.caustic_tol),
+METHODS = {"sc": lambda pts, cfg, spec, par: scan.eval_sc(pts, cfg.source, spec, par),
            "ua": lambda pts, cfg, spec, par: scan.eval_ua(pts, cfg.source, spec, par),
            "qm": lambda pts, cfg, spec, par: scan.eval_qm(pts, cfg.source, spec, par)}
 

@@ -194,15 +194,6 @@ def test_scatter_attractive_envelope(au):
         assert sd1 > sd2
 
 
-def test_scatter_repulsive_experimental(au):
-    spec = cs.EnergySpec.from_energy(0.35, au)
-    rp = np.array([50.0, 0.0, 0.0])
-    allowed = cs.green_sc_scatter_repulsive(np.array([80.0, 30.0, 0.0]), rp, spec, au)
-    assert np.isfinite(allowed.value.real) and np.isfinite(allowed.value.imag)
-    ab = cs.green_sc_scatter_repulsive(rp, np.array([80.0, 30.0, 0.0]), spec, au)
-    assert allowed.value == pytest.approx(ab.value, rel=1e-13)
-
-
 def test_tunnel_decay_along_confocal_arc(au):
     # constant alpha_minus, increasing alpha_plus: strictly decaying modulus,
     # log-slope approaching -Im W_+ / hbar
@@ -307,6 +298,11 @@ def seeded_pair(rng, ndim, kind):
     return q @ r_vec, q @ rp_vec, spec, params
 
 
+def on_lengths(kernel):
+    """The kernel as a function of (r, r', s) instead of (s, alpha_+, alpha_-)."""
+    return lambda r, rp, s, *args: kernel(s, r + rp + s, r + rp - s, *args)
+
+
 def ulp_response(kernel, lengths, args):
     """Sum over the three lengths of the largest change of the kernel
     value when that length moves by one ulp."""
@@ -332,10 +328,10 @@ def test_per_point_apis_match_kernels_on_numpy_norm_lengths():
         for kind, sc_api in (("allowed", cs.green_sc_bound), ("tunnel", cs.green_sc_tunnel)):
             for _ in range(20):
                 r_vec, rp_vec, spec, params = seeded_pair(rng, ndim, kind)
-                cases = [(sc_api, K.sc_bound_point, sc_constants(spec, params) + (1e-9, 1e-12))]
+                cases = [(sc_api, on_lengths(K.sc_bound_point), sc_constants(spec, params))]
                 if ndim == 3:
-                    cases.append((cs.green_uniform, K.ua_point,
-                                  ua_constants(spec, params) + (1e-12,)))
+                    cases.append((cs.green_uniform, on_lengths(K.ua_point),
+                                  ua_constants(spec, params)))
                 pair = cs.lambert_variables(r_vec, rp_vec, params)
                 lengths = [float(np.linalg.norm(v)) for v in (r_vec, rp_vec, r_vec - rp_vec)]
                 for api, kernel, args in cases:
