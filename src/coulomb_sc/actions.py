@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from . import _kernels as K
 from .errors import ForbiddenRegionError, RegionError
-from .geometry import LambertPair, Region, classify_region
+from .geometry import LambertPair, region_code
 from .model import EnergySpec, SystemParams
 from .vvpm import morse_index
 
@@ -103,8 +103,7 @@ def round_trip(spec: EnergySpec, params: SystemParams) -> tuple[float, float]:
 
 def basic_actions(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> BasicActions:
     """One-dimensional building blocks for a bound allowed endpoint pair."""
-    region = classify_region(pair, spec, params.attractive)
-    if region.tag is Region.FORBIDDEN:
+    if region_code(pair, spec, params.attractive) == K.REGION_FORBIDDEN:
         raise ForbiddenRegionError(
             "endpoint pair lies beyond the caustic; use the forbidden-region forms"
         )

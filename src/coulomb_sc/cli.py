@@ -92,6 +92,29 @@ def _add_common(p: argparse.ArgumentParser):
                    help="JSON file mirroring the flags; flags override it")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list_of(v, check) -> bool:
+    return isinstance(v, list) and all(check(x) for x in v)
+
+
+# what each --config key may hold (JSON null only where the flag's default is None)
+_CONFIG_TYPES = {
+    "nu": ("a number or null", lambda v: v is None or _is_number(v)),
+    "energy": ("a number or null", lambda v: v is None or _is_number(v)),
+    "exclude_radius": ("a number", _is_number),
+    "ndim": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "method": ("a string", lambda v: isinstance(v, str)),
+    "out": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "source": ("a list of numbers", lambda v: _is_list_of(v, _is_number)),
+    "grid": ("a list of strings", lambda v: _is_list_of(v, lambda x: isinstance(x, str))),
+    "fix": ("a list of strings", lambda v: _is_list_of(v, lambda x: isinstance(x, str))),
+    "cut": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _scan_config(args, want_grids: int) -> ScanConfig:
     cfg = ScanConfig()
     if args.config:
@@ -99,6 +122,9 @@ def _scan_config(args, want_grids: int) -> ScanConfig:
         if "lmax" in data:
             raise ConfigError("unknown key 'lmax': the exact reference is Hostler's "
                               "closed form and has no partial-wave truncation")
+        for key, (what, check) in _CONFIG_TYPES.items():
+            if key in data and not check(data[key]):
+                raise ConfigError(f"config key {key!r} must be {what}, got {data[key]!r}")
         for key in ("method", "nu", "energy", "ndim", "exclude_radius", "out"):
             if key in data:
                 setattr(cfg, key, data[key])

@@ -94,6 +94,23 @@ _REGION_TAGS = {K.REGION_ALLOWED: Region.ALLOWED, K.REGION_CAUSTIC: Region.ON_CA
                 K.REGION_FORBIDDEN: Region.FORBIDDEN}
 
 
+def region_code(pair: LambertPair, spec: EnergySpec, attractive: bool = True) -> int:
+    """The region of ``classify_region`` as a ``_kernels`` REGION_* code,
+    without building a RegionClass; for E < 0 it is the kernels' rule
+    ``_kernels.region_status``."""
+    four_a = 4.0 * spec.a
+    if spec.E < 0.0:
+        if not attractive:
+            raise ValueError("E < 0 with a repulsive interaction has no "
+                             "classically allowed region")
+        return K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)[0]
+    if attractive:
+        return K.REGION_ALLOWED
+    if abs(pair.alpha_minus - four_a) <= K.CAUSTIC_TOL * four_a:
+        return K.REGION_CAUSTIC
+    return K.REGION_ALLOWED if pair.alpha_minus > four_a else K.REGION_FORBIDDEN
+
+
 def classify_region(pair: LambertPair, spec: EnergySpec,
                     attractive: bool = True) -> RegionClass:
     """Classify an endpoint pair as Allowed / OnCaustic / Forbidden.
@@ -106,19 +123,12 @@ def classify_region(pair: LambertPair, spec: EnergySpec,
     """
     four_a = 4.0 * spec.a
     if spec.E < 0.0:
-        if not attractive:
-            raise ValueError("E < 0 with a repulsive interaction has no "
-                             "classically allowed region")
-        region, _ = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
-        return RegionClass(_REGION_TAGS[region], (four_a - pair.alpha_plus) / four_a)
-    if attractive:
-        return RegionClass(Region.ALLOWED, math.inf)
-    margin = (pair.alpha_minus - four_a) / four_a
-    if abs(pair.alpha_minus - four_a) <= K.CAUSTIC_TOL * four_a:
-        return RegionClass(Region.ON_CAUSTIC, margin)
-    if pair.alpha_minus > four_a:
-        return RegionClass(Region.ALLOWED, margin)
-    return RegionClass(Region.FORBIDDEN, margin)
+        margin = (four_a - pair.alpha_plus) / four_a
+    elif attractive:
+        margin = math.inf
+    else:
+        margin = (pair.alpha_minus - four_a) / four_a
+    return RegionClass(_REGION_TAGS[region_code(pair, spec, attractive)], margin)
 
 
 def anomaly_angles(pair: LambertPair, a: float) -> tuple[float, float]:

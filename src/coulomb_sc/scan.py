@@ -10,17 +10,23 @@ Output rows are assembled in deterministic grid order.  Per-point failures
 never abort a scan: they become NaN rows with a reason column.
 
 CSV format: header line, comma-separated, UTF-8, LF line endings, floats
-in scientific notation with 17 significant digits.  The text is formatted
-in blocks of ``CSV_BLOCK`` rows, one ``%`` operation per block, and is
-byte-identical to formatting every value with ``fmt``.
+in scientific notation with 17 significant digits, byte-identical to
+formatting every value with ``fmt``.  The writer builds each block of
+``CSV_BLOCK`` rows as a NUL-padded uint8 matrix, the fields side by side,
+and keeps its non-NUL bytes; so every text field must be NUL-free ASCII.
+Float fields come from ``_e16``, an exact ``%.16e`` over arrays: values
+with 1e-11 <= |v| < 1e17 (the fast range) get their 17 digits in uint64
+integer arithmetic, zeros and NaN are constant rows, and everything else
+(subnormals, +-inf, tinier or larger values) falls back to ``fmt``, one
+value at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -47,33 +53,178 @@ def fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-#: rows per formatted CSV block (bounds the temporary Python objects)
+#: rows per CSV block (bounds the temporary byte matrices)
 CSV_BLOCK = 4096
 
-# "region,reason" for every (region, status) code pair
+# "region,reason" for every (region, status) code pair, as ASCII bytes
 _LABELS = np.array([[f"{_REGION_NAMES[r]},{_REASONS[s]}" for s in sorted(_REASONS)]
-                    for r in sorted(_REGION_NAMES)], dtype=object)
+                    for r in sorted(_REGION_NAMES)], dtype="S")
+
+# --- exact %.16e over arrays ------------------------------------------------
+# Only typed uint64 operands: under NumPy 1.x promotion a uint64 array
+# combined with a Python int becomes float64 and loses bits.
+_ONE, _32, _63 = np.uint64(1), np.uint64(32), np.uint64(63)
+_LO32 = np.uint64(0xFFFFFFFF)
+_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)  # 5**27 < 2**63
+_E16, _E17 = np.uint64(10 ** 16), np.uint64(10 ** 17)
+# the ASCII digits of 0000..9999 and of 00..99, one table entry each
+_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+                               + np.uint8(ord("0")))
+_QUADS = _DIGITS.view(np.uint32).ravel()
+_PAIRS = np.ascontiguousarray(_DIGITS[:100, 2:]).view(np.uint16).ravel()
+_WIDTH = 23  # "-d.dddddddddddddddde+dd"
+_ZERO = np.frombuffer(b"\0" + b"0.0000000000000000e+00", np.uint8)
+_NAN = np.frombuffer(b"nan".ljust(_WIDTH, b"\0"), np.uint8)
 
 
-def _fmt_strings(values) -> np.ndarray:
-    """fmt of each value, as an object array."""
-    return np.array([fmt(v) for v in values.tolist()], dtype=object)
+def _scaled(m, e, k):
+    """(floor, round-half-even) of m * 2**e * 10**k, as uint64, for 53-bit
+    integers m and k in [0, 27] where the result is below 2**63: the
+    product m * 5**k in two limbs (hi, lo), shifted by e + k (-63..5)."""
+    p = _POW5[k]
+    m0, m1 = m & _LO32, m >> _32
+    p0, p1 = p & _LO32, p >> _32
+    ll = m0 * p0
+    mid = m0 * p1 + m1 * p0  # < 2**63 + 2**53
+    with np.errstate(over="ignore"):
+        lo = ll + (mid << _32)  # modulo 2**64; the carry goes to hi
+    hi = m1 * p1 + (mid >> _32) + (lo < ll)
+    s = -(e + k)
+    r = np.maximum(s, 0).astype(np.uint64)  # right shift, 0..63
+    # hi << (64 - r) in two steps, so that no shift reaches 64; where
+    # s <= 0, hi is 0 and the left shift by -s is exact
+    q = ((lo >> r) | ((hi << _ONE) << (_63 - r))) << np.maximum(-s, 0).astype(np.uint64)
+    half = (_ONE << r) >> _ONE
+    rem = lo & ((_ONE << r) - _ONE)
+    up = (rem > half) | ((rem == half) & (half > 0) & ((q & _ONE) == _ONE))
+    return q, q + up
+
+
+def _put(rows, col, table, i):
+    """The entries table[i] as raw bytes into rows[:, col:col + itemsize]."""
+    rows[:, col:col + table.itemsize].view(table.dtype)[:, 0] = table[i]
+
+
+def _digit_rows(d, exp, neg) -> np.ndarray:
+    """Rows "-d.dddddddddddddddde+dd" for 17-digit integers d, decimal
+    exponents |exp| < 100 and signs neg (NUL in place of a plus sign)."""
+    rows = np.empty((len(d), _WIDTH), np.uint8)
+    d = d.astype(np.int64)
+    top = d // 10 ** 8
+    low = d - top * 10 ** 8
+    lead = top // 10 ** 8
+    high = top - lead * 10 ** 8
+    rows[:, 0] = np.where(neg, np.uint8(ord("-")), np.uint8(0))
+    rows[:, 1] = lead + ord("0")
+    rows[:, 2] = ord(".")
+    h, lo = high // 10 ** 4, low // 10 ** 4
+    for col, quad in ((3, h), (7, high - h * 10 ** 4), (11, lo), (15, low - lo * 10 ** 4)):
+        _put(rows, col, _QUADS, quad)
+    rows[:, 19] = ord("e")
+    rows[:, 20] = np.where(exp < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    _put(rows, 21, _PAIRS, np.abs(exp))
+    return rows
+
+
+def _e16(values) -> np.ndarray:
+    """``fmt`` of every value, as the NUL-padded rows of a uint8 matrix.
+
+    Values with 1e-11 <= |v| < 1e17 take k = 16 - floor(log10 |v|) in
+    [0, 27] and the 17 digits round-half-even(m 5**k / 2**s) in integer
+    arithmetic; where log10 is one off next to a power of ten, k is
+    redone one step over.  Zeros and NaN are constant rows; every other
+    value (subnormals, +-inf, tiny or huge ones) goes through ``fmt``.
+    """
+    x = np.asarray(values, dtype=np.float64)  # native byte order, any stride
+    ax = np.abs(x)
+    out = np.zeros((x.size, _WIDTH), np.uint8)
+    fast = (ax >= 1e-11) & (ax < 1e17)
+    if fast.any():
+        idx = np.flatnonzero(fast)
+        mant, e = np.frexp(ax[idx])
+        m = (mant * 2.0 ** 53).astype(np.uint64)
+        e = e.astype(np.int64) - 53
+        k = np.clip(16 - np.floor(np.log10(ax[idx])).astype(np.int64), 0, 27)
+        q, d = _scaled(m, e, k)
+        off = np.flatnonzero((q < _E16) | (q >= _E17))
+        if off.size:
+            k[off] = np.clip(k[off] + np.where(q[off] < _E16, 1, -1), 0, 27)
+            q[off], d[off] = _scaled(m[off], e[off], k[off])
+            bad = (q < _E16) | (q >= _E17)  # k out of [0, 27]: left to fmt
+            fast[idx[bad]] = False
+            idx, d, k = idx[~bad], d[~bad], k[~bad]
+        carry = d == _E17  # rounded up to 10**17: the next exponent
+        d[carry] = _E16
+        k[carry] -= 1
+        out[idx] = _digit_rows(d, 16 - k, x[idx] < 0.0)
+    zero = ax == 0.0
+    if zero.any():
+        out[zero] = _ZERO
+        out[zero & np.signbit(x), 0] = ord("-")
+    nan = np.isnan(x)
+    if nan.any():
+        out[nan] = _NAN
+    rest = ~(fast | zero | nan)
+    if rest.any():
+        slow = [fmt(v).encode("ascii") for v in x[rest].tolist()]
+        width = max(len(b) for b in slow)
+        if width > _WIDTH:
+            out = np.pad(out, ((0, 0), (0, width - _WIDTH)))
+        for i, b in zip(np.flatnonzero(rest).tolist(), slow):
+            out[i, :len(b)] = np.frombuffer(b, np.uint8)
+    return out
+
+
+def _as_text(mat) -> np.ndarray:
+    """The rows of a uint8 matrix as a fixed-width bytes array."""
+    return np.ascontiguousarray(mat).view(f"S{mat.shape[1]}").ravel()
+
+
+def _text_rows(col) -> np.ndarray:
+    """A column of ASCII strings or bytes as NUL-padded uint8 rows."""
+    b = np.asarray(col)
+    if b.dtype.kind != "S":
+        b = b.astype("S")  # raises on non-ASCII text
+    b = np.ascontiguousarray(b)
+    return b.view(np.uint8).reshape(b.size, b.dtype.itemsize)
+
+
+_SLOT = re.compile(r"(%s|%\.16e)")
+
+
+def _block(pieces, columns, i: int, rows: int) -> np.ndarray:
+    """Rows i..i+rows-1 of the CSV body as ASCII bytes (a uint8 array):
+    a NUL-padded uint8 matrix with the fields side by side, less its NULs."""
+    fields = []
+    for j, piece in enumerate(pieces):
+        if j % 2 == 0:  # literal text
+            lit = np.frombuffer(piece.encode("ascii"), np.uint8)
+            fields.append(np.broadcast_to(lit, (rows, lit.size)))
+            continue
+        col = columns[j // 2]
+        block = col[0][col[1][i:i + rows]] if isinstance(col, tuple) else col[i:i + rows]
+        fields.append(_e16(block) if piece == "%.16e" else _text_rows(block))
+    mat = np.concatenate(fields, axis=1)
+    return mat[mat != 0]
 
 
 def csv_text(header: str, row: str, columns, n: int) -> str:
-    """The header line, then ``row`` %-formatted with the values of entry i
-    of every column in turn, for i = 0..n-1.
+    """The header line, then one ``row`` for each i = 0..n-1, filled with
+    entry i of every column in turn.
 
-    Columns are arrays: object arrays of strings for ``%s`` fields, float
-    arrays for ``%.16e`` fields, which print exactly as ``fmt`` does
-    ('nan' for a NaN of either sign).  Each block of CSV_BLOCK entries is
-    one ``%`` operation over ``.tolist()`` columns.
+    ``row`` is a layout: literal text with ``%s`` slots (text columns:
+    arrays of ASCII str or bytes) and ``%.16e`` slots (float arrays,
+    printed exactly as ``fmt`` prints them).  A column may also be a pair
+    (table, index), meaning table[index[i]] for entry i.  The text is
+    built in blocks of CSV_BLOCK entries.
     """
-    parts = [header + "\n"]
+    pieces = _SLOT.split(row)  # literal, slot, literal, ..., literal
+    if len(pieces) // 2 != len(columns):
+        raise ValueError(f"{len(pieces) // 2} slots in the row, {len(columns)} columns")
+    text = bytearray(header.encode("ascii") + b"\n")
     for i in range(0, n, CSV_BLOCK):
-        cols = [c[i:i + CSV_BLOCK].tolist() for c in columns]
-        parts.append((row * len(cols[0])) % tuple(chain.from_iterable(zip(*cols))))
-    return "".join(parts)
+        text += _block(pieces, columns, i, min(CSV_BLOCK, n - i)).data
+    return text.decode("ascii")
 
 
 def _write(text: str, path: str | None):
@@ -246,16 +397,19 @@ def run_scan(config: ScanConfig) -> str:
         else:
             results[m] = eval_qm(points, config.source, spec, params)
 
-    # each swept value formatted once: c1 = repeat(v1, n2), c2 = tile(v2, n1)
-    n2 = int(config.grids[1][3])
-    x_str = np.repeat(_fmt_strings(c1[::n2]), n2)
-    y_str = np.tile(_fmt_strings(c2[:n2]), len(c1) // n2)
+    # each swept value formatted once and looked up per row (c1 = repeat(v1,
+    # n2), c2 = tile(v2, n1)); the grid is freed before the text is built
+    n, n2 = points.shape[0], int(config.grids[1][3])
+    x_table, y_table = _as_text(_e16(c1[::n2])), _as_text(_e16(c2[:n2]))
+    del points, c1, c2
+    ix, iy = np.divmod(np.arange(n), n2)
     row, columns = "", []
     for m in methods:
         vals, region, status = results[m]
         row += f"%s,%s,%.16e,%.16e,{m},%s\n"
-        columns += [x_str, y_str, vals.real, vals.imag, _LABELS[region, status]]
-    text = csv_text("x,y,re,im,method,region,reason", row, columns, points.shape[0])
+        labels = (_LABELS.ravel(), region * np.int8(_LABELS.shape[1]) + status)
+        columns += [(x_table, ix), (y_table, iy), vals.real, vals.imag, labels]
+    text = csv_text("x,y,re,im,method,region,reason", row, columns, n)
     _write(text, config.out)
     return text
 
@@ -290,8 +444,8 @@ def run_cut(config: ScanConfig) -> str:
     dev_ua[excluded] = np.nan
 
     text = csv_text("x,G_qm,G_sc,G_ua,dev_sc,dev_ua",
-                    "%s,%.16e,%.16e,%.16e,%.16e,%.16e\n",
-                    [_fmt_strings(c1), qm_vals.real, sc_vals.real, ua_vals.real,
+                    "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e\n",
+                    [c1, qm_vals.real, sc_vals.real, ua_vals.real,
                      dev_sc, dev_ua], points.shape[0])
     _write(text, config.out)
     return text

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import IllConditionedError, OnCausticError, RegionError
-from .geometry import LambertPair, Region, classify_region
+from .geometry import LambertPair, region_code
 from .model import EnergySpec, SystemParams
 
 PATH_IDS = (1, 2, 3, 4)
@@ -94,13 +94,13 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     """
     if path_id not in PATH_IDS:
         raise ValueError(f"path_id must be in 1..4, got {path_id}")
-    region = classify_region(pair, spec, params.attractive)
-    if region.tag is Region.ON_CAUSTIC:
+    region = region_code(pair, spec, params.attractive)
+    if region == K.REGION_CAUSTIC:
         raise OnCausticError(
             "v+ vanishes on the caustic and the determinant diverges; "
             "use the uniform approximation"
         )
-    if region.tag is Region.FORBIDDEN:
+    if region == K.REGION_FORBIDDEN:
         raise RegionError("endpoint pair beyond the caustic; no real determinant")
     if pair.s <= 0.0:
         raise RegionError("coincident endpoints (s = 0): determinant pole")

@@ -209,6 +209,38 @@ def test_config_errors_exit_two(capsys, tmp_path):
         assert code == 2, args
         assert "config error" in err and out == "", args
 
+    # --config values of the wrong JSON type
+    scan_cfg = {"nu": 5.3, "source": [20, 0, 0], "grid": ["x:10:40:3", "y:5:25:3"]}
+    cut_cfg = {"nu": 5.3, "source": [20, 0, 0], "cut": "x:-15:40:12", "fix": ["y:10"]}
+    bad_configs = [
+        ("scan", scan_cfg, "nu", "5.3"),
+        ("scan", scan_cfg, "nu", True),
+        ("scan", {**scan_cfg, "nu": None}, "energy", "-0.1"),
+        ("cut", cut_cfg, "exclude_radius", "5"),
+        ("cut", cut_cfg, "exclude_radius", None),
+        ("scan", scan_cfg, "ndim", 3.0),
+        ("scan", scan_cfg, "ndim", True),
+        ("scan", scan_cfg, "method", 1),
+        ("scan", scan_cfg, "out", 5),
+        ("scan", scan_cfg, "source", "20,0,0"),
+        ("scan", scan_cfg, "source", [20, False, 0]),
+        ("scan", scan_cfg, "grid", "x:-20:40:5"),
+        ("scan", scan_cfg, "grid", ["x:10:40:3", 5]),
+        ("scan", scan_cfg, "fix", "z:1"),
+        ("cut", cut_cfg, "cut", ["x:-15:40:12"]),
+    ]
+    for cmd, base, key, value in bad_configs:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**base, key: value}))
+        code, out, err = run_cli([cmd, "--config", str(path)], capsys)
+        assert code == 2, (key, value)
+        assert f"config error: config key {key!r} must be" in err and out == "", (key, value)
+    for cmd, base in (("scan", scan_cfg), ("cut", cut_cfg)):  # integers are numbers
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(base))
+        code, out, _ = run_cli([cmd, "--config", str(path)], capsys)
+        assert code == 0 and out.count("\n") > 1
+
 
 def test_lmax_retired_exits_two(capsys, tmp_path):
     # the exact reference has no partial-wave truncation left to set

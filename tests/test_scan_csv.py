@@ -1,9 +1,12 @@
 """The block CSV writer against the row-by-row format it replaced.
 
-``run_scan`` and ``run_cut`` format their columns in blocks, one ``%``
-operation per block; the text must equal, byte for byte, the rows built
-one value at a time with ``scan.fmt`` from the same arrays.
+``run_scan`` and ``run_cut`` build their text in blocks of byte matrices,
+with the floats from a vectorised ``%.16e``; the text must equal, byte for
+byte, the rows built one value at a time with ``scan.fmt`` from the same
+arrays, and every float field must equal ``'%.16e' % v``.
 """
+
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -100,3 +103,95 @@ def test_block_formatter_special_values(monkeypatch):
     assert text == "\n".join(ref) + "\n"
     assert "-0.0000000000000000e+00" in text and "-nan" not in text
     assert ",inf," in text and ",-inf," in text
+
+
+# --- the vectorised %.16e field ---------------------------------------------
+
+def float_lines(values, monkeypatch=None):
+    """The writer's float field for each value, one per line (the header
+    dropped); with ``monkeypatch``, also the number of ``fmt`` fallbacks."""
+    calls = []
+    if monkeypatch is not None:
+        monkeypatch.setattr(scan, "fmt", lambda v: calls.append(v) or fmt(v))
+    text = scan.csv_text("v", "%.16e\n", [values], len(values))
+    assert text.startswith("v\n")
+    return text[2:].splitlines(), len(calls)
+
+
+def printf(values):
+    return ["%.16e" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(20240607)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64)
+    specials = np.array([0x7FF0000000000000, 0xFFF0000000000000,  # +-inf
+                         0x7FF8000000000000, 0xFFF8000000000001,  # NaN, signed NaN payload
+                         0xFFFFFFFFFFFFFFFF, 0x0000000000000001,  # NaN, smallest subnormal
+                         0x800FFFFFFFFFFFFF, 0x0010000000000000,  # largest subnormal, tiny
+                         0x8000000000000000, 0x0000000000000000], dtype=np.uint64)
+    values = np.concatenate([bits, specials]).view(np.float64)
+    exponents = (np.concatenate([bits, specials]) >> np.uint64(52)) & np.uint64(0x7FF)
+    assert {0, 0x7FF} <= set(exponents.tolist()) and len(set(exponents.tolist())) == 2048
+    assert float_lines(values)[0] == printf(values)
+
+
+def test_fast_range_takes_no_fallback(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 100_000
+    values = (rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-11, 17, n)
+              * rng.choice([-1.0, 1.0], n))
+    values[::97] = 0.0
+    values[1::97] = -0.0
+    values[2::97] = np.nan
+    lines, fallbacks = float_lines(values, monkeypatch)
+    assert lines == printf(values)
+    assert fallbacks == 0
+
+
+def test_round_half_even_ties():
+    # x = n / 2**(k+1) with n odd: x * 10**k = n 5**k / 2 is an exact tie
+    rng = np.random.default_rng(3)
+    ties = []
+    for k in range(1, 28):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** k), min(2 * 10 ** 17 // 5 ** k, 2 ** 53)
+        if hi > lo:
+            n = rng.integers(lo, hi, size=500) | 1
+            ties.append(np.ldexp(n.astype(float), -(k + 1)))
+    ties = np.concatenate(ties)
+    assert len(ties) > 5000
+    values = np.concatenate([ties, -ties])
+    assert float_lines(values)[0] == printf(values)
+
+
+def test_powers_of_ten_and_neighbours():
+    p = np.array([float(f"1e{j}") for j in range(-320, 309)])
+    values = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    values = np.concatenate([values, -values])
+    lines = float_lines(values)[0]
+    assert lines == printf(values)
+    assert any(s.endswith("e-300") for s in lines) and any(s.endswith("e+300") for s in lines)
+
+
+def test_fast_range_edges(monkeypatch):
+    # k = 16 - floor(log10 |x|): k = 27 is the last fast decade, k = 28 the
+    # first one left to fmt; likewise 1e17 is the first value past k = 0
+    steps = np.arange(-40, 41)
+    values = np.concatenate([x + steps * np.spacing(x)
+                             for x in (1e-12, 1e-11, 1e-10, 1e15, 1e16, 1e17)])
+    values = np.concatenate([values, -values])
+    lines, fallbacks = float_lines(values, monkeypatch)
+    assert lines == printf(values)
+    # the fast range in exact decimal terms: 10**-11 <= |x| < 10**17
+    slow = [not Decimal("1e-11") <= abs(Decimal(v)) < Decimal("1e17") for v in values.tolist()]
+    assert 0 < fallbacks == sum(slow) < len(values)
+
+
+@pytest.mark.parametrize("block", [5, scan.CSV_BLOCK])
+def test_strided_and_big_endian_input(monkeypatch, block):
+    monkeypatch.setattr(scan, "CSV_BLOCK", block)
+    rng = np.random.default_rng(5)
+    z = (rng.standard_normal(301) + 1j * rng.standard_normal(301)) * 10.0 ** rng.integers(-20, 20, 301)
+    z[::7] = complex(0.0, -0.0)
+    for values in (z.real, z.imag, z.real[::3], z.real.astype(">f8"), z.imag.astype(">f8")[::-2]):
+        assert float_lines(values)[0] == printf(values)
