@@ -6,15 +6,17 @@
         --out BENCH_7.json
 
 Each revision is exported with ``git archive`` into its own directory under
-``--workdir`` (a temporary directory by default), and ``perfbench/run.py
---trace 0`` runs there, one run at a time.  Pair i uses seed ``--seed + i``
+``--workdir`` (a temporary directory by default), and ``perfbench/run.py``
+runs there, one run at a time.  Pair i uses seed ``--seed + i``
 on both sides and runs the parent first when i is even, the change first
 when i is odd.  The record holds the last-line JSON of every run, with its
 seed and position in the run order; both SHAs; nproc; the Python and numpy
 versions; and per workload, side and metric the median and quartiles.  Per
 metric it also gives the pairs the change won and whether its median moved
 by more than the parent's quartile distance.  Nothing here measures: every
-number comes from ``perfbench/run.py``.
+number comes from ``perfbench/run.py``.  Untraced runs (``--trace 0``, the
+end-to-end metrics) go under "workloads", traced ones (``--trace 1``, the
+per-layer metrics) under "traced".
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ def export(sha: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run; its last stdout line, parsed."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout.name} {workload} seed {seed} exited with {proc.returncode}:\n"
@@ -84,13 +87,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         out[name] = {
             **stats,
             "change_wins": wins, "change_losses": losses, "pairs": len(side["parent"]),
-            "relative_change": (c["median"] - p["median"]) / p["median"],
+            "relative_change": (c["median"] - p["median"]) / p["median"] if p["median"] else None,
             "parent_quartile_distance": p["q3"] - p["q1"],
             "gain_shown": (wins >= 0.9 * len(side["parent"])
                            and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]),
-            "bound": m["bound"],
-            "within_bound": sign * (c["median"] - p["median"]) <= m["bound"] * p["median"],
         }
+        if "bound" in m:
+            out[name]["bound"] = m["bound"]
+            out[name]["within_bound"] = \
+                sign * (c["median"] - p["median"]) <= m["bound"] * p["median"]
     return out
 
 
@@ -103,6 +108,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, default=None,
                     help="run length (default: BENCHMARK.json run_seconds)")
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--workdir", default=None)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
@@ -114,12 +120,11 @@ def main() -> int:
     seconds = args.seconds or bench["run_seconds"]
 
     out = Path(args.out)
-    record = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
+    record = json.loads(out.read_text()) if out.exists() else {}
     if record.get("parent_sha", shas["parent"]) != shas["parent"] or \
             record.get("change_sha", shas["change"]) != shas["change"]:
         sys.exit(f"{out} records other revisions")
     record.update({
-        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "parent_sha": shas["parent"], "change_sha": shas["change"],
         "nproc": os.cpu_count(), "python": platform.python_version(),
         "numpy": version("numpy"), "platform": platform.platform(),
@@ -129,21 +134,24 @@ def main() -> int:
         for i in range(args.pairs):
             seed = args.seed + i
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                result = run_once(trees[side], workload, seed, seconds)
+                result = run_once(trees[side], workload, seed, seconds, args.trace)
                 runs.append({"pair": i, "order": order, "side": side, "seed": seed,
                              "result": result})
                 order += 1
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                       flush=True)
-        record["workloads"][workload] = {
+        section = record.setdefault("traced" if args.trace else "workloads", {})
+        section[workload] = {
+            "command": f"perfbench/run.py --workload {workload} --seed S "
+                       f"--seconds {seconds:g} --trace {args.trace}",
             "seeds": [args.seed + i for i in range(args.pairs)],
             "runs": runs,
             "failed_share": {s: statistics.median(r["result"]["failed"] / r["result"]["attempted"]
                                                   for r in runs if r["side"] == s)
                              for s in ("parent", "change")},
             "correct": all(r["result"]["correct"] for r in runs),
-            "metrics": summarize(runs, bench["end_to_end"]),
+            "metrics": summarize(runs, bench["per_layer" if args.trace else "end_to_end"]),
         }
         out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
