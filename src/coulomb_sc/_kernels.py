@@ -106,15 +106,6 @@ def v_scatter_attr(alpha, a, cv):
     return cv * math.sqrt((4.0 * a + alpha) / alpha)
 
 
-def w_scatter_rep(alpha, a, sk):
-    """Half-action for E > 0, repulsive, allowed side alpha >= 4|a|;
-    vanishes at the turning point alpha = 4|a|."""
-    if alpha <= 4.0 * a:
-        return 0.0
-    return sk * (0.5 * math.sqrt((alpha - 4.0 * a) * alpha)
-                 - 2.0 * a * math.acosh(math.sqrt(alpha / (4.0 * a))))
-
-
 def v_scatter_rep(alpha, a, cv):
     return cv * math.sqrt((alpha - 4.0 * a) / alpha)
 
@@ -132,7 +123,9 @@ def w_rep_forbidden_mag(alpha, a, sk):
 def w_bound_forbidden_im(alpha, a, sk):
     """Im W_+ for bound motion continued past the caustic (alpha > 4a).
 
-    Re W_+ is the alpha-independent half-loop action pi a sk.
+    Re W_+ is the alpha-independent half-loop action pi a sk.  The same
+    function of alpha is the half-action of repulsive scattering (E > 0)
+    on its allowed side alpha >= 4|a|, which vanishes at the turning point.
     """
     if alpha <= 4.0 * a:
         return 0.0
@@ -877,6 +870,11 @@ def ua_field(points, source, four_a, nu, kappa, g0):
 # ==========================================================================
 # radial Schroedinger solver (quantum-mechanical reference, n = 3)
 # ==========================================================================
+#
+# One Numerov sweep serves both solutions: outward from the origin series
+# for the regular one, inward from a WKB seed for the decaying one.  The
+# derivative, the Wronskian and the cubic interpolation act on arrays of
+# mesh indices or radii.
 
 def radial_rhs(r, l, e2, c1):
     """f(r) in u'' = -f u:  f = 2mu(E + Kc/r)/hbar^2 - l(l+1)/r^2."""
@@ -887,59 +885,37 @@ def radial_rhs_prime(r, l, e2, c1):
     return -c1 / (r * r) + 2.0 * l * (l + 1.0) / (r * r * r)
 
 
-def numerov_fill_outward(l, e2, c1, h, n, j0, u0, u1):
-    """Fill u[j0..n] by the Numerov recurrence given the two start values.
+def numerov_fill(l, e2, c1, h, n, j_from, j_to, u0, u1):
+    """u on mesh indices 0..n, zero outside j_from..j_to, by the Numerov
+    recurrence from u[j_from] = u0 and its neighbour towards j_to, u1;
+    the sign of j_to - j_from gives the direction.
 
-    Rescales the whole populated slice whenever |u| exceeds 1e250 so that
-    late entries never overflow; relative shape is preserved.
+    The solution grows along the sweep: whenever |u| exceeds 1e250 every
+    value so far is scaled by 1e-250 (its shape is kept), so late entries
+    never overflow.  Stopping an inward sweep just below the smallest
+    radius the caller needs keeps its range inside float64 even at large
+    l, where a full-mesh sweep spans more than 616 decades.
     """
-    u = np.zeros(n + 1)
-    u[j0] = u0
-    u[j0 + 1] = u1
+    step = 1 if j_to > j_from else -1
+    lo, hi = min(j_from, j_to), max(j_from, j_to)
     h12 = h * h / 12.0
-    fm = radial_rhs(j0 * h, l, e2, c1)
-    f0 = radial_rhs((j0 + 1) * h, l, e2, c1)
-    for j in range(j0 + 1, n):
-        fp = radial_rhs((j + 1) * h, l, e2, c1)
-        u[j + 1] = (2.0 * u[j] * (1.0 - 5.0 * h12 * f0)
-                    - u[j - 1] * (1.0 + h12 * fm)) / (1.0 + h12 * fp)
-        fm = f0
-        f0 = fp
-        if abs(u[j + 1]) > 1e250:
-            for jj in range(j0, j + 2):
-                u[jj] *= 1e-250
-    return u
-
-
-def numerov_fill_inward(l, e2, c1, h, n, j_stop, un, unm1):
-    """Inward Numerov fill on [j_stop, n].
-
-    The decaying solution grows inward; stopping at j_stop (just below the
-    smallest radius the caller needs) keeps the dynamic range of the array
-    inside float64 even for very large l, where a full-mesh sweep would
-    span more than 616 decades and flush the outer region to zero.
-    """
+    f = radial_rhs(np.arange(lo, hi + 1) * h, l, e2, c1)[::step]
+    grow = (2.0 * (1.0 - 5.0 * h12 * f)).tolist()
+    damp = (1.0 + h12 * f).tolist()
+    seq = [u0, u1]
+    for dm, g0, dp in zip(damp, grow[1:], damp[2:]):
+        seq.append((seq[-1] * g0 - seq[-2] * dm) / dp)
+        if abs(seq[-1]) > 1e250:
+            seq[:] = [v * 1e-250 for v in seq]
     u = np.zeros(n + 1)
-    u[n] = un
-    u[n - 1] = unm1
-    h12 = h * h / 12.0
-    fm = radial_rhs(n * h, l, e2, c1)
-    f0 = radial_rhs((n - 1) * h, l, e2, c1)
-    for j in range(n - 1, j_stop, -1):
-        fp = radial_rhs((j - 1) * h, l, e2, c1)
-        u[j - 1] = (2.0 * u[j] * (1.0 - 5.0 * h12 * f0)
-                    - u[j + 1] * (1.0 + h12 * fm)) / (1.0 + h12 * fp)
-        fm = f0
-        f0 = fp
-        if abs(u[j - 1]) > 1e250:
-            for jj in range(j - 1, n + 1):
-                u[jj] *= 1e-250
+    u[lo:hi + 1] = seq[::step]
     return u
 
 
 def ode_derivative(u, j, h, l, e2, c1):
-    """u'(r_j) from neighbors with the leading ODE-aware h^2 correction
-    subtracted; accurate to O(h^4) without extra stencil points."""
+    """u'(r_j) at mesh indices j from neighbors with the leading ODE-aware
+    h^2 correction subtracted; accurate to O(h^4) without extra stencil
+    points."""
     r = j * h
     f = radial_rhs(r, l, e2, c1)
     fprime = radial_rhs_prime(r, l, e2, c1)
@@ -953,51 +929,13 @@ def wronskian_at(u, v, j, h, l, e2, c1):
     return u[j] * vp - up * v[j]
 
 
-def best_match_index(u_reg, u_irr, j0, n):
-    """Mesh index where both solutions are healthiest (max |u_reg*u_irr|,
-    evaluated in logs to dodge overflow)."""
-    best = -1.0e308
-    jbest = j0 + 1
-    for j in range(j0 + 1, n):
-        ar = abs(u_reg[j])
-        ai = abs(u_irr[j])
-        if ar > 0.0 and ai > 0.0:
-            m = math.log(ar) + math.log(ai)
-            if m > best:
-                best = m
-                jbest = j
-    return jbest
-
-
 def interp_u(u, r, h, j0, n):
-    """Cubic 4-point Lagrange interpolation of u at radius r on the mesh."""
+    """Cubic 4-point Lagrange interpolation of u at the radii r, with the
+    stencil kept on mesh indices j0..n."""
     x = r / h
-    j = int(x)
-    if j < j0 + 1:
-        j = j0 + 1
-    if j > n - 2:
-        j = n - 2
+    j = np.clip(x.astype(np.intp), j0 + 1, n - 2)
     t = x - j
-    um1 = u[j - 1]
-    u0 = u[j]
-    u1 = u[j + 1]
-    u2 = u[j + 2]
-    return (-t * (t - 1.0) * (t - 2.0) / 6.0 * um1
-            + (t * t - 1.0) * (t - 2.0) / 2.0 * u0
-            - t * (t + 1.0) * (t - 2.0) / 2.0 * u1
-            + t * (t * t - 1.0) / 6.0 * u2)
-
-
-def hostler_bracket(u_reg, du_reg, j_reg, u_irr, du_irr, j_irr, h, n, rho_p, rho_m):
-    """u_irr'(rho_+) u_reg(rho_-) - u_irr(rho_+) u_reg'(rho_-) at every point.
-
-    Values and derivatives are interpolated alike, on mesh indices j_reg..n
-    for the regular pair and j_irr..n for the decaying pair."""
-    npts = rho_p.shape[0]
-    out = np.empty(npts)
-    for i in range(npts):
-        out[i] = (interp_u(du_irr, rho_p[i], h, j_irr, n)
-                  * interp_u(u_reg, rho_m[i], h, j_reg, n)
-                  - interp_u(u_irr, rho_p[i], h, j_irr, n)
-                  * interp_u(du_reg, rho_m[i], h, j_reg, n))
-    return out
+    return (-t * (t - 1.0) * (t - 2.0) / 6.0 * u[j - 1]
+            + (t * t - 1.0) * (t - 2.0) / 2.0 * u[j]
+            - t * (t + 1.0) * (t - 2.0) / 2.0 * u[j + 1]
+            + t * (t * t - 1.0) / 6.0 * u[j + 2])

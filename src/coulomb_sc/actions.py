@@ -199,7 +199,7 @@ def reduced_action_scatter_repulsive(alpha: float, spec: EnergySpec,
             f"{4.0 * spec.a}); use reduced_action_repulsive_forbidden"
         )
     sk, _, _ = _scales(spec, params)
-    return K.w_scatter_rep(max(alpha, 4.0 * spec.a), spec.a, sk)
+    return K.w_bound_forbidden_im(max(alpha, 4.0 * spec.a), spec.a, sk)
 
 
 def reduced_action_repulsive_forbidden(alpha_minus: float, spec: EnergySpec,

@@ -21,14 +21,18 @@ No gamma function is evaluated: the poles at integer nu are the zeros of
 the Wronskian, and as rho_+ -> rho_- near the source the bracket tends to
 the Wronskian, which leaves the free -(2 mu/hbar^2)/(4 pi s).
 
-Each channel is integrated on a uniform mesh with the Numerov scheme --
-outward from a power-series boundary layer at the origin, inward from a
-WKB-seeded point far beyond the outermost turning radius.  A numerical ODE
-path is used rather than closed-form confluent hypergeometric evaluation
-because the arguments of interest (alpha/nu up to about 100) make naive
-series evaluation unstable; independent Whittaker-function oracles exist in
-the test suite.  ``radial_green`` gives the radial component g_l of any
-channel, which the tests sum over l as an independent partial-wave check.
+Each channel is integrated on a uniform mesh by one Numerov sweep routine
+(``_kernels.numerov_fill``), run twice: outward from a power-series
+boundary layer at the origin, inward from a WKB-seeded point at least 16
+e-folds of decay beyond the outermost radius needed; ``default_mesh``
+takes that decay integral in closed form from the forbidden-side action.
+Values and derivatives at all points are interpolated from the mesh in
+array operations.  A numerical ODE path is used rather than closed-form
+confluent hypergeometric evaluation because the arguments of interest
+(alpha/nu up to about 100) make naive series evaluation unstable;
+independent Whittaker-function oracles exist in the test suite.
+``radial_green`` gives the radial component g_l of any channel, which the
+tests sum over l as an independent partial-wave check.
 """
 
 from __future__ import annotations
@@ -47,36 +51,38 @@ from .semiclassical import FieldSample, _check_pole
 
 def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:
     """(r_max, h) giving ~1e-7 phase accuracy and a deeply decayed
-    inward-integration start for every radius up to r_need."""
+    inward-integration start for every radius up to r_need.
+
+    r_max starts at max(1.3 r_turn, 1.2 r_need), r_turn = 2a the l = 0
+    turning radius, and grows by factors of 1.2 until the decaying
+    solution accumulates at least 16 e-folds beyond max(r_turn, r_need).
+    The e-fold integral is closed: int kappa dr from r_1 to r_2 is
+    [Im W_+(2 r_2) - Im W_+(2 r_1)]/hbar, with Im W_+ the forbidden-side
+    half-action ``_kernels.w_bound_forbidden_im``.
+    """
     a = spec.a
+    sk = math.sqrt(2.0 * params.mu * abs(spec.E))
     r_turn = 2.0 * a
     r_max = max(1.3 * r_turn, 1.2 * r_need)
-
-    # extend until the decaying solution accumulates >= 16 e-foldings
-    # between every radius of interest and the start of integration
-    def kappa(r):
-        return math.sqrt(
-            max(0.0, 2.0 * params.mu * (abs(spec.E) - params.Kc / r)) / params.hbar**2
-        )
-
-    anchor = max(r_turn, r_need)
-    for _ in range(60):
-        rs = np.linspace(max(anchor, r_turn * (1.0 + 1e-9)), r_max, 200)
-        efold = np.trapezoid([kappa(r) for r in rs], rs)
-        if efold >= 16.0:
-            break
+    w_anchor = K.w_bound_forbidden_im(2.0 * max(r_turn, r_need), a, sk)
+    while K.w_bound_forbidden_im(2.0 * r_max, a, sk) - w_anchor < 16.0 * params.hbar:
         r_max *= 1.2
     ell0 = params.hbar**2 / (params.mu * params.Kc)  # natural length unit
     h = min(0.025 * ell0, a / 400.0)
     return float(r_max), float(h)
 
 
-def _series_start(l: int, E: float, params: SystemParams, r1: float, r2: float):
+def _ode_terms(E: float, params: SystemParams) -> tuple[float, float]:
+    """(e2, c1) of the radial equation u'' = -(e2 + c1/r - l(l+1)/r^2) u."""
+    c1 = 2.0 * params.mu * params.Kc / params.hbar**2
+    e2 = 2.0 * params.mu * E / params.hbar**2
+    return e2, c1
+
+
+def _series_start(l: int, e2: float, c1: float, r1: float, r2: float):
     """Regular-solution values at two startup radii from the origin series
     u = r^(l+1) sum c_k r^k, returned in a common scale with the r^(l+1)
     prefactor normalized at r2 (only the ratio matters downstream)."""
-    c1 = 2.0 * params.mu * params.Kc / params.hbar**2
-    e2 = 2.0 * params.mu * E / params.hbar**2
     out = []
     for r in (r1, r2):
         ck2, ck1 = 0.0, 1.0
@@ -118,22 +124,20 @@ class RadialSolution:
     u_irr: np.ndarray
     wronskian: float
 
-    def eval_reg(self, r: float) -> float:
-        return K.interp_u(self.u_reg, r, self.h, self.j0, len(self.grid) - 1)
+    def eval_reg(self, r):
+        """u_reg at a radius or an array of radii."""
+        return K.interp_u(self.u_reg, np.asarray(r, float), self.h, self.j0,
+                          len(self.grid) - 1)
 
-    def eval_irr(self, r: float) -> float:
-        if r < (self.j_service + 2) * self.h:
+    def eval_irr(self, r):
+        """u_irr at a radius or an array of radii, all inside its table."""
+        r = np.asarray(r, float)
+        if np.any(r < (self.j_service + 2) * self.h):
             raise ValueError(
                 f"u_irr tabulated for r >= {(self.j_service + 2) * self.h:.6g} "
                 "only; rebuild the solution with a smaller service radius"
             )
         return K.interp_u(self.u_irr, r, self.h, self.j_service, len(self.grid) - 1)
-
-    def _ode_terms(self) -> tuple[float, float]:
-        """(e2, c1) of the radial equation u'' = -(e2 + c1/r - l(l+1)/r^2) u."""
-        c1 = 2.0 * self.params.mu * self.params.Kc / self.params.hbar**2
-        e2 = 2.0 * self.params.mu * self.E / self.params.hbar**2
-        return e2, c1
 
     def derivative(self, u: np.ndarray, lo: int) -> np.ndarray:
         """u' on mesh indices lo .. n-1 (zero elsewhere) for u = u_reg or
@@ -141,17 +145,14 @@ class RadialSolution:
         n = len(self.grid) - 1
         du = np.zeros(n + 1)
         du[lo:n] = K.ode_derivative(u, np.arange(lo, n), self.h, self.l,
-                                    *self._ode_terms())
+                                    *_ode_terms(self.E, self.params))
         return du
 
     def wronskian_on_mesh(self, indices) -> np.ndarray:
         """Wronskian recomputed at the given mesh indices (constancy check);
         indices must lie inside the service window."""
-        e2, c1 = self._ode_terms()
-        return np.array([
-            K.wronskian_at(self.u_reg, self.u_irr, int(j), self.h, self.l, e2, c1)
-            for j in indices
-        ])
+        return K.wronskian_at(self.u_reg, self.u_irr, np.asarray(indices, np.intp),
+                              self.h, self.l, *_ode_terms(self.E, self.params))
 
 
 def solve_radial(l: int, E: float, params: SystemParams,
@@ -159,20 +160,25 @@ def solve_radial(l: int, E: float, params: SystemParams,
     """Integrate one channel and package both solutions.
 
     ``r_service`` is the smallest radius at which the decaying solution
-    must be usable.
+    must be usable.  Both solutions are normalized, and the Wronskian
+    taken, at the index between j_service and n that maximizes
+    |u_reg u_irr|.
     """
-    c1 = 2.0 * params.mu * params.Kc / params.hbar**2
-    e2 = 2.0 * params.mu * E / params.hbar**2
+    e2, c1 = _ode_terms(E, params)
     n = int(round(r_max / h))
     j0 = max(1, int(math.ceil(1.45 * math.sqrt(l * (l + 1.0)))))
     if j0 > n - 10:
         raise ValueError("mesh too coarse for this angular momentum")
     j_service = max(j0, int(r_service / h) - 6)
-    u0, u1 = _series_start(l, E, params, j0 * h, (j0 + 1) * h)
-    u_reg = K.numerov_fill_outward(l, e2, c1, h, n, j0, u0, u1)
+    u0, u1 = _series_start(l, e2, c1, j0 * h, (j0 + 1) * h)
+    u_reg = K.numerov_fill(l, e2, c1, h, n, j0, n, u0, u1)
     kap = math.sqrt(max(1e-300, -K.radial_rhs((n - 0.5) * h, l, e2, c1)))
-    u_irr = K.numerov_fill_inward(l, e2, c1, h, n, j_service, 1.0, math.exp(kap * h))
-    jm = K.best_match_index(u_reg, u_irr, j_service, n)
+    u_irr = K.numerov_fill(l, e2, c1, h, n, n, j_service, 1.0, math.exp(kap * h))
+    # logs dodge overflow; an underflowed zero scores -inf
+    with np.errstate(divide="ignore"):
+        health = (np.log(np.abs(u_reg[j_service + 1:n]))
+                  + np.log(np.abs(u_irr[j_service + 1:n])))
+    jm = j_service + 1 + int(np.argmax(health))
     u_reg = u_reg / abs(u_reg[jm])
     u_irr = u_irr / abs(u_irr[jm])
     wron = K.wronskian_at(u_reg, u_irr, jm, h, l, e2, c1)
@@ -215,7 +221,9 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
 
     Hostler's form on one l = 0 channel (module docstring), integrated out
     to the largest rho_+ = alpha_+/2 of the points.  Values and derivatives
-    are interpolated with the same cubic stencil.
+    are interpolated with the same cubic stencil.  A point whose Lambert
+    lengths are not finite (a NaN or infinite component, or one whose
+    square overflows) raises ValueError.
     """
     if params.ndim != 3:
         raise ValueError("the quantum reference is implemented for n = 3")
@@ -223,7 +231,15 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
         raise ValueError("qm_field requires E < 0")
     _check_pole(spec)
 
-    r, rp, s, ap, am = K.lambert_arrays(np.atleast_2d(R), rp_vec)
+    pts = np.atleast_2d(R)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rp, s, ap, am = K.lambert_arrays(pts, rp_vec)
+    # alpha_+ = r + r' + s is finite exactly when all five lengths are
+    bad = ~np.isfinite(ap)
+    if np.any(bad):
+        raise ValueError(f"point {pts[np.argmax(bad)].tolist()} with source "
+                         f"{np.asarray(rp_vec, float).tolist()} has no finite "
+                         "Lambert lengths")
     if rp <= 0.0 or np.any(r <= 0.0):
         raise RegionError("points at the force center are excluded")
     if np.any(s <= 0.0):
@@ -237,12 +253,14 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
                        r_service=0.95 * float(np.min(rho_p)))
     # the derivative stencil reaches one index below its own, so the
     # decaying solution is usable one index above its tabulated start;
-    # u_reg[0] = 0 is exact for l = 0
+    # u_reg[0] = 0 is exact for l = 0.  Values and derivatives are
+    # interpolated on indices up to n - 1, where the derivative ends.
     j_irr = sol.j_service + 1
-    bracket = K.hostler_bracket(
-        sol.u_reg, sol.derivative(sol.u_reg, 1), 1,
-        sol.u_irr, sol.derivative(sol.u_irr, j_irr), j_irr,
-        h, len(sol.grid) - 2, rho_p, rho_m)
+    n = len(sol.grid) - 2
+    du_reg = sol.derivative(sol.u_reg, 1)
+    du_irr = sol.derivative(sol.u_irr, j_irr)
+    bracket = (K.interp_u(du_irr, rho_p, h, j_irr, n) * K.interp_u(sol.u_reg, rho_m, h, 1, n)
+               - K.interp_u(sol.u_irr, rho_p, h, j_irr, n) * K.interp_u(du_reg, rho_m, h, 1, n))
     g2mu = 2.0 * params.mu / params.hbar**2
     return -g2mu * bracket / (4.0 * math.pi * s * sol.wronskian)
 

@@ -3,10 +3,12 @@ independent checks -- a Whittaker-function oracle for single channels, a
 partial-wave sum over channels, and Hostler's closed form in mpmath."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 import coulomb_sc as cs
@@ -41,7 +43,7 @@ def partial_wave_green(pts, rp, spec, params, l_max):
     for l in range(l_max + 1):
         sol = solve_radial(l, spec.E, params, r_max, h,
                            r_service=0.95 * float(np.min(r_large)))
-        g = np.array([sol.eval_reg(a) * sol.eval_irr(b) for a, b in zip(r_small, r_large)])
+        g = sol.eval_reg(r_small) * sol.eval_irr(r_large)
         terms.append((2 * l + 1) / (4 * math.pi * r_small * r_large)
                      * legendre_p(l, cos_th) * g2mu * g / sol.wronskian)
     terms = np.array(terms)
@@ -101,6 +103,15 @@ def test_radial_green_vs_whittaker(au):
             mine = radial_green(l, rs, rl, E, au)
             ref = whittaker_radial_green(l, rs, rl, E, au)
             assert mine == pytest.approx(ref, rel=1e-6), (l, rs, rl)
+    # l = 170 on a fine mesh out to 120 Bohr: each sweep grows through more
+    # than 250 decades, so each passes the 1e250 rescale
+    l, rs, rl, r_max, h = 170, 3.0, 3.5, 120.0, 0.001
+    sol = solve_radial(l, E, au, r_max, h, r_service=0.95 * rl)
+    for u in (sol.u_reg[sol.j0:], sol.u_irr[sol.j_service:]):
+        mag = np.abs(u[u != 0.0])
+        assert np.log10(mag.max()) - np.log10(mag.min()) > 250.0
+    assert radial_green(l, rs, rl, E, au, r_max=r_max, h=h) == pytest.approx(
+        whittaker_radial_green(l, rs, rl, E, au), rel=1e-6, abs=0.0)
 
 
 def test_wronskian_constant_along_mesh(au):
@@ -115,6 +126,29 @@ def test_wronskian_constant_along_mesh(au):
         idx = np.linspace(sol.j_service + 5, n - 5, 120).astype(int)
         w = sol.wronskian_on_mesh(idx)
         assert np.max(np.abs(w - sol.wronskian)) < 1e-8 * abs(sol.wronskian)
+
+
+def test_default_mesh_efold_criterion(au):
+    # r_max leaves at least 16 e-folds of int kappa dr beyond
+    # max(r_turn, r_need), and r_max/1.2 fewer unless r_max is its floor
+    def efolds(spec, r1, r2):
+        def kappa(r):
+            return math.sqrt(max(0.0, 2.0 * au.mu * (abs(spec.E) - au.Kc / r))) / au.hbar
+        return quad(kappa, r1, r2, limit=200)[0]
+
+    floors = 0
+    for nu in (1.5, 5.3, 29.2, 60.3):
+        spec = cs.energy_from_nu(nu, au)
+        r_turn = 2.0 * spec.a
+        for r_need in (0.1 * r_turn, r_turn, 3.0 * r_turn, 20.0 * r_turn):
+            r_max, _ = default_mesh(spec, au, r_need)
+            anchor = max(r_turn, r_need)
+            assert efolds(spec, anchor, r_max) >= 16.0, (nu, r_need)
+            if r_max == max(1.3 * r_turn, 1.2 * r_need):
+                floors += 1
+            else:
+                assert efolds(spec, anchor, r_max / 1.2) < 16.0, (nu, r_need)
+    assert 0 < floors < 16
 
 
 def test_regular_solution_origin_behavior(au):
@@ -183,6 +217,21 @@ def test_green_qm_near_source_free_limit(au):
         r = rp + np.array([0.0, s, 0.0])
         g = cs.green_qm(r, rp, spec, au).value
         assert g.real == pytest.approx(-au.mu / (2 * math.pi * s), rel=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_qm_field_rejects_non_finite_points(au, bad):
+    # a component that is not finite, or whose square overflows, is named
+    # before any mesh is built, and no RuntimeWarning escapes
+    spec = cs.energy_from_nu(9.7, au)
+    rp = np.array([50.0, 0.0, 0.0])
+    pts = np.array([[80.0, 30.0, 0.0], [10.0, bad, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"point \[10\.0, .+, 0\.0\]"):
+            qm_field(pts, rp, spec, au)
+        with pytest.raises(ValueError, match="no finite Lambert lengths"):
+            cs.green_qm(pts[1], rp, spec, au)
 
 
 def test_green_qm_pole_guard(au):

@@ -112,6 +112,8 @@ def main() -> int:
     ap.add_argument("--workdir", default=None)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: the record takes quartiles over the pairs")
 
     shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
