@@ -929,13 +929,28 @@ def wronskian_at(u, v, j, h, l, e2, c1):
     return u[j] * vp - up * v[j]
 
 
+def _stencil(r, h, j0, n):
+    """(r / h, j): the cubic stencil of interp_u at r is j - 1 .. j + 2."""
+    x = r / h
+    return x, np.clip(x.astype(np.intp), j0 + 1, n - 2)
+
+
 def interp_u(u, r, h, j0, n):
     """Cubic 4-point Lagrange interpolation of u at the radii r, with the
     stencil kept on mesh indices j0..n."""
-    x = r / h
-    j = np.clip(x.astype(np.intp), j0 + 1, n - 2)
+    x, j = _stencil(r, h, j0, n)
     t = x - j
     return (-t * (t - 1.0) * (t - 2.0) / 6.0 * u[j - 1]
             + (t * t - 1.0) * (t - 2.0) / 2.0 * u[j]
             - t * (t + 1.0) * (t - 2.0) / 2.0 * u[j + 1]
             + t * (t * t - 1.0) / 6.0 * u[j + 2])
+
+
+def stencil_normal(u, r, h, j0, n):
+    """True at the radii r whose interp_u stencil holds normal floats only.
+    An entry that underflowed (subnormal or zero) has lost the solution's
+    digits, and an infinite or NaN one has none."""
+    _, j = _stencil(r, h, j0, n)
+    a = np.abs(u)
+    normal = (a >= np.finfo(np.float64).tiny) & (a <= np.finfo(np.float64).max)
+    return normal[j - 1] & normal[j] & normal[j + 1] & normal[j + 2]

@@ -8,17 +8,16 @@ The defining integrals exist only as quadrature oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import _kernels as K
 from .errors import ForbiddenRegionError, RegionError
 from .geometry import LambertPair, region_code
 from .model import EnergySpec, SystemParams
-from .vvpm import morse_index
+from .vvpm import _morse_bases
 
 
-@dataclass(frozen=True)
-class BasicActions:
+class BasicActions(NamedTuple):
     """The one-dimensional building blocks at a given endpoint pair.
 
     w_plus/w_minus and t_plus/t_minus are the half actions/times evaluated
@@ -34,8 +33,7 @@ class BasicActions:
     t_2pi: float
 
 
-@dataclass(frozen=True)
-class PathQuantity:
+class PathQuantity(NamedTuple):
     """Reduced action, travel time, Morse index and loop count of one
     elementary path (path_id 1..4)."""
 
@@ -101,21 +99,32 @@ def round_trip(spec: EnergySpec, params: SystemParams) -> tuple[float, float]:
     return w, t
 
 
-def basic_actions(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> BasicActions:
-    """One-dimensional building blocks for a bound allowed endpoint pair."""
+def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
+    """(BasicActions, sk, ts, gamma_plus) of a bound pair on the allowed
+    side: the scales, the round trip and the anomaly angles behind
+    basic_actions and four_paths, each computed once."""
     if region_code(pair, spec, params.attractive) == K.REGION_FORBIDDEN:
         raise ForbiddenRegionError(
             "endpoint pair lies beyond the caustic; use the forbidden-region forms"
         )
     w2pi, t2pi = round_trip(spec, params)
-    return BasicActions(
-        w_plus=reduced_action_bound(pair.alpha_plus, spec, params),
-        w_minus=reduced_action_bound(pair.alpha_minus, spec, params),
-        t_plus=travel_time_bound(pair.alpha_plus, spec, params),
-        t_minus=travel_time_bound(pair.alpha_minus, spec, params),
-        w_2pi=w2pi,
-        t_2pi=t2pi,
-    )
+    a = spec.a
+    four_a = 4.0 * a
+    for alpha in (pair.alpha_plus, pair.alpha_minus):
+        if alpha < 0.0 or alpha > four_a * (1.0 + 1e-12):
+            raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {four_a}]")
+    sk, _, ts = _scales(spec, params)
+    gp = K.gamma_angle(min(pair.alpha_plus, four_a), a)
+    gm = K.gamma_angle(min(pair.alpha_minus, four_a), a)
+    sin_p, sin_m = math.sin(gp), math.sin(gm)
+    b = BasicActions(sk * a * (gp + sin_p), sk * a * (gm + sin_m),
+                     ts * (gp - sin_p), ts * (gm - sin_m), w2pi, t2pi)
+    return b, sk, ts, gp
+
+
+def basic_actions(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> BasicActions:
+    """One-dimensional building blocks for a bound allowed endpoint pair."""
+    return _bound_legs(pair, spec, params)[0]
 
 
 def four_paths(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> list[PathQuantity]:
@@ -126,18 +135,33 @@ def four_paths(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> lis
     3: reflected at center+caustic W3 = W_2pi - W1       T3 = T_2pi - T1
     4: reflected at the caustic    W4 = W_2pi - W2       T4 = T_2pi - T2
 
-    Every row satisfies T = dW/dE.  Morse indices from morse_index; adding
+    Every row satisfies T = dW/dE.  Morse indices from _morse_bases; adding
     a loop adds (W_2pi, T_2pi) and 2(n-1) to the index.
+
+    Path 1 is taken from the angle difference d = gamma_+ - gamma_-,
+
+        sin(d/2) = (2s/4a) / (sqrt(x+ (1 - x-)) + sqrt(x- (1 - x+))),
+
+    x+- = alpha_+-/4a, and sin gamma_+ - sin gamma_- = 2 cos(gamma_+ - d/2)
+    sin(d/2), so W1 and T1 keep their relative precision as alpha_- ->
+    alpha_+, where W+ - W- and t+ - t- would cancel.
     """
-    b = basic_actions(pair, spec, params)
-    w1, t1 = b.w_plus - b.w_minus, b.t_plus - b.t_minus
+    b, sk, ts, gp = _bound_legs(pair, spec, params)
+    a = spec.a
+    four_a = 4.0 * a
+    x_p, x_m = min(pair.alpha_plus / four_a, 1.0), min(pair.alpha_minus / four_a, 1.0)
+    den = math.sqrt(x_p * (1.0 - x_m)) + math.sqrt(x_m * (1.0 - x_p))
+    # den = 0 only where both angles are 0 or both pi (then d = 0)
+    d = 2.0 * math.asin(min(1.0, 2.0 * pair.s / four_a / den)) if den > 0.0 else 0.0
+    sin_diff = 2.0 * math.cos(gp - 0.5 * d) * math.sin(0.5 * d)
+    w1, t1 = sk * a * (d + sin_diff), ts * (d - sin_diff)
     w2, t2 = b.w_plus + b.w_minus, b.t_plus + b.t_minus
-    n = params.ndim
+    m1, m2, m3, m4 = _morse_bases(params.ndim)
     return [
-        PathQuantity(1, w1, t1, morse_index(1, n), 0),
-        PathQuantity(2, w2, t2, morse_index(2, n), 0),
-        PathQuantity(3, b.w_2pi - w1, b.t_2pi - t1, morse_index(3, n), 0),
-        PathQuantity(4, b.w_2pi - w2, b.t_2pi - t2, morse_index(4, n), 0),
+        PathQuantity(1, w1, t1, m1, 0),
+        PathQuantity(2, w2, t2, m2, 0),
+        PathQuantity(3, b.w_2pi - w1, b.t_2pi - t1, m3, 0),
+        PathQuantity(4, b.w_2pi - w2, b.t_2pi - t2, m4, 0),
     ]
 
 
@@ -147,8 +171,7 @@ def loop_variant(pq: PathQuantity, j: int, spec: EnergySpec,
     if j < 0:
         raise ValueError("loop count must be nonnegative")
     w2pi, t2pi = round_trip(spec, params)
-    return replace(
-        pq,
+    return pq._replace(
         W=pq.W + j * w2pi,
         T=pq.T + j * t2pi,
         morse=pq.morse + j * 2 * (params.ndim - 1),

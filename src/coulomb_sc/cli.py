@@ -186,13 +186,19 @@ def cmd_eigenvalues(args) -> int:
     return EXIT_OK
 
 
+def _write_stdout(data: bytes):
+    """The CSV bytes to stdout as they are, after any text written before."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(data)
+
+
 def cmd_scan(args) -> int:
     cfg = _scan_config(args, want_grids=2)
     text = run_scan(cfg)
     if cfg.out:
         print(f"scan written to {cfg.out}")
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 
@@ -204,7 +210,7 @@ def cmd_cut(args) -> int:
     if cfg.out:
         print(f"cut written to {cfg.out}")
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .errors import DimensionMismatchError, ForbiddenRegionError
 from .model import EnergySpec, SystemParams
 
 
-@dataclass(frozen=True)
-class LambertPair:
+class LambertPair(NamedTuple):
     """Geometric reduction of an endpoint pair (all lengths).
 
     Invariants: alpha_plus = r + rp + s, alpha_minus = r + rp - s,
@@ -41,8 +40,7 @@ class Region(enum.Enum):
     FORBIDDEN = "Forbidden"
 
 
-@dataclass(frozen=True)
-class RegionClass:
+class RegionClass(NamedTuple):
     """Classification against the caustic plus a signed distance.
 
     For E < 0 attractive, margin = (4a - alpha_plus) / 4a: positive in the
@@ -111,6 +109,13 @@ def region_code(pair: LambertPair, spec: EnergySpec, attractive: bool = True) ->
     return K.REGION_ALLOWED if pair.alpha_minus > four_a else K.REGION_FORBIDDEN
 
 
+def bound_region(pair: LambertPair, four_a: float) -> tuple[RegionClass, int]:
+    """(RegionClass, status) of a pair for E < 0 attractive, from one call
+    of the kernels' rule ``_kernels.region_status``; four_a = 4a."""
+    region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
+    return RegionClass(_REGION_TAGS[region], (four_a - pair.alpha_plus) / four_a), status
+
+
 def classify_region(pair: LambertPair, spec: EnergySpec,
                     attractive: bool = True) -> RegionClass:
     """Classify an endpoint pair as Allowed / OnCaustic / Forbidden.
@@ -122,13 +127,11 @@ def classify_region(pair: LambertPair, spec: EnergySpec,
     Both caustics carry the relative band ``_kernels.CAUSTIC_TOL``.
     """
     four_a = 4.0 * spec.a
-    if spec.E < 0.0:
-        margin = (four_a - pair.alpha_plus) / four_a
-    elif attractive:
-        margin = math.inf
-    else:
-        margin = (pair.alpha_minus - four_a) / four_a
-    return RegionClass(_REGION_TAGS[region_code(pair, spec, attractive)], margin)
+    if spec.E < 0.0 and attractive:
+        return bound_region(pair, four_a)[0]
+    code = region_code(pair, spec, attractive)
+    margin = math.inf if attractive else (pair.alpha_minus - four_a) / four_a
+    return RegionClass(_REGION_TAGS[code], margin)
 
 
 def anomaly_angles(pair: LambertPair, a: float) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,7 @@ class SystemParams:
 AU = SystemParams()
 
 
-@dataclass(frozen=True)
-class EnergySpec:
+class EnergySpec(NamedTuple):
     """Energy plus derived bound-state bookkeeping.
 
     E  -- energy (negative: bound regime, positive: scattering)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import PoleError, RegionError
+from .errors import IllConditionedError, PoleError, RegionError
 from .geometry import classify_region, lambert_variables
 from .model import EnergySpec, SystemParams
 from .semiclassical import FieldSample, _check_pole
@@ -79,26 +79,29 @@ def _ode_terms(E: float, params: SystemParams) -> tuple[float, float]:
     return e2, c1
 
 
+def _series(l: int, e2: float, c1: float, r: float) -> float:
+    """sum c_k r^k of the regular solution's origin series
+    u = r^(l+1) sum c_k r^k, c_0 = 1."""
+    ck2, ck1 = 0.0, 1.0
+    t = 1.0
+    total = 1.0
+    rk = 1.0
+    for k in range(1, 80):
+        ck = -(c1 * ck1 + e2 * ck2) / (k * (2.0 * l + 1.0 + k))
+        rk *= r
+        t = ck * rk
+        total += t
+        ck2, ck1 = ck1, ck
+        if abs(t) < 1e-18 * abs(total):
+            break
+    return total
+
+
 def _series_start(l: int, e2: float, c1: float, r1: float, r2: float):
-    """Regular-solution values at two startup radii from the origin series
-    u = r^(l+1) sum c_k r^k, returned in a common scale with the r^(l+1)
-    prefactor normalized at r2 (only the ratio matters downstream)."""
-    out = []
-    for r in (r1, r2):
-        ck2, ck1 = 0.0, 1.0
-        t = 1.0
-        total = 1.0
-        rk = 1.0
-        for k in range(1, 80):
-            ck = -(c1 * ck1 + e2 * ck2) / (k * (2.0 * l + 1.0 + k))
-            rk *= r
-            t = ck * rk
-            total += t
-            ck2, ck1 = ck1, ck
-            if abs(t) < 1e-18 * abs(total):
-                break
-        out.append(total)
-    return (r1 / r2) ** (l + 1) * out[0], out[1]
+    """Regular-solution values at two startup radii from the origin series,
+    returned in a common scale with the r^(l+1) prefactor normalized at r2
+    (only the ratio matters downstream)."""
+    return (r1 / r2) ** (l + 1) * _series(l, e2, c1, r1), _series(l, e2, c1, r2)
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,21 @@ class RadialSolution:
     wronskian: float
 
     def eval_reg(self, r):
-        """u_reg at a radius or an array of radii."""
-        return K.interp_u(self.u_reg, np.asarray(r, float), self.h, self.j0,
-                          len(self.grid) - 1)
+        """u_reg at a radius or an array of radii.  Below the mesh start
+        r_0 = j0 h, where the table begins, it is the origin series scaled
+        to u_reg(r_0)."""
+        r = np.asarray(r, float)
+        u = K.interp_u(self.u_reg, r, self.h, self.j0, len(self.grid) - 1)
+        r0 = self.j0 * self.h
+        inner = r < r0
+        if np.any(inner):
+            e2, c1 = _ode_terms(self.E, self.params)
+            s0 = _series(self.l, e2, c1, r0)
+            u = np.array(u, float)
+            u[inner] = [self.u_reg[self.j0] * (x / r0) ** (self.l + 1)
+                        * _series(self.l, e2, c1, x) / s0 for x in r[inner].tolist()]
+            u = u[()]  # a scalar again for a scalar r
+        return u
 
     def eval_irr(self, r):
         """u_irr at a radius or an array of radii, all inside its table."""
@@ -223,7 +238,9 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
     to the largest rho_+ = alpha_+/2 of the points.  Values and derivatives
     are interpolated with the same cubic stencil.  A point whose Lambert
     lengths are not finite (a NaN or infinite component, or one whose
-    square overflows) raises ValueError.
+    square overflows) raises ValueError.  A point whose stencil holds an
+    underflowed (or non-finite) mesh value is NaN: one mesh for rho_+ far
+    apart can span more than float64's range of the solutions' growth.
     """
     if params.ndim != 3:
         raise ValueError("the quantum reference is implemented for n = 3")
@@ -249,18 +266,26 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
     rho_m = np.maximum(0.5 * am, 0.0)
 
     r_max, h = default_mesh(spec, params, float(np.max(rho_p)))
-    sol = solve_radial(0, spec.E, params, r_max, h,
-                       r_service=0.95 * float(np.min(rho_p)))
-    # the derivative stencil reaches one index below its own, so the
-    # decaying solution is usable one index above its tabulated start;
-    # u_reg[0] = 0 is exact for l = 0.  Values and derivatives are
-    # interpolated on indices up to n - 1, where the derivative ends.
-    j_irr = sol.j_service + 1
-    n = len(sol.grid) - 2
-    du_reg = sol.derivative(sol.u_reg, 1)
-    du_irr = sol.derivative(sol.u_irr, j_irr)
-    bracket = (K.interp_u(du_irr, rho_p, h, j_irr, n) * K.interp_u(sol.u_reg, rho_m, h, 1, n)
-               - K.interp_u(sol.u_irr, rho_p, h, j_irr, n) * K.interp_u(du_reg, rho_m, h, 1, n))
+    # where the points' rho_+ spread over more than float64's range of the
+    # growth, the rescaled sweeps underflow (or the normalization
+    # overflows); those points come out NaN below, quietly
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sol = solve_radial(0, spec.E, params, r_max, h,
+                           r_service=0.95 * float(np.min(rho_p)))
+        # the derivative stencil reaches one index below its own, so the
+        # decaying solution is usable one index above its tabulated start;
+        # u_reg[0] = 0 is exact for l = 0.  Values and derivatives are
+        # interpolated on indices up to n - 1, where the derivative ends.
+        j_irr = sol.j_service + 1
+        n = len(sol.grid) - 2
+        du_reg = sol.derivative(sol.u_reg, 1)
+        du_irr = sol.derivative(sol.u_irr, j_irr)
+        bracket = (K.interp_u(du_irr, rho_p, h, j_irr, n) * K.interp_u(sol.u_reg, rho_m, h, 1, n)
+                   - K.interp_u(sol.u_irr, rho_p, h, j_irr, n) * K.interp_u(du_reg, rho_m, h, 1, n))
+    usable = (K.stencil_normal(sol.u_reg, rho_m, h, 1, n) & K.stencil_normal(du_reg, rho_m, h, 1, n)
+              & K.stencil_normal(sol.u_irr, rho_p, h, j_irr, n)
+              & K.stencil_normal(du_irr, rho_p, h, j_irr, n))
+    bracket[~usable] = np.nan
     g2mu = 2.0 * params.mu / params.hbar**2
     return -g2mu * bracket / (4.0 * math.pi * s * sol.wronskian)
 
@@ -268,6 +293,10 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
 def green_qm(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
     """Exact Green function at one endpoint pair, n = 3 (Hostler's form)."""
     vals = qm_field(np.asarray(r_vec, float)[None, :], rp_vec, spec, params)
+    if not np.isfinite(vals[0]):
+        raise IllConditionedError(
+            f"exact value at {list(r_vec)} with source {list(rp_vec)} lost to underflow: "
+            "its radial solutions span more than float64's range")
     pair = lambert_variables(r_vec, rp_vec, params)
     region = classify_region(pair, spec, params.attractive)
     return FieldSample(tuple(np.asarray(r_vec, float)), tuple(np.asarray(rp_vec, float)),

@@ -208,9 +208,18 @@ def _block(pieces, columns, i: int, rows: int) -> np.ndarray:
     return mat[mat != 0]
 
 
-def csv_text(header: str, row: str, columns, n: int) -> str:
+class CsvBytes(bytearray):
+    """A CSV as the ASCII bytes it is built in, held once.  ``encode``
+    returns them as bytes, for callers written for the str that run_scan
+    and run_cut returned before."""
+
+    def encode(self, encoding: str = "utf-8", errors: str = "strict") -> bytes:
+        return bytes(self)
+
+
+def csv_text(header: str, row: str, columns, n: int) -> CsvBytes:
     """The header line, then one ``row`` for each i = 0..n-1, filled with
-    entry i of every column in turn.
+    entry i of every column in turn, as ASCII bytes.
 
     ``row`` is a layout: literal text with ``%s`` slots (text columns:
     arrays of ASCII str or bytes) and ``%.16e`` slots (float arrays,
@@ -221,15 +230,15 @@ def csv_text(header: str, row: str, columns, n: int) -> str:
     pieces = _SLOT.split(row)  # literal, slot, literal, ..., literal
     if len(pieces) // 2 != len(columns):
         raise ValueError(f"{len(pieces) // 2} slots in the row, {len(columns)} columns")
-    text = bytearray(header.encode("ascii") + b"\n")
+    text = CsvBytes(header.encode("ascii") + b"\n")
     for i in range(0, n, CSV_BLOCK):
         text += _block(pieces, columns, i, min(CSV_BLOCK, n - i)).data
-    return text.decode("ascii")
+    return text
 
 
-def _write(text: str, path: str | None):
+def _write(text: bytes, path: str | None):
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             fh.write(text)
 
 
@@ -380,8 +389,8 @@ def eval_qm(points, source, spec: EnergySpec, params: SystemParams):
     return vals, region, status
 
 
-def run_scan(config: ScanConfig) -> str:
-    """2-D scan; returns the CSV text (written to config.out when set)."""
+def run_scan(config: ScanConfig) -> CsvBytes:
+    """2-D scan; returns the CSV bytes (written to config.out when set)."""
     config.validate(want_grids=2)
     params = config.params()
     spec = config.energy_spec(params)
@@ -414,7 +423,7 @@ def run_scan(config: ScanConfig) -> str:
     return text
 
 
-def run_cut(config: ScanConfig) -> str:
+def run_cut(config: ScanConfig) -> CsvBytes:
     """1-D comparison cut: QM reference, primitive SC, uniform UA, and the
     deviations of the latter two relative to max|QM| on the cut.
 

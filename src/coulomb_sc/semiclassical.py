@@ -15,8 +15,9 @@ scans evaluate the same formulas array-wise (``_kernels.sc_bound_field``).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels as K
 from .actions import (
@@ -37,6 +38,7 @@ from .geometry import (
     LambertPair,
     Region,
     RegionClass,
+    bound_region,
     classify_region,
     endpoint_lists,
     lambert_variables,
@@ -48,8 +50,7 @@ from .vvpm import vvpm_det
 POLE_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """One Green-function value tagged with its provenance."""
 
     r: tuple
@@ -89,6 +90,9 @@ def _check_pole(spec: EnergySpec):
         )
 
 
+# the complex powers depend on (ndim, hbar) only; typed, so that ndim = 3
+# and 3.0 keep their own values
+@functools.lru_cache(maxsize=64, typed=True)
 def _merged_prefactor(ndim: int, hbar: float) -> complex:
     """Prefactor of the merged bound two-path form.
 
@@ -99,6 +103,7 @@ def _merged_prefactor(ndim: int, hbar: float) -> complex:
     return -(1j ** (ndim - 1)) / (hbar * (2.0 * math.pi * hbar) ** ((ndim - 1) / 2.0))
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def _elementary_prefactor(ndim: int, hbar: float) -> complex:
     """(1/i hbar) * (-1) / (-2 pi i hbar)^((n-1)/2), principal branch."""
     return -1.0 / (1j * hbar * (-2j * math.pi * hbar) ** ((ndim - 1) / 2.0))
@@ -116,9 +121,9 @@ def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
             math.sin(math.pi * spec.k))
 
 
-def _point_guards(pair: LambertPair, spec: EnergySpec):
-    """Refuse the source point and the focal line (``_kernels.region_status``)."""
-    _, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)
+def _point_guards(status: int):
+    """Refuse the source point and the focal line (a ``_kernels.region_status``
+    status)."""
     if status == K.STATUS_SOURCE:
         raise RegionError("coincident endpoints: Green function source singularity")
     if status == K.STATUS_FOCAL:
@@ -127,13 +132,17 @@ def _point_guards(pair: LambertPair, spec: EnergySpec):
         )
 
 
-def _bound_guards(pair: LambertPair, spec: EnergySpec, params: SystemParams):
+def _bound_guards(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> RegionClass:
+    """Refuse what no bound evaluator takes; returns the pair's RegionClass
+    from the one region rule the guards apply."""
     if spec.E >= 0.0:
         raise ValueError("bound-state evaluator requires E < 0")
     if not params.attractive:
         raise ValueError("bound states require an attractive interaction")
     _check_pole(spec)
-    _point_guards(pair, spec)
+    region, status = bound_region(pair, 4.0 * spec.a)
+    _point_guards(status)
+    return region
 
 
 def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
@@ -141,8 +150,7 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
     """Bound SC value at one endpoint pair, which must lie beyond the
     caustic if ``forbidden`` and inside it otherwise."""
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    _bound_guards(pair, spec, params)
-    region = classify_region(pair, spec, params.attractive)
+    region = _bound_guards(pair, spec, params)
     if forbidden:
         if region.tag is not Region.FORBIDDEN:
             raise RegionError("green_sc_tunnel requires a point beyond the caustic")
@@ -187,9 +195,7 @@ def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
     """Amplitudes, actions (with the complex round trip) and Morse indices
     of the four elementary paths, recomputing the determinant per path."""
     pair = lambert_variables(r_vec, rp_vec, params)
-    _bound_guards(pair, spec, params)
-    region = classify_region(pair, spec, params.attractive)
-    if region.tag is not Region.ALLOWED:
+    if _bound_guards(pair, spec, params).tag is not Region.ALLOWED:
         raise RegionError("explicit loop sum implemented for the allowed region")
     paths = four_paths(pair, spec, params)
     w2pi_c = 2.0 * math.pi * params.hbar * (k_c + (params.ndim - 1) / 2.0)
@@ -259,7 +265,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
     if spec.E <= 0.0:
         raise ValueError("green_sc_scatter_attractive requires E > 0")
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    _point_guards(pair, spec)
+    _point_guards(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])
     n = params.ndim
     hbar = params.hbar
     wp = reduced_action_scatter_attractive(pair.alpha_plus, spec, params)

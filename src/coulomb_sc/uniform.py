@@ -26,12 +26,12 @@ variable of the leading-order two-saddle form, reported by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels as K
 from .actions import round_trip, _scales
 from .errors import RegionError, UnsupportedDimensionError
-from .geometry import classify_region, endpoint_lists, lambert_variables
+from .geometry import endpoint_lists, lambert_variables
 from .model import EnergySpec, SystemParams
 from .semiclassical import FieldSample, _bound_guards, _check_pole
 
@@ -50,8 +50,7 @@ def airy_ai_prime(x: float) -> float:
     return K.airy_ai_both(float(x))[1]
 
 
-@dataclass(frozen=True)
-class UniformInputs:
+class UniformInputs(NamedTuple):
     """Classical Airy variables of one coalescing path pair.
 
     xi   -- common phase (mean action / hbar, real part in the tunnel)
@@ -112,8 +111,7 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
     if spec.E >= 0.0:
         raise ValueError("green_uniform requires E < 0")
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    _bound_guards(pair, spec, params)
-    region = classify_region(pair, spec, params.attractive)
+    region = _bound_guards(pair, spec, params)
     val, _, status = K.ua_point(pair.s, pair.alpha_plus, pair.alpha_minus,
                                 *ua_constants(spec, params))
     if status != K.STATUS_OK:

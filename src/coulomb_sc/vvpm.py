@@ -15,8 +15,7 @@ line.  Closed forms for the four elementary paths follow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .model import EnergySpec, SystemParams
 PATH_IDS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class VvpmValue:
+class VvpmValue(NamedTuple):
     """Signed determinant for one elementary path.
 
     Units: (time/length)^2 (mass/time)^(n-1) -- i.e. the product of the two
@@ -60,10 +58,14 @@ def morse_index(path_id: int, ndim: int, loops: int = 0) -> int:
         raise ValueError("ndim must be >= 2")
     if loops < 0:
         raise ValueError("loops must be nonnegative")
-    base = {1: 0, 2: ndim - 2, 3: ndim - 1, 4: 1}
-    if path_id not in base:
+    if path_id not in PATH_IDS:
         raise ValueError(f"path_id must be in 1..4, got {path_id}")
-    return base[path_id] + loops * 2 * (ndim - 1)
+    return _morse_bases(ndim)[PATH_IDS.index(path_id)] + loops * 2 * (ndim - 1)
+
+
+def _morse_bases(ndim: int) -> tuple[int, int, int, int]:
+    """Morse indices of the four elementary paths (no loops), in path order."""
+    return 0, ndim - 2, ndim - 1, 1
 
 
 def dimensional_factor(v_plus: float, v_minus: float, s: float, combo: str,
@@ -107,21 +109,24 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     if pair.alpha_minus <= 0.0:
         raise RegionError("alpha_minus = 0: velocity diverges at the force center")
 
+    # the velocities K.v_bound and the transverse factor of
+    # dimensional_factor, written out: the guards above cover theirs
     cv = math.sqrt(2.0 * abs(spec.E) / params.mu)
-    vp = K.v_bound(pair.alpha_plus, spec.a, cv)
-    vm = K.v_bound(pair.alpha_minus, spec.a, cv)
+    four_a = 4.0 * spec.a
+    vp = cv * math.sqrt((four_a - pair.alpha_plus) / pair.alpha_plus)
+    vm = cv * math.sqrt((four_a - pair.alpha_minus) / pair.alpha_minus)
     n = params.ndim
-    if path_id in (1, 3):
-        f = dimensional_factor(vp, vm, pair.s, "difference", params)
+    if path_id == 1 or path_id == 3:
+        f = -params.mu * (vp + vm) / (2.0 * pair.s)
         d = f ** (n - 1) / (vp * vm)
         if path_id == 3:
             d = -d
     else:
-        f = dimensional_factor(vp, vm, pair.s, "sum", params)
+        f = -params.mu * (vp - vm) / (2.0 * pair.s)
         d = -(f ** (n - 1)) / (vp * vm)
         if path_id == 4:
             d = -d
-    return VvpmValue(path_id=path_id, D=d, F=f)
+    return VvpmValue(path_id, d, f)
 
 
 # --- finite-difference cross-check -----------------------------------------

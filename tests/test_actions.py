@@ -4,6 +4,7 @@ the closed forms must reproduce it to 1e-10 relative."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -172,6 +173,40 @@ def test_four_paths_energy_derivative_consistency(au, rng):
         for p, pu, pd in zip(cs.four_paths(pair, spec, au), up, dn):
             fd = (pu.W - pd.W) / (2 * h)
             assert fd == pytest.approx(p.T, rel=1e-6), f"path {p.path_id}"
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [0.99, 0.9999, 0.999999])
+def test_four_paths_direct_path_near_coincident_legs(ndim, ratio):
+    # alpha_- -> alpha_+: W1 = W+ - W- and T1 = t+ - t- cancel, the direct
+    # path keeps its relative precision (mpmath at 40 digits on the same
+    # float inputs), and the central difference in E still gives T
+    params = cs.SystemParams(ndim=ndim)
+    spec = cs.energy_from_nu(11.7, params)
+    sk = math.sqrt(2.0 * params.mu * abs(spec.E))
+    ts = params.mu * spec.a / sk
+    for ap_frac in (0.05, 0.3, 0.8):
+        ap = ap_frac * 4.0 * spec.a
+        am = ratio * ap
+        pair = cs.LambertPair(r=0.25 * (ap + am), rp=0.25 * (ap + am), s=0.5 * (ap - am),
+                              alpha_plus=ap, alpha_minus=am)
+        with mp.workdps(40):
+            g = [2 * mp.asin(mp.sqrt(mp.mpf(al) / (4 * mp.mpf(spec.a)))) for al in (ap, am)]
+            w1 = float(mp.mpf(sk) * spec.a * (g[0] + mp.sin(g[0]) - g[1] - mp.sin(g[1])))
+            t1 = float(mp.mpf(ts) * (g[0] - mp.sin(g[0]) - g[1] + mp.sin(g[1])))
+        paths = cs.four_paths(pair, spec, params)
+        assert paths[0].W == pytest.approx(w1, rel=1e-12, abs=0.0)
+        assert paths[0].T == pytest.approx(t1, rel=1e-12, abs=0.0)
+        if ap_frac < 0.3:
+            # near the centre W2 >> |E| T2, and rounding in W2 alone moves
+            # its difference quotient by 2e-8 at alpha_+ = 0.2 a
+            continue
+        h = 1e-6 * abs(spec.E)
+        up = cs.four_paths(pair, cs.EnergySpec.from_energy(spec.E + h, params), params)
+        dn = cs.four_paths(pair, cs.EnergySpec.from_energy(spec.E - h, params), params)
+        for p, pu, pd in zip(paths, up, dn):
+            fd = (pu.W - pd.W) / (2 * h)
+            assert fd == pytest.approx(p.T, rel=1e-8, abs=0.0), (ap_frac, p.path_id)
 
 
 def test_focal_touch_degeneracy(au):

@@ -1,5 +1,6 @@
-"""Argument checks of tools/bench_pairs.py that need no benchmark run."""
+"""Checks of tools/bench_pairs.py that need no benchmark run."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +20,20 @@ def test_one_pair_is_refused_before_any_run(tmp_path):
     assert proc.returncode == 2
     assert "--pairs must be at least 2" in proc.stderr
     assert not out.exists() and not (tmp_path / "trees").exists()
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_failing_runs_are_named_by_seed():
+    runs = [{"pair": i, "side": side, "seed": 500 + i, "result": {"correct": ok}}
+            for i, (p_ok, c_ok) in enumerate([(True, True), (False, True), (True, False),
+                                               (False, False)])
+            for side, ok in (("parent", p_ok), ("change", c_ok))]
+    tool = load_tool()
+    assert tool.failing_seeds(runs) == {"parent": [501, 503], "change": [502, 503]}
+    assert tool.failing_seeds(runs[:2]) == {"parent": [], "change": []}

@@ -12,7 +12,8 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre
 
 import coulomb_sc as cs
-from coulomb_sc.errors import PoleError
+from coulomb_sc.cli import main
+from coulomb_sc.errors import IllConditionedError, PoleError
 from coulomb_sc.qm_oracle import default_mesh, qm_field, radial_green, solve_radial
 
 
@@ -232,6 +233,37 @@ def test_qm_field_rejects_non_finite_points(au, bad):
             qm_field(pts, rp, spec, au)
         with pytest.raises(ValueError, match="no finite Lambert lengths"):
             cs.green_qm(pts[1], rp, spec, au)
+
+
+def test_underflowed_points_are_unconverged(au, capsys):
+    # one mesh out to 6000 Bohr spans more than float64's range of the l = 0
+    # growth at nu = 5.3: the values it lost are NaN with reason
+    # unconverged, not -0 with status OK, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["scan", "--nu", "5.3", "--source", "20,0,0", "--grid=x:30:6000:3",
+                     "--grid=y:10:11:2", "--method", "qm"])
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert code == 0 and len(rows) == 6
+        assert all(row[2] == "nan" and row[6] == "unconverged" for row in rows)
+        spec = cs.energy_from_nu(5.3, au)
+        rp = np.array([20.0, 0.0, 0.0])
+        with pytest.raises(IllConditionedError, match="underflow"):
+            cs.green_qm(np.array([6000.0, 10.0, 0.0]), rp, spec, au)
+        # the near point alone keeps its value
+        near = qm_field(np.array([[30.0, 10.0, 0.0], [600.0, 10.0, 0.0]]), rp, spec, au)
+        assert near[0] == pytest.approx(9.48e-3, rel=1e-3) and np.all(np.isfinite(near))
+
+
+def test_radial_green_below_the_mesh_start(au):
+    # l = 40 at nu = 5.3 starts its table at j0 h = 1.475 Bohr; below it the
+    # origin series gives u_reg, where interpolation extrapolated to 1e-10
+    # against -9.8e-34; the ratio tests the series, the value the mesh
+    E = cs.energy_from_nu(5.3, au).E
+    ref = {rs: whittaker_radial_green(40, rs, 3.0, E, au) for rs in (0.5, 1.2)}
+    mine = {rs: radial_green(40, rs, 3.0, E, au) for rs in (0.5, 1.2)}
+    assert mine[0.5] == pytest.approx(ref[0.5], rel=5e-3, abs=0.0)
+    assert mine[0.5] / mine[1.2] == pytest.approx(ref[0.5] / ref[1.2], rel=1e-9)
 
 
 def test_green_qm_pole_guard(au):

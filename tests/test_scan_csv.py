@@ -1,6 +1,6 @@
 """The block CSV writer against the row-by-row format it replaced.
 
-``run_scan`` and ``run_cut`` build their text in blocks of byte matrices,
+``run_scan`` and ``run_cut`` build their bytes in blocks of byte matrices,
 with the floats from a vectorised ``%.16e``; the text must equal, byte for
 byte, the rows built one value at a time with ``scan.fmt`` from the same
 arrays, and every float field must equal ``'%.16e' % v``.
@@ -65,7 +65,7 @@ def test_scan_all_matches_row_by_row(monkeypatch, block):
     # focal line behind the force center: NaN rows with reasons
     cfg = ScanConfig(method="all", nu=5.3, source=(20.0, 0.0, 0.0),
                      grids=[("x", -20.0, 40.0, 31), ("y", 0.0, 30.0, 16)])
-    text = scan.run_scan(cfg)
+    text = scan.run_scan(cfg).decode("ascii")
     ref, results = reference_scan(cfg)
     assert text == ref
     statuses = set(np.concatenate([r[2] for r in results.values()]).tolist())
@@ -78,7 +78,10 @@ def test_cut_matches_row_by_row(monkeypatch):
     monkeypatch.setattr(scan, "CSV_BLOCK", 7)
     cfg = ScanConfig(nu=5.3, source=(20.0, 0.0, 0.0), grids=[("x", -20.0, 40.0, 61)],
                      fixes={"y": 0.0})
-    text = scan.run_cut(cfg)
+    data = scan.run_cut(cfg)
+    # bytes, held once; encode() serves callers of the former str return
+    assert data.encode("utf-8") == bytes(data)
+    text = data.decode("ascii")
     assert text == reference_cut(cfg)
     assert ",nan,nan\n" in text  # the source exclusion
 
@@ -96,7 +99,8 @@ def test_block_formatter_special_values(monkeypatch):
     status = np.array([c[1] for c in codes], dtype=np.int8)
     label = scan._LABELS[region, status]
     text = scan.csv_text("a,b,c", "%.16e,%s,%.16e,%s\n",
-                         [x, np.array([fmt(v) for v in y], dtype=object), y, label], n)
+                         [x, np.array([fmt(v) for v in y], dtype=object), y, label],
+                         n).decode("ascii")
     ref = ["a,b,c"] + [",".join([fmt(x[i]), fmt(y[i]), fmt(y[i]),
                                  scan._REGION_NAMES[int(region[i])],
                                  scan._REASONS[int(status[i])]]) for i in range(n)]
@@ -113,7 +117,7 @@ def float_lines(values, monkeypatch=None):
     calls = []
     if monkeypatch is not None:
         monkeypatch.setattr(scan, "fmt", lambda v: calls.append(v) or fmt(v))
-    text = scan.csv_text("v", "%.16e\n", [values], len(values))
+    text = scan.csv_text("v", "%.16e\n", [values], len(values)).decode("ascii")
     assert text.startswith("v\n")
     return text[2:].splitlines(), len(calls)
 

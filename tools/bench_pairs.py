@@ -13,10 +13,12 @@ when i is odd.  The record holds the last-line JSON of every run, with its
 seed and position in the run order; both SHAs; nproc; the Python and numpy
 versions; and per workload, side and metric the median and quartiles.  Per
 metric it also gives the pairs the change won and whether its median moved
-by more than the parent's quartile distance.  Nothing here measures: every
-number comes from ``perfbench/run.py``.  Untraced runs (``--trace 0``, the
-end-to-end metrics) go under "workloads", traced ones (``--trace 1``, the
-per-layer metrics) under "traced".
+by more than the parent's quartile distance.  Per workload and side it
+records, and prints, the seeds of the runs that read ``correct: false``.
+Nothing here measures: every number comes from ``perfbench/run.py``.
+Untraced runs (``--trace 0``, the end-to-end metrics) go under
+"workloads", traced ones (``--trace 1``, the per-layer metrics) under
+"traced".
 """
 
 from __future__ import annotations
@@ -99,6 +101,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def failing_seeds(runs: list[dict]) -> dict:
+    """Per side, the seeds of the runs that read ``correct: false``."""
+    return {s: [r["seed"] for r in runs if r["side"] == s and not r["result"]["correct"]]
+            for s in ("parent", "change")}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
@@ -153,9 +161,14 @@ def main() -> int:
                                                   for r in runs if r["side"] == s)
                              for s in ("parent", "change")},
             "correct": all(r["result"]["correct"] for r in runs),
+            "failing_seeds": failing_seeds(runs),
             "metrics": summarize(runs, bench["per_layer" if args.trace else "end_to_end"]),
         }
         out.write_text(json.dumps(record, indent=1) + "\n")
+        for side, seeds in section[workload]["failing_seeds"].items():
+            if seeds:
+                print(f"{workload} {side}: correct: false at seeds "
+                      + ", ".join(map(str, seeds)), flush=True)
     return 0
 
 
