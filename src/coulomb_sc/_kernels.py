@@ -1,4 +1,8 @@
-"""Numerically hot cores shared by the public modules.
+"""The semiclassical (SC) and uniform-approximation (UA) kernels, scalar
+and array, with what they share with the other public modules: the Airy
+function, the one-dimensional actions, the Lambert reduction and the
+region rule.  The exact reference's radial solver lives in ``qm_oracle``,
+and a formula with a single caller lives in that caller.
 
 Every evaluator sees the endpoints only through their Lambert lengths
 (s, alpha_+, alpha_-), alpha_+- = r + r' +- s: the reduction
@@ -83,41 +87,9 @@ def w_bound(alpha, a, sk):
     return sk * a * (g + math.sin(g))
 
 
-def t_bound(alpha, a, ts):
-    """Half travel time t(alpha) for bound motion (Kepler equation form)."""
-    g = gamma_angle(alpha, a)
-    return ts * (g - math.sin(g))
-
-
 def v_bound(alpha, a, cv):
     """Collinear speed at path coordinate alpha/2 for bound motion."""
     return cv * math.sqrt((4.0 * a - alpha) / alpha)
-
-
-def w_scatter_attr(alpha, a, sk):
-    """Half-action for E > 0, attractive (hyperbolic), anchored at alpha = 0."""
-    if alpha <= 0.0:
-        return 0.0
-    return sk * (0.5 * math.sqrt((4.0 * a + alpha) * alpha)
-                 + 2.0 * a * math.asinh(math.sqrt(alpha / (4.0 * a))))
-
-
-def v_scatter_attr(alpha, a, cv):
-    return cv * math.sqrt((4.0 * a + alpha) / alpha)
-
-
-def v_scatter_rep(alpha, a, cv):
-    return cv * math.sqrt((alpha - 4.0 * a) / alpha)
-
-
-def w_rep_forbidden_mag(alpha, a, sk):
-    """|Im W| for E > 0 repulsive inside the barrier (0 <= alpha <= 4|a|).
-
-    The full action is purely imaginary, +- i * (this value); it vanishes
-    at the turning point alpha = 4|a| and reaches pi |a| sk at alpha = 0.
-    """
-    g = gamma_angle(alpha, a)  # 2 asin(sqrt(alpha/4|a|))
-    return sk * a * (math.pi - g) - sk * 0.5 * math.sqrt((4.0 * a - alpha) * alpha)
 
 
 def w_bound_forbidden_im(alpha, a, sk):
@@ -866,91 +838,3 @@ def ua_field(points, source, four_a, nu, kappa, g0):
     """ua_point at every row of points (N x 3), array-wise."""
     return _map_blocks(_ua_block, points, source, four_a, nu, kappa, g0)
 
-
-# ==========================================================================
-# radial Schroedinger solver (quantum-mechanical reference, n = 3)
-# ==========================================================================
-#
-# One Numerov sweep serves both solutions: outward from the origin series
-# for the regular one, inward from a WKB seed for the decaying one.  The
-# derivative, the Wronskian and the cubic interpolation act on arrays of
-# mesh indices or radii.
-
-def radial_rhs(r, l, e2, c1):
-    """f(r) in u'' = -f u:  f = 2mu(E + Kc/r)/hbar^2 - l(l+1)/r^2."""
-    return e2 + c1 / r - l * (l + 1.0) / (r * r)
-
-
-def radial_rhs_prime(r, l, e2, c1):
-    return -c1 / (r * r) + 2.0 * l * (l + 1.0) / (r * r * r)
-
-
-def numerov_fill(l, e2, c1, h, n, j_from, j_to, u0, u1):
-    """u on mesh indices 0..n, zero outside j_from..j_to, by the Numerov
-    recurrence from u[j_from] = u0 and its neighbour towards j_to, u1;
-    the sign of j_to - j_from gives the direction.
-
-    The solution grows along the sweep: whenever |u| exceeds 1e250 every
-    value so far is scaled by 1e-250 (its shape is kept), so late entries
-    never overflow.  Stopping an inward sweep just below the smallest
-    radius the caller needs keeps its range inside float64 even at large
-    l, where a full-mesh sweep spans more than 616 decades.
-    """
-    step = 1 if j_to > j_from else -1
-    lo, hi = min(j_from, j_to), max(j_from, j_to)
-    h12 = h * h / 12.0
-    f = radial_rhs(np.arange(lo, hi + 1) * h, l, e2, c1)[::step]
-    grow = (2.0 * (1.0 - 5.0 * h12 * f)).tolist()
-    damp = (1.0 + h12 * f).tolist()
-    seq = [u0, u1]
-    for dm, g0, dp in zip(damp, grow[1:], damp[2:]):
-        seq.append((seq[-1] * g0 - seq[-2] * dm) / dp)
-        if abs(seq[-1]) > 1e250:
-            seq[:] = [v * 1e-250 for v in seq]
-    u = np.zeros(n + 1)
-    u[lo:hi + 1] = seq[::step]
-    return u
-
-
-def ode_derivative(u, j, h, l, e2, c1):
-    """u'(r_j) at mesh indices j from neighbors with the leading ODE-aware
-    h^2 correction subtracted; accurate to O(h^4) without extra stencil
-    points."""
-    r = j * h
-    f = radial_rhs(r, l, e2, c1)
-    fprime = radial_rhs_prime(r, l, e2, c1)
-    num = (u[j + 1] - u[j - 1]) / (2.0 * h) + (h * h / 6.0) * fprime * u[j]
-    return num / (1.0 - h * h * f / 6.0)
-
-
-def wronskian_at(u, v, j, h, l, e2, c1):
-    up = ode_derivative(u, j, h, l, e2, c1)
-    vp = ode_derivative(v, j, h, l, e2, c1)
-    return u[j] * vp - up * v[j]
-
-
-def _stencil(r, h, j0, n):
-    """(r / h, j): the cubic stencil of interp_u at r is j - 1 .. j + 2."""
-    x = r / h
-    return x, np.clip(x.astype(np.intp), j0 + 1, n - 2)
-
-
-def interp_u(u, r, h, j0, n):
-    """Cubic 4-point Lagrange interpolation of u at the radii r, with the
-    stencil kept on mesh indices j0..n."""
-    x, j = _stencil(r, h, j0, n)
-    t = x - j
-    return (-t * (t - 1.0) * (t - 2.0) / 6.0 * u[j - 1]
-            + (t * t - 1.0) * (t - 2.0) / 2.0 * u[j]
-            - t * (t + 1.0) * (t - 2.0) / 2.0 * u[j + 1]
-            + t * (t * t - 1.0) / 6.0 * u[j + 2])
-
-
-def stencil_normal(u, r, h, j0, n):
-    """True at the radii r whose interp_u stencil holds normal floats only.
-    An entry that underflowed (subnormal or zero) has lost the solution's
-    digits, and an infinite or NaN one has none."""
-    _, j = _stencil(r, h, j0, n)
-    a = np.abs(u)
-    normal = (a >= np.finfo(np.float64).tiny) & (a <= np.finfo(np.float64).max)
-    return normal[j - 1] & normal[j] & normal[j + 1] & normal[j + 2]

@@ -87,7 +87,8 @@ def travel_time_bound(alpha: float, spec: EnergySpec, params: SystemParams) -> f
     if alpha < 0.0 or alpha > 4.0 * spec.a * (1.0 + 1e-12):
         raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {4.0 * spec.a}]")
     _, _, ts = _scales(spec, params)
-    return K.t_bound(min(alpha, 4.0 * spec.a), spec.a, ts)
+    g = K.gamma_angle(min(alpha, 4.0 * spec.a), spec.a)
+    return ts * (g - math.sin(g))
 
 
 def round_trip(spec: EnergySpec, params: SystemParams) -> tuple[float, float]:
@@ -181,21 +182,14 @@ def loop_variant(pq: PathQuantity, j: int, spec: EnergySpec,
 
 # --- scattering (E > 0) ----------------------------------------------------
 
-def scatter_velocity(alpha: float, spec: EnergySpec, params: SystemParams,
-                     repulsive: bool = False) -> float:
-    """Collinear speed for unbounded motion (E > 0)."""
+def scatter_velocity(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
+    """Collinear speed for attractive unbounded motion (E > 0)."""
     if spec.E <= 0.0:
         raise ValueError("scatter_velocity requires E > 0")
     if alpha <= 0.0:
         raise RegionError("alpha must be positive")
     _, cv, _ = _scales(spec, params)
-    if repulsive:
-        if alpha <= 4.0 * spec.a:
-            raise RegionError(
-                f"repulsive allowed motion needs alpha > 4|a| = {4.0 * spec.a}"
-            )
-        return K.v_scatter_rep(alpha, spec.a, cv)
-    return K.v_scatter_attr(alpha, spec.a, cv)
+    return cv * math.sqrt((4.0 * spec.a + alpha) / alpha)
 
 
 def reduced_action_scatter_attractive(alpha: float, spec: EnergySpec,
@@ -206,8 +200,12 @@ def reduced_action_scatter_attractive(alpha: float, spec: EnergySpec,
         raise ValueError("reduced_action_scatter_attractive requires E > 0")
     if alpha < 0.0:
         raise RegionError("alpha must be nonnegative")
+    if alpha == 0.0:
+        return 0.0
     sk, _, _ = _scales(spec, params)
-    return K.w_scatter_attr(alpha, spec.a, sk)
+    a = spec.a
+    return sk * (0.5 * math.sqrt((4.0 * a + alpha) * alpha)
+                 + 2.0 * a * math.asinh(math.sqrt(alpha / (4.0 * a))))
 
 
 def reduced_action_scatter_repulsive(alpha: float, spec: EnergySpec,
@@ -228,7 +226,8 @@ def reduced_action_scatter_repulsive(alpha: float, spec: EnergySpec,
 def reduced_action_repulsive_forbidden(alpha_minus: float, spec: EnergySpec,
                                        params: SystemParams) -> tuple[complex, complex]:
     """Purely imaginary half-action inside the repulsive barrier
-    (0 <= alpha_minus < 4|a|).
+    (0 <= alpha_minus < 4|a|); its magnitude vanishes at the turning point
+    alpha_minus = 4|a| and reaches pi |a| sqrt(2 mu E) at alpha_minus = 0.
 
     Both analytic-continuation branches are returned, the decaying
     (positive-imaginary) one first; the caller selects.
@@ -240,7 +239,10 @@ def reduced_action_repulsive_forbidden(alpha_minus: float, spec: EnergySpec,
             f"alpha_minus = {alpha_minus} outside the barrier [0, 4|a|]"
         )
     sk, _, _ = _scales(spec, params)
-    mag = K.w_rep_forbidden_mag(min(alpha_minus, 4.0 * spec.a), spec.a, sk)
+    a = spec.a
+    alpha = min(alpha_minus, 4.0 * a)
+    g = K.gamma_angle(alpha, a)  # 2 asin(sqrt(alpha/4|a|))
+    mag = sk * a * (math.pi - g) - sk * 0.5 * math.sqrt((4.0 * a - alpha) * alpha)
     return complex(0.0, mag), complex(0.0, -mag)
 
 

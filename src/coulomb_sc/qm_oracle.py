@@ -22,15 +22,18 @@ the Wronskian, and as rho_+ -> rho_- near the source the bracket tends to
 the Wronskian, which leaves the free -(2 mu/hbar^2)/(4 pi s).
 
 Each channel is integrated on a uniform mesh by one Numerov sweep routine
-(``_kernels.numerov_fill``), run twice: outward from a power-series
-boundary layer at the origin, inward from a WKB-seeded point at least 16
-e-folds of decay beyond the outermost radius needed; ``default_mesh``
-takes that decay integral in closed form from the forbidden-side action.
-Values and derivatives at all points are interpolated from the mesh in
-array operations.  A numerical ODE path is used rather than closed-form
-confluent hypergeometric evaluation because the arguments of interest
-(alpha/nu up to about 100) make naive series evaluation unstable;
-independent Whittaker-function oracles exist in the test suite.
+(``numerov_fill``), run twice: outward from a power-series boundary layer
+at the origin, inward from a WKB-seeded point at least 16 e-folds of decay
+beyond the outermost radius needed; ``default_mesh`` takes that decay
+integral in closed form from the forbidden-side action.  Values and
+derivatives at all points are interpolated from the mesh in array
+operations (``interp_u``), and a radius whose 4-point stencil holds a
+value that is not a normal float -- underflowed, infinite or NaN -- comes
+out NaN, which the public functions report.  A numerical ODE path is used
+rather than closed-form confluent hypergeometric evaluation because the
+arguments of interest (alpha/nu up to about 100) make naive series
+evaluation unstable; independent Whittaker-function oracles exist in the
+test suite.
 ``radial_green`` gives the radial component g_l of any channel, which the
 tests sum over l as an independent partial-wave check.
 """
@@ -46,7 +49,7 @@ from . import _kernels as K
 from .errors import IllConditionedError, PoleError, RegionError
 from .geometry import classify_region, lambert_variables
 from .model import EnergySpec, SystemParams
-from .semiclassical import FieldSample, _check_pole
+from .semiclassical import POLE_GUARD, FieldSample, _check_pole
 
 
 def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:
@@ -97,11 +100,76 @@ def _series(l: int, e2: float, c1: float, r: float) -> float:
     return total
 
 
-def _series_start(l: int, e2: float, c1: float, r1: float, r2: float):
-    """Regular-solution values at two startup radii from the origin series,
-    returned in a common scale with the r^(l+1) prefactor normalized at r2
-    (only the ratio matters downstream)."""
-    return (r1 / r2) ** (l + 1) * _series(l, e2, c1, r1), _series(l, e2, c1, r2)
+def radial_rhs(r, l, e2, c1):
+    """f(r) in u'' = -f u:  f = 2mu(E + Kc/r)/hbar^2 - l(l+1)/r^2."""
+    return e2 + c1 / r - l * (l + 1.0) / (r * r)
+
+
+def numerov_fill(l, e2, c1, h, n, j_from, j_to, u0, u1):
+    """u on mesh indices 0..n, zero outside j_from..j_to, by the Numerov
+    recurrence from u[j_from] = u0 and its neighbour towards j_to, u1;
+    the sign of j_to - j_from gives the direction.
+
+    The solution grows along the sweep: whenever |u| exceeds 1e250 every
+    value so far is scaled by 1e-250 (its shape is kept), so late entries
+    never overflow.  Stopping an inward sweep just below the smallest
+    radius the caller needs keeps its range inside float64 even at large
+    l, where a full-mesh sweep spans more than 616 decades.
+    """
+    step = 1 if j_to > j_from else -1
+    lo, hi = min(j_from, j_to), max(j_from, j_to)
+    h12 = h * h / 12.0
+    f = radial_rhs(np.arange(lo, hi + 1) * h, l, e2, c1)[::step]
+    grow = (2.0 * (1.0 - 5.0 * h12 * f)).tolist()
+    damp = (1.0 + h12 * f).tolist()
+    seq = [u0, u1]
+    for dm, g0, dp in zip(damp, grow[1:], damp[2:]):
+        seq.append((seq[-1] * g0 - seq[-2] * dm) / dp)
+        if abs(seq[-1]) > 1e250:
+            seq[:] = [v * 1e-250 for v in seq]
+    u = np.zeros(n + 1)
+    u[lo:hi + 1] = seq[::step]
+    return u
+
+
+def ode_derivative(u, j, h, l, e2, c1):
+    """u'(r_j) at mesh indices j from neighbors with the leading ODE-aware
+    h^2 correction subtracted; accurate to O(h^4) without extra stencil
+    points."""
+    r = j * h
+    f = radial_rhs(r, l, e2, c1)
+    fprime = -c1 / (r * r) + 2.0 * l * (l + 1.0) / (r * r * r)
+    num = (u[j + 1] - u[j - 1]) / (2.0 * h) + (h * h / 6.0) * fprime * u[j]
+    return num / (1.0 - h * h * f / 6.0)
+
+
+def wronskian_at(u, v, j, h, l, e2, c1):
+    up = ode_derivative(u, j, h, l, e2, c1)
+    vp = ode_derivative(v, j, h, l, e2, c1)
+    return u[j] * vp - up * v[j]
+
+
+def _normal(u):
+    """True where u is a normal float.  A mesh value that underflowed
+    (subnormal or zero) has lost the solution's digits, and an infinite or
+    NaN one has none."""
+    a = np.abs(u)
+    return (a >= np.finfo(np.float64).tiny) & (a <= np.finfo(np.float64).max)
+
+
+def interp_u(u, r, h, j0, n):
+    """Cubic 4-point Lagrange interpolation of u at the radii r, with the
+    stencil kept on mesh indices j0..n; NaN where the stencil holds an
+    entry that is not a normal float."""
+    x = r / h
+    j = np.clip(x.astype(np.intp), j0 + 1, n - 2)
+    t = x - j
+    w = u[j[..., None] + np.arange(-1, 3)]  # the stencil j - 1 .. j + 2
+    val = (-t * (t - 1.0) * (t - 2.0) / 6.0 * w[..., 0]
+           + (t * t - 1.0) * (t - 2.0) / 2.0 * w[..., 1]
+           - t * (t + 1.0) * (t - 2.0) / 2.0 * w[..., 2]
+           + t * (t * t - 1.0) / 6.0 * w[..., 3])
+    return np.where(_normal(w).all(axis=-1), val, np.nan)[()]
 
 
 @dataclass(frozen=True)
@@ -130,17 +198,19 @@ class RadialSolution:
     def eval_reg(self, r):
         """u_reg at a radius or an array of radii.  Below the mesh start
         r_0 = j0 h, where the table begins, it is the origin series scaled
-        to u_reg(r_0)."""
+        to u_reg(r_0); NaN where that product is not a normal float, as the
+        r^(l+1) law can take it below float64's range at large l."""
         r = np.asarray(r, float)
-        u = K.interp_u(self.u_reg, r, self.h, self.j0, len(self.grid) - 1)
+        u = interp_u(self.u_reg, r, self.h, self.j0, len(self.grid) - 1)
         r0 = self.j0 * self.h
         inner = r < r0
         if np.any(inner):
             e2, c1 = _ode_terms(self.E, self.params)
             s0 = _series(self.l, e2, c1, r0)
+            series = np.array([self.u_reg[self.j0] * (x / r0) ** (self.l + 1)
+                               * _series(self.l, e2, c1, x) / s0 for x in r[inner].tolist()])
             u = np.array(u, float)
-            u[inner] = [self.u_reg[self.j0] * (x / r0) ** (self.l + 1)
-                        * _series(self.l, e2, c1, x) / s0 for x in r[inner].tolist()]
+            u[inner] = np.where(_normal(series), series, np.nan)
             u = u[()]  # a scalar again for a scalar r
         return u
 
@@ -152,22 +222,22 @@ class RadialSolution:
                 f"u_irr tabulated for r >= {(self.j_service + 2) * self.h:.6g} "
                 "only; rebuild the solution with a smaller service radius"
             )
-        return K.interp_u(self.u_irr, r, self.h, self.j_service, len(self.grid) - 1)
+        return interp_u(self.u_irr, r, self.h, self.j_service, len(self.grid) - 1)
 
     def derivative(self, u: np.ndarray, lo: int) -> np.ndarray:
         """u' on mesh indices lo .. n-1 (zero elsewhere) for u = u_reg or
         u_irr; lo must leave u[lo - 1] inside the tabulated range."""
         n = len(self.grid) - 1
         du = np.zeros(n + 1)
-        du[lo:n] = K.ode_derivative(u, np.arange(lo, n), self.h, self.l,
-                                    *_ode_terms(self.E, self.params))
+        du[lo:n] = ode_derivative(u, np.arange(lo, n), self.h, self.l,
+                                  *_ode_terms(self.E, self.params))
         return du
 
     def wronskian_on_mesh(self, indices) -> np.ndarray:
         """Wronskian recomputed at the given mesh indices (constancy check);
         indices must lie inside the service window."""
-        return K.wronskian_at(self.u_reg, self.u_irr, np.asarray(indices, np.intp),
-                              self.h, self.l, *_ode_terms(self.E, self.params))
+        return wronskian_at(self.u_reg, self.u_irr, np.asarray(indices, np.intp),
+                            self.h, self.l, *_ode_terms(self.E, self.params))
 
 
 def solve_radial(l: int, E: float, params: SystemParams,
@@ -185,10 +255,13 @@ def solve_radial(l: int, E: float, params: SystemParams,
     if j0 > n - 10:
         raise ValueError("mesh too coarse for this angular momentum")
     j_service = max(j0, int(r_service / h) - 6)
-    u0, u1 = _series_start(l, e2, c1, j0 * h, (j0 + 1) * h)
-    u_reg = K.numerov_fill(l, e2, c1, h, n, j0, n, u0, u1)
-    kap = math.sqrt(max(1e-300, -K.radial_rhs((n - 0.5) * h, l, e2, c1)))
-    u_irr = K.numerov_fill(l, e2, c1, h, n, n, j_service, 1.0, math.exp(kap * h))
+    # the origin series at the two startup radii, in a common scale with the
+    # r^(l+1) prefactor normalized at r2 (only the ratio matters downstream)
+    r1, r2 = j0 * h, (j0 + 1) * h
+    u0, u1 = (r1 / r2) ** (l + 1) * _series(l, e2, c1, r1), _series(l, e2, c1, r2)
+    u_reg = numerov_fill(l, e2, c1, h, n, j0, n, u0, u1)
+    kap = math.sqrt(max(1e-300, -radial_rhs((n - 0.5) * h, l, e2, c1)))
+    u_irr = numerov_fill(l, e2, c1, h, n, n, j_service, 1.0, math.exp(kap * h))
     # logs dodge overflow; an underflowed zero scores -inf
     with np.errstate(divide="ignore"):
         health = (np.log(np.abs(u_reg[j_service + 1:n]))
@@ -196,20 +269,10 @@ def solve_radial(l: int, E: float, params: SystemParams,
     jm = j_service + 1 + int(np.argmax(health))
     u_reg = u_reg / abs(u_reg[jm])
     u_irr = u_irr / abs(u_irr[jm])
-    wron = K.wronskian_at(u_reg, u_irr, jm, h, l, e2, c1)
+    wron = wronskian_at(u_reg, u_irr, jm, h, l, e2, c1)
     return RadialSolution(l=l, E=E, params=params, h=h, j0=j0, j_service=j_service,
                           grid=np.arange(n + 1) * h,
                           u_reg=u_reg, u_irr=u_irr, wronskian=wron)
-
-
-def _check_channel_pole(l: int, spec: EnergySpec, tol: float = 1e-9):
-    nu = spec.k + 1.0
-    nearest = round(nu)
-    if nearest >= l + 1 and abs(nu - nearest) < tol:
-        raise PoleError(
-            f"E within the guard band of the l = {l} channel eigenvalue nu = {nearest}",
-            k=int(nearest - 1), energy=spec.E,
-        )
 
 
 def radial_green(l: int, r_small: float, r_large: float, E: float,
@@ -221,14 +284,25 @@ def radial_green(l: int, r_small: float, r_large: float, E: float,
     if E >= 0.0:
         raise ValueError("radial_green requires E < 0")
     spec = EnergySpec.from_energy(E, params)
-    _check_channel_pole(l, spec)
+    nu = spec.k + 1.0
+    nearest = round(nu)
+    if nearest >= l + 1 and abs(nu - nearest) < POLE_GUARD:
+        raise PoleError(
+            f"E within the guard band of the l = {l} channel eigenvalue nu = {nearest}",
+            k=int(nearest - 1), energy=spec.E,
+        )
     if r_max is None or h is None:
         auto_rmax, auto_h = default_mesh(spec, params, r_large)
         r_max = auto_rmax if r_max is None else r_max
         h = auto_h if h is None else h
     sol = solve_radial(l, E, params, r_max, h, r_service=0.95 * r_large)
     g2mu = 2.0 * params.mu / params.hbar**2
-    return g2mu * sol.eval_reg(r_small) * sol.eval_irr(r_large) / sol.wronskian
+    g = g2mu * sol.eval_reg(r_small) * sol.eval_irr(r_large) / sol.wronskian
+    if not math.isfinite(g):
+        raise IllConditionedError(
+            f"g_{l}({r_small}, {r_large}) lost to underflow: the channel's solutions "
+            "span more than float64's range")
+    return g
 
 
 def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
@@ -268,7 +342,7 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
     r_max, h = default_mesh(spec, params, float(np.max(rho_p)))
     # where the points' rho_+ spread over more than float64's range of the
     # growth, the rescaled sweeps underflow (or the normalization
-    # overflows); those points come out NaN below, quietly
+    # overflows); interp_u makes those points NaN, quietly
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sol = solve_radial(0, spec.E, params, r_max, h,
                            r_service=0.95 * float(np.min(rho_p)))
@@ -280,12 +354,8 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
         n = len(sol.grid) - 2
         du_reg = sol.derivative(sol.u_reg, 1)
         du_irr = sol.derivative(sol.u_irr, j_irr)
-        bracket = (K.interp_u(du_irr, rho_p, h, j_irr, n) * K.interp_u(sol.u_reg, rho_m, h, 1, n)
-                   - K.interp_u(sol.u_irr, rho_p, h, j_irr, n) * K.interp_u(du_reg, rho_m, h, 1, n))
-    usable = (K.stencil_normal(sol.u_reg, rho_m, h, 1, n) & K.stencil_normal(du_reg, rho_m, h, 1, n)
-              & K.stencil_normal(sol.u_irr, rho_p, h, j_irr, n)
-              & K.stencil_normal(du_irr, rho_p, h, j_irr, n))
-    bracket[~usable] = np.nan
+        bracket = (interp_u(du_irr, rho_p, h, j_irr, n) * interp_u(sol.u_reg, rho_m, h, 1, n)
+                   - interp_u(sol.u_irr, rho_p, h, j_irr, n) * interp_u(du_reg, rho_m, h, 1, n))
     g2mu = 2.0 * params.mu / params.hbar**2
     return -g2mu * bracket / (4.0 * math.pi * s * sol.wronskian)
 

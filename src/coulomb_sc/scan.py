@@ -261,15 +261,14 @@ class ScanConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if (self.nu is None) == (self.energy is None):
             raise ConfigError("exactly one of nu / energy must be given")
-        if not isinstance(self.ndim, int) or self.ndim < 2:
-            raise ConfigError(f"ndim must be an integer >= 2, got {self.ndim!r}")
-        if self.ndim > 3:
-            # the kernels take any n, but their values are validated at n = 3 only
-            raise ConfigError("grid evaluation supports ndim in {2, 3}")
+        if not isinstance(self.ndim, int) or self.ndim != 3:
+            # the SC kernels take any n, but their values are right at n = 3
+            # only (at n = 2 they are imaginary where the exact G is real);
+            # UA and the exact reference exist for n = 3 alone
+            raise ConfigError(f"scans and cuts support ndim = 3 only, got {self.ndim!r}: "
+                              "their Green values are validated at n = 3 alone")
         if self.source is None:
             self.source = (1.0,) + (0.0,) * (self.ndim - 1)
-        if self.method in ("ua", "qm", "all") and self.ndim != 3:
-            raise ConfigError(f"method {self.method!r} requires ndim = 3")
         if len(self.grids) != want_grids:
             raise ConfigError(
                 f"expected {want_grids} swept axis(es), got {len(self.grids)}"

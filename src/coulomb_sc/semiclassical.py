@@ -48,6 +48,8 @@ from .vvpm import vvpm_det
 
 #: guard band around integer k inside which bound evaluators refuse to run
 POLE_GUARD = 1e-9
+#: loop_factor refuses quantization arguments this close to an integer
+LOOP_POLE_TOL = 1e-12
 
 
 class FieldSample(NamedTuple):
@@ -61,20 +63,19 @@ class FieldSample(NamedTuple):
     region: RegionClass
 
 
-def loop_factor(w_2pi: float, ndim: int, hbar: float,
-                pole_tol: float = 1e-12) -> complex:
+def loop_factor(w_2pi: float, ndim: int, hbar: float) -> complex:
     """Closed form of the infinite loop sum:
 
     1/2 + (i/2) cot[pi (W_2pi/(2 pi hbar) - m_2pi/4)],  m_2pi = 2(n-1).
 
     Poles at nonnegative-integer argument are the bound states; arguments
-    within ``pole_tol`` of an integer raise PoleError carrying it.
+    within LOOP_POLE_TOL of an integer raise PoleError carrying it.
     """
     if w_2pi <= 0.0:
         raise ValueError("round-trip action must be positive")
     x = w_2pi / (2.0 * math.pi * hbar) - (ndim - 1) / 2.0
     nearest = round(x)
-    if abs(x - nearest) < pole_tol:
+    if abs(x - nearest) < LOOP_POLE_TOL:
         raise PoleError(
             f"loop factor pole: quantization argument {x} is an integer", k=int(nearest)
         )

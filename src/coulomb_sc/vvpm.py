@@ -171,14 +171,13 @@ def _fd_matrix(fn, r, rp, E, rel_step):
 
 def vvpm_det_numeric(action_fn: Callable[[np.ndarray, np.ndarray, float], float],
                      r_vec, rp_vec, E: float, params: SystemParams,
-                     rel_step: float = 1e-4, richardson: bool = True,
-                     return_matrix: bool = False):
+                     rel_step: float = 1e-4, return_matrix: bool = False):
     """Determinant of the full (n+1) x (n+1) derivative matrix of an action
     by centered finite differences, with the d^2/dE^2 entry replaced by 0.
 
     ``action_fn(r_vec, rp_vec, E) -> W`` must be smooth near the evaluation
-    point; the endpoints may be in any (non-degenerate) arrangement.  With
-    ``richardson`` the determinant is extrapolated from steps h and h/2.
+    point; the endpoints may be in any (non-degenerate) arrangement.  The
+    determinant is Richardson-extrapolated from steps h and h/2.
     """
     r = np.asarray(r_vec, dtype=float)
     rp = np.asarray(rp_vec, dtype=float)
@@ -189,10 +188,6 @@ def vvpm_det_numeric(action_fn: Callable[[np.ndarray, np.ndarray, float], float]
 
     m1 = _fd_matrix(action_fn, r, rp, E, rel_step)
     d1 = float(np.linalg.det(m1))
-    if not richardson:
-        if not math.isfinite(d1):
-            raise IllConditionedError("finite-difference determinant is not finite")
-        return (d1, m1) if return_matrix else d1
     m2 = _fd_matrix(action_fn, r, rp, E, rel_step / 2.0)
     d2 = float(np.linalg.det(m2))
     d = (4.0 * d2 - d1) / 3.0

@@ -203,6 +203,8 @@ def test_config_errors_exit_two(capsys, tmp_path):
          "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # ndim 4
         ["scan", "--nu", "9.7", "--ndim", "2", "--source", "50,0,7",
          "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # source not 2-D
+        ["scan", "--ndim", "2", "--nu", "9.7", "--source", "50,0", "--grid=x:-30:80:4",
+         "--grid=y:20:21:2", "--method", "sc"],                             # ndim 2, SC
     ]
     for args in bad:
         code, out, err = run_cli(args, capsys)

@@ -266,6 +266,21 @@ def test_radial_green_below_the_mesh_start(au):
     assert mine[0.5] / mine[1.2] == pytest.approx(ref[0.5] / ref[1.2], rel=1e-9)
 
 
+def test_radial_green_underflow_below_the_mesh_start_is_refused(au):
+    # l = 170 at nu = 1.4: below r_0 = 1.215 Bohr the r^(l+1) law takes
+    # u_reg(r_0) ~ 8e-243 under float64's range, while the true g_l at
+    # r_< = 0.26 is about -4e-184; refused, not a silent -0.0
+    E = cs.energy_from_nu(1.4, au).E
+    for rs in (0.26, 0.30):
+        assert whittaker_radial_green(170, rs, 3.0, E, au) < -1e-200  # normal in float64
+        with pytest.raises(IllConditionedError, match="underflow"):
+            radial_green(170, rs, 3.0, E, au)
+    # just above r_0 the table holds the value, to the default mesh's 1.7%
+    # error at l = 170
+    assert radial_green(170, 1.22, 3.0, E, au) == pytest.approx(
+        whittaker_radial_green(170, 1.22, 3.0, E, au), rel=2e-2, abs=0.0)
+
+
 def test_green_qm_pole_guard(au):
     rp = np.array([50.0, 0.0, 0.0])
     r = np.array([80.0, 30.0, 0.0])
