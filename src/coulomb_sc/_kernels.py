@@ -51,12 +51,13 @@ REGION_CAUSTIC = 1
 REGION_FORBIDDEN = 2
 
 STATUS_OK = 0
-STATUS_POLE = 1
-STATUS_CAUSTIC = 2
-STATUS_FOCAL = 3
-STATUS_SOURCE = 4
-STATUS_UNSUPPORTED = 5
-STATUS_UNCONVERGED = 6
+STATUS_CAUSTIC = 1
+STATUS_FOCAL = 2
+STATUS_SOURCE = 3
+STATUS_UNSUPPORTED = 4
+STATUS_UNCONVERGED = 5
+#: the reason a scan writes for each status, indexed by its code
+REASONS = ("", "on_caustic", "focal_line", "source_point", "unsupported", "unconverged")
 
 #: relative half-width of the band about alpha_+ = 4a labelled on the caustic
 CAUSTIC_TOL = 1e-9

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import _kernels as K
 from .errors import ForbiddenRegionError, RegionError
-from .geometry import LambertPair, region_code
+from .geometry import LambertPair, Region, classify_region
 from .model import EnergySpec, SystemParams
 from .vvpm import _morse_bases
 
@@ -104,7 +104,7 @@ def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     """(BasicActions, sk, ts, gamma_plus) of a bound pair on the allowed
     side: the scales, the round trip and the anomaly angles behind
     basic_actions and four_paths, each computed once."""
-    if region_code(pair, spec, params.attractive) == K.REGION_FORBIDDEN:
+    if classify_region(pair, spec, params.attractive).tag is Region.FORBIDDEN:
         raise ForbiddenRegionError(
             "endpoint pair lies beyond the caustic; use the forbidden-region forms"
         )

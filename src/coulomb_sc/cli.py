@@ -32,8 +32,8 @@ from .actions import four_paths, loop_variant
 from .scan import (
     ScanConfig,
     bound_energy_spec,
+    csv_text,
     eigenvalue_table,
-    fmt,
     load_json_config,
     run_cut,
     run_scan,
@@ -173,16 +173,15 @@ def _params(ndim: int) -> SystemParams:
 def cmd_eigenvalues(args) -> int:
     params = _params(args.ndim)
     rows = eigenvalue_table(args.kmax, params)
-    lines = ["k,E,W_2pi"] if args.out else []
     print(f"# bound states, ndim = {args.ndim} (atomic units)")
     print(f"{'k':>4} {'E_k':>24} {'W_2pi':>24}")
     for k, e, w in rows:
         print(f"{k:>4} {e:>24.16e} {w:>24.16e}")
-        if args.out:
-            lines.append(f"{k},{fmt(e)},{fmt(w)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        k, e, w = (list(col) for col in zip(*rows))
+        with open(args.out, "wb") as fh:
+            fh.write(csv_text("k,E,W_2pi", "%s,%.16e,%.16e\n",
+                              [[str(v) for v in k], e, w], len(rows)))
     return EXIT_OK
 
 

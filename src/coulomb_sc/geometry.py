@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels as K
-from .errors import DimensionMismatchError, ForbiddenRegionError
+from .errors import DimensionMismatchError, FocalLineError, ForbiddenRegionError, RegionError
 from .model import EnergySpec, SystemParams
 
 
@@ -38,6 +38,10 @@ class Region(enum.Enum):
     ALLOWED = "Allowed"
     ON_CAUSTIC = "OnCaustic"
     FORBIDDEN = "Forbidden"
+
+
+#: the Region of each ``_kernels`` REGION_* code: the members are in code order
+REGIONS = tuple(Region)
 
 
 class RegionClass(NamedTuple):
@@ -88,32 +92,20 @@ def lambert_variables(r_vec, rp_vec, params: SystemParams | None = None) -> Lamb
     return endpoint_lists(r_vec, rp_vec, params)[2]
 
 
-_REGION_TAGS = {K.REGION_ALLOWED: Region.ALLOWED, K.REGION_CAUSTIC: Region.ON_CAUSTIC,
-                K.REGION_FORBIDDEN: Region.FORBIDDEN}
+def refuse_point(status: int):
+    """Raise the per-point exception of the two points no per-point
+    evaluator takes, by their ``_kernels.region_status`` status: the
+    source point (RegionError) and the focal line (FocalLineError)."""
+    if status == K.STATUS_SOURCE:
+        raise RegionError("coincident endpoints: Green function source singularity")
+    if status == K.STATUS_FOCAL:
+        raise FocalLineError("endpoints collinear through the force center (alpha_minus = 0)")
 
 
-def region_code(pair: LambertPair, spec: EnergySpec, attractive: bool = True) -> int:
-    """The region of ``classify_region`` as a ``_kernels`` REGION_* code,
-    without building a RegionClass; for E < 0 it is the kernels' rule
-    ``_kernels.region_status``."""
-    four_a = 4.0 * spec.a
-    if spec.E < 0.0:
-        if not attractive:
-            raise ValueError("E < 0 with a repulsive interaction has no "
-                             "classically allowed region")
-        return K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)[0]
-    if attractive:
-        return K.REGION_ALLOWED
-    if abs(pair.alpha_minus - four_a) <= K.CAUSTIC_TOL * four_a:
-        return K.REGION_CAUSTIC
-    return K.REGION_ALLOWED if pair.alpha_minus > four_a else K.REGION_FORBIDDEN
-
-
-def bound_region(pair: LambertPair, four_a: float) -> tuple[RegionClass, int]:
-    """(RegionClass, status) of a pair for E < 0 attractive, from one call
-    of the kernels' rule ``_kernels.region_status``; four_a = 4a."""
-    region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
-    return RegionClass(_REGION_TAGS[region], (four_a - pair.alpha_plus) / four_a), status
+def bound_class(code: int, pair: LambertPair, four_a: float) -> RegionClass:
+    """The RegionClass of a pair for E < 0 attractive from its
+    ``_kernels`` REGION_* code; four_a = 4a."""
+    return RegionClass(REGIONS[code], (four_a - pair.alpha_plus) / four_a)
 
 
 def classify_region(pair: LambertPair, spec: EnergySpec,
@@ -127,11 +119,19 @@ def classify_region(pair: LambertPair, spec: EnergySpec,
     Both caustics carry the relative band ``_kernels.CAUSTIC_TOL``.
     """
     four_a = 4.0 * spec.a
-    if spec.E < 0.0 and attractive:
-        return bound_region(pair, four_a)[0]
-    code = region_code(pair, spec, attractive)
-    margin = math.inf if attractive else (pair.alpha_minus - four_a) / four_a
-    return RegionClass(_REGION_TAGS[code], margin)
+    if spec.E < 0.0:
+        if not attractive:
+            raise ValueError("E < 0 with a repulsive interaction has no "
+                             "classically allowed region")
+        code = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)[0]
+        return bound_class(code, pair, four_a)
+    if attractive:
+        return RegionClass(Region.ALLOWED, math.inf)
+    margin = (pair.alpha_minus - four_a) / four_a
+    if abs(pair.alpha_minus - four_a) <= K.CAUSTIC_TOL * four_a:
+        return RegionClass(Region.ON_CAUSTIC, margin)
+    return RegionClass(Region.ALLOWED if pair.alpha_minus > four_a else Region.FORBIDDEN,
+                       margin)
 
 
 def anomaly_angles(pair: LambertPair, a: float) -> tuple[float, float]:

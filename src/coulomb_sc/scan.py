@@ -31,19 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as K
-from .errors import ConfigError
+from .errors import ConfigError, PoleError
+from .geometry import REGIONS
 from .model import EnergySpec, SystemParams, energy_eigenvalue, energy_from_nu, quantization_action
 from .qm_oracle import qm_field
 from .uniform import ua_constants
-from .semiclassical import POLE_GUARD, sc_constants
+from .semiclassical import _check_pole, sc_constants
 
 AXIS_NAMES = ("x", "y", "z", "x4", "x5", "x6")
-
-_REGION_NAMES = {K.REGION_ALLOWED: "Allowed", K.REGION_CAUSTIC: "OnCaustic",
-                 K.REGION_FORBIDDEN: "Forbidden"}
-_REASONS = {K.STATUS_OK: "", K.STATUS_POLE: "pole", K.STATUS_CAUSTIC: "on_caustic",
-            K.STATUS_FOCAL: "focal_line", K.STATUS_SOURCE: "source_point",
-            K.STATUS_UNSUPPORTED: "unsupported", K.STATUS_UNCONVERGED: "unconverged"}
 
 
 def fmt(x: float) -> str:
@@ -57,8 +52,8 @@ def fmt(x: float) -> str:
 CSV_BLOCK = 4096
 
 # "region,reason" for every (region, status) code pair, as ASCII bytes
-_LABELS = np.array([[f"{_REGION_NAMES[r]},{_REASONS[s]}" for s in sorted(_REASONS)]
-                    for r in sorted(_REGION_NAMES)], dtype="S")
+_LABELS = np.array([[f"{region.value},{reason}" for reason in K.REASONS]
+                    for region in REGIONS], dtype="S")
 
 # --- exact %.16e over arrays ------------------------------------------------
 # Only typed uint64 operands: under NumPy 1.x promotion a uint64 array
@@ -303,10 +298,10 @@ class ScanConfig:
 
     def energy_spec(self, params: SystemParams) -> EnergySpec:
         spec = bound_energy_spec(self.nu, self.energy, params)
-        if abs(spec.k - round(spec.k)) < POLE_GUARD:
-            raise ConfigError(
-                f"nu = {spec.nu} sits on a bound-state pole; offset it"
-            )
+        try:
+            _check_pole(spec)
+        except PoleError as exc:
+            raise ConfigError(f"nu = {spec.nu} sits on a bound-state pole; offset it") from exc
         return spec
 
     def params(self) -> SystemParams:
@@ -440,10 +435,10 @@ def run_cut(config: ScanConfig) -> CsvBytes:
     qm_vals, _, qm_status = eval_qm(points, config.source, spec, params)
 
     excluded = K.lambert_arrays(points, config.source)[2] < config.exclude_radius
-    qm_ref = np.where((qm_status == K.STATUS_OK) & ~excluded,
-                      np.real(qm_vals), np.nan)
-    scale = np.nanmax(np.abs(qm_ref))
-    if not math.isfinite(scale) or scale == 0.0:
+    # usable values are finite; with none, the maximum is the initial 0
+    usable = (qm_status == K.STATUS_OK) & ~excluded
+    scale = np.max(np.abs(np.real(qm_vals[usable])), initial=0.0)
+    if scale == 0.0:
         raise ConfigError("no usable reference values on the cut")
 
     dev_sc = (np.real(sc_vals) - np.real(qm_vals)) / scale

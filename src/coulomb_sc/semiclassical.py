@@ -27,21 +27,14 @@ from .actions import (
     scatter_velocity,
     _scales,
 )
-from .errors import (
-    FocalLineError,
-    ForbiddenRegionError,
-    OnCausticError,
-    PoleError,
-    RegionError,
-)
+from .errors import ForbiddenRegionError, OnCausticError, PoleError, RegionError
 from .geometry import (
-    LambertPair,
-    Region,
     RegionClass,
-    bound_region,
+    bound_class,
     classify_region,
     endpoint_lists,
     lambert_variables,
+    refuse_point,
 )
 from .model import EnergySpec, SystemParams
 from .vvpm import vvpm_det
@@ -122,51 +115,37 @@ def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
             math.sin(math.pi * spec.k))
 
 
-def _point_guards(status: int):
-    """Refuse the source point and the focal line (a ``_kernels.region_status``
-    status)."""
-    if status == K.STATUS_SOURCE:
-        raise RegionError("coincident endpoints: Green function source singularity")
-    if status == K.STATUS_FOCAL:
-        raise FocalLineError(
-            "endpoints collinear through the force center (alpha_minus = 0)"
-        )
-
-
-def _bound_guards(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> RegionClass:
-    """Refuse what no bound evaluator takes; returns the pair's RegionClass
-    from the one region rule the guards apply."""
+def _bound_guards(spec: EnergySpec, params: SystemParams):
+    """Refuse what no bound evaluator takes: E >= 0, a repulsive
+    interaction and an energy in the pole guard band."""
     if spec.E >= 0.0:
         raise ValueError("bound-state evaluator requires E < 0")
     if not params.attractive:
         raise ValueError("bound states require an attractive interaction")
     _check_pole(spec)
-    region, status = bound_region(pair, 4.0 * spec.a)
-    _point_guards(status)
-    return region
 
 
 def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
               forbidden: bool) -> FieldSample:
     """Bound SC value at one endpoint pair, which must lie beyond the
-    caustic if ``forbidden`` and inside it otherwise."""
+    caustic if ``forbidden`` and inside it otherwise; region and status
+    are the kernel's."""
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    region = _bound_guards(pair, spec, params)
+    _bound_guards(spec, params)
+    val, region, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
+                                           *sc_constants(spec, params))
+    refuse_point(status)
     if forbidden:
-        if region.tag is not Region.FORBIDDEN:
+        if region != K.REGION_FORBIDDEN:
             raise RegionError("green_sc_tunnel requires a point beyond the caustic")
-    elif region.tag is Region.ON_CAUSTIC:
+    elif region == K.REGION_CAUSTIC:
         raise OnCausticError("on the caustic: use green_uniform")
-    elif region.tag is Region.FORBIDDEN:
+    elif region == K.REGION_FORBIDDEN:
         raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
-
-    val, _, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
-                                      *sc_constants(spec, params))
     if status == K.STATUS_CAUSTIC:
         raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
-    if status != K.STATUS_OK:
-        raise RegionError(f"point evaluation failed with status {status}")
-    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val, region)
+    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val,
+                       bound_class(region, pair, 4.0 * spec.a))
 
 
 def green_sc_bound(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
@@ -196,7 +175,10 @@ def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
     """Amplitudes, actions (with the complex round trip) and Morse indices
     of the four elementary paths, recomputing the determinant per path."""
     pair = lambert_variables(r_vec, rp_vec, params)
-    if _bound_guards(pair, spec, params).tag is not Region.ALLOWED:
+    _bound_guards(spec, params)
+    region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)
+    refuse_point(status)
+    if region != K.REGION_ALLOWED:
         raise RegionError("explicit loop sum implemented for the allowed region")
     paths = four_paths(pair, spec, params)
     w2pi_c = 2.0 * math.pi * params.hbar * (k_c + (params.ndim - 1) / 2.0)
@@ -266,7 +248,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
     if spec.E <= 0.0:
         raise ValueError("green_sc_scatter_attractive requires E > 0")
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    _point_guards(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])
+    refuse_point(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])
     n = params.ndim
     hbar = params.hbar
     wp = reduced_action_scatter_attractive(pair.alpha_plus, spec, params)

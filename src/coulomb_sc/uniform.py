@@ -31,9 +31,9 @@ from typing import NamedTuple
 from . import _kernels as K
 from .actions import round_trip, _scales
 from .errors import RegionError, UnsupportedDimensionError
-from .geometry import endpoint_lists, lambert_variables
+from .geometry import bound_class, endpoint_lists, lambert_variables, refuse_point
 from .model import EnergySpec, SystemParams
-from .semiclassical import FieldSample, _bound_guards, _check_pole
+from .semiclassical import FieldSample, _bound_guards
 
 
 def airy_ai(x: float) -> float:
@@ -75,7 +75,8 @@ def uniform_inputs(r_vec, rp_vec, spec: EnergySpec,
     if params.ndim != 3:
         raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
     pair = lambert_variables(r_vec, rp_vec, params)
-    _bound_guards(pair, spec, params)
+    _bound_guards(spec, params)
+    refuse_point(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])
     sk, _, _ = _scales(spec, params)
     w2pi, _ = round_trip(spec, params)
     hbar, a = params.hbar, spec.a
@@ -91,8 +92,8 @@ def uniform_inputs(r_vec, rp_vec, spec: EnergySpec,
 
 def ua_constants(spec: EnergySpec, params: SystemParams):
     """(4a, nu, kappa, g0) for the uniform kernels: Whittaker index nu,
-    kappa = sqrt(2 mu |E|)/hbar, and g0 = mu / (2 sqrt(pi) hbar^2 sin(pi nu))."""
-    _check_pole(spec)
+    kappa = sqrt(2 mu |E|)/hbar, and g0 = mu / (2 sqrt(pi) hbar^2 sin(pi nu));
+    the callers have refused pole energies."""
     sk, _, _ = _scales(spec, params)
     nu = spec.k + 1.0
     g0 = params.mu / (2.0 * math.sqrt(math.pi) * params.hbar ** 2
@@ -108,12 +109,16 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
     """
     if params.ndim != 3:
         raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
-    if spec.E >= 0.0:
-        raise ValueError("green_uniform requires E < 0")
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    region = _bound_guards(pair, spec, params)
-    val, _, status = K.ua_point(pair.s, pair.alpha_plus, pair.alpha_minus,
-                                *ua_constants(spec, params))
-    if status != K.STATUS_OK:
-        raise RegionError(f"uniform evaluation failed with status {status}")
-    return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val, region)
+    _bound_guards(spec, params)
+    val, region, status = K.ua_point(pair.s, pair.alpha_plus, pair.alpha_minus,
+                                     *ua_constants(spec, params))
+    refuse_point(status)
+    if status == K.STATUS_UNSUPPORTED:
+        # kappa alpha_- >= 0.999 z_out > 2 nu = 2 kappa a, or kappa alpha_+ <= z_in < 2 nu
+        raise RegionError("no uniform value: " + (
+            "the inner leg is at or past its turning point (doubly forbidden)"
+            if pair.alpha_minus > 2.0 * spec.a
+            else "both legs lie inside the inner turning point z_in"))
+    return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val,
+                       bound_class(region, pair, 4.0 * spec.a))

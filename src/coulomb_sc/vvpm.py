@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import IllConditionedError, OnCausticError, RegionError
-from .geometry import LambertPair, region_code
+from .geometry import LambertPair, refuse_point
 from .model import EnergySpec, SystemParams
 
 PATH_IDS = (1, 2, 3, 4)
@@ -96,7 +96,11 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     """
     if path_id not in PATH_IDS:
         raise ValueError(f"path_id must be in 1..4, got {path_id}")
-    region = region_code(pair, spec, params.attractive)
+    if spec.E >= 0.0 or not params.attractive:
+        raise ValueError("vvpm_det: the closed forms hold in the bound regime only "
+                         "(E < 0, attractive interaction)")
+    four_a = 4.0 * spec.a
+    region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
     if region == K.REGION_CAUSTIC:
         raise OnCausticError(
             "v+ vanishes on the caustic and the determinant diverges; "
@@ -104,15 +108,11 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
         )
     if region == K.REGION_FORBIDDEN:
         raise RegionError("endpoint pair beyond the caustic; no real determinant")
-    if pair.s <= 0.0:
-        raise RegionError("coincident endpoints (s = 0): determinant pole")
-    if pair.alpha_minus <= 0.0:
-        raise RegionError("alpha_minus = 0: velocity diverges at the force center")
+    refuse_point(status)
 
     # the velocities K.v_bound and the transverse factor of
     # dimensional_factor, written out: the guards above cover theirs
     cv = math.sqrt(2.0 * abs(spec.E) / params.mu)
-    four_a = 4.0 * spec.a
     vp = cv * math.sqrt((four_a - pair.alpha_plus) / pair.alpha_plus)
     vm = cv * math.sqrt((four_a - pair.alpha_minus) / pair.alpha_minus)
     n = params.ndim

@@ -10,6 +10,7 @@ import pytest
 
 import coulomb_sc as cs
 from coulomb_sc.cli import main
+from coulomb_sc.scan import eigenvalue_table, fmt
 
 
 def run_cli(args, capsys):
@@ -131,6 +132,24 @@ def test_cut_csv(tmp_path, capsys):
     assert np.nanmedian(np.abs(data["dev_ua"][finite])) < 0.2
 
 
+def test_eigenvalues_out_file(tmp_path, capsys):
+    out = tmp_path / "eig.csv"
+    code, _, _ = run_cli(["eigenvalues", "--kmax", "4", "--ndim", "4", "--out", str(out)],
+                         capsys)
+    assert code == 0
+    rows = eigenvalue_table(4, cs.SystemParams(ndim=4))
+    want = "k,E,W_2pi\n" + "".join(f"{k},{fmt(e)},{fmt(w)}\n" for k, e, w in rows)
+    assert out.read_bytes() == want.encode("ascii")
+
+
+def test_numerical_failure_exits_three(capsys):
+    # alpha_+ = 177.9 lies beyond the caustic 4a = 16 at nu = 2
+    code, out, err = run_cli(["tof", "--nu", "2", "--source", "50,0,0", "--r", "80,30,0"],
+                             capsys)
+    assert code == 3
+    assert "numerical failure: endpoint pair lies beyond the caustic" in err
+
+
 def test_tof_table(capsys):
     code, out, _ = run_cli(["tof", "--nu", "9.7", "--source", "50,0,0",
                             "--r", "80,30,0", "--loops", "1"], capsys)
@@ -205,6 +224,8 @@ def test_config_errors_exit_two(capsys, tmp_path):
          "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # source not 2-D
         ["scan", "--ndim", "2", "--nu", "9.7", "--source", "50,0", "--grid=x:-30:80:4",
          "--grid=y:20:21:2", "--method", "sc"],                             # ndim 2, SC
+        ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut", "x:-15:40:12",
+         "--fix", "y:10", "--exclude-radius", "1000"],                      # all excluded
     ]
     for args in bad:
         code, out, err = run_cli(args, capsys)

@@ -13,6 +13,7 @@ import pytest
 
 from coulomb_sc import _kernels as K
 from coulomb_sc import scan
+from coulomb_sc.geometry import REGIONS
 from coulomb_sc.scan import ScanConfig, fmt
 
 METHODS = {"sc": lambda pts, cfg, spec, par: scan.eval_sc(pts, cfg.source, spec, par),
@@ -33,7 +34,7 @@ def reference_scan(cfg):
             lines.append(",".join([
                 fmt(c1[i]), fmt(c2[i]),
                 fmt(float(np.real(vals[i]))), fmt(float(np.imag(vals[i]))),
-                m, scan._REGION_NAMES[int(region[i])], scan._REASONS[int(status[i])],
+                m, REGIONS[int(region[i])].value, K.REASONS[int(status[i])],
             ]))
     return "\n".join(lines) + "\n", results
 
@@ -90,7 +91,7 @@ def test_block_formatter_special_values(monkeypatch):
     monkeypatch.setattr(scan, "CSV_BLOCK", 5)
     specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308,
                 1.0 / 3.0, -2.5e-17]
-    codes = [(r, s) for r in sorted(scan._REGION_NAMES) for s in sorted(scan._REASONS)]
+    codes = [(r, s) for r in range(len(REGIONS)) for s in range(len(K.REASONS))]
     n = len(codes)
     rng = np.random.default_rng(7)
     x = np.resize(np.array(specials), n)
@@ -102,8 +103,8 @@ def test_block_formatter_special_values(monkeypatch):
                          [x, np.array([fmt(v) for v in y], dtype=object), y, label],
                          n).decode("ascii")
     ref = ["a,b,c"] + [",".join([fmt(x[i]), fmt(y[i]), fmt(y[i]),
-                                 scan._REGION_NAMES[int(region[i])],
-                                 scan._REASONS[int(status[i])]]) for i in range(n)]
+                                 REGIONS[int(region[i])].value,
+                                 K.REASONS[int(status[i])]]) for i in range(n)]
     assert text == "\n".join(ref) + "\n"
     assert "-0.0000000000000000e+00" in text and "-nan" not in text
     assert ",inf," in text and ",-inf," in text

@@ -342,3 +342,23 @@ def test_per_point_apis_match_kernels_on_numpy_norm_lengths():
                     assert abs(got - want) <= tol
                     checked += 1
     assert checked == 160
+
+
+def test_one_region_decision_per_call(au, monkeypatch):
+    # the per-point APIs take region and status from their kernel: the
+    # rule runs once per call, whatever the outcome
+    calls = []
+    rule = K.region_status
+    monkeypatch.setattr(K, "region_status", lambda *args: calls.append(args) or rule(*args))
+    spec = cs.energy_from_nu(9.7, au)
+    rp = [50.0, 0.0, 0.0]
+    allowed, tunnel = [80.0, 30.0, 0.0], [200.0, 150.0, 0.0]
+    for fn, r in ((cs.green_sc_bound, allowed), (cs.green_sc_tunnel, tunnel),
+                  (cs.green_uniform, allowed), (cs.green_uniform, tunnel),
+                  (cs.green_sc_bound, tunnel), (cs.green_sc_tunnel, rp)):
+        calls.clear()
+        try:
+            fn(r, rp, spec, au)
+        except RegionError:
+            pass
+        assert len(calls) == 1, (fn.__name__, r)

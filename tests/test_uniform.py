@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 
 import coulomb_sc as cs
-from coulomb_sc.errors import UnsupportedDimensionError
+from coulomb_sc.errors import RegionError, UnsupportedDimensionError
 
 
 # --- Airy function of the first kind ---------------------------------------
@@ -180,3 +180,17 @@ def test_tunnel_side_matches_decay(au):
         if prev is not None:
             assert ua < prev
         prev = ua
+
+
+def test_unsupported_points_name_their_reason(au):
+    # the Langer construction leaves out two kinds of pair: the inner leg
+    # at or past its turning point (doubly forbidden), and both legs
+    # inside the inner turning point z_in (alpha_+ below about 1/4 Bohr)
+    spec = cs.energy_from_nu(5.3, au)
+    a = spec.a
+    r, rp = [3.0 * a, 1.5 * a, 0.0], [3.0 * a, 0.0, 0.0]
+    assert cs.lambert_variables(r, rp).alpha_minus > 4.0 * a
+    with pytest.raises(RegionError, match="doubly forbidden"):
+        cs.green_uniform(r, rp, spec, au)
+    with pytest.raises(RegionError, match="both legs lie inside the inner turning point"):
+        cs.green_uniform([0.01, 0.02, 0.0], [0.02, 0.0, 0.0], spec, au)

@@ -1,11 +1,14 @@
 """Closed-form amplitude determinants against the finite-difference
 determinant of the full (n+1) x (n+1) second-derivative matrix."""
 
+import math
+
 import numpy as np
 import pytest
 
 import coulomb_sc as cs
-from coulomb_sc.errors import OnCausticError, RegionError
+from coulomb_sc import _kernels as K
+from coulomb_sc.errors import FocalLineError, OnCausticError, RegionError
 
 from conftest import random_allowed_pair
 
@@ -66,6 +69,47 @@ def test_region_guards(au):
     out = cs.LambertPair(r=2.5, rp=2.5, s=1.0, alpha_plus=6.0, alpha_minus=4.0)
     with pytest.raises(RegionError):
         cs.vvpm_det(1, out, spec, au)
+
+
+def test_focal_line_is_the_region_rule(au):
+    # alpha_- <= FOCAL_TOL alpha_+ is the focal line for the determinant as
+    # for the Green functions; just outside the band it has a value
+    spec = cs.energy_from_nu(9.7, au)
+    ap = 110.0
+    for am in (0.0, 1e-13 * ap, K.FOCAL_TOL * ap):
+        pair = cs.LambertPair(r=0.25 * (ap + am), rp=0.25 * (ap + am), s=0.5 * (ap - am),
+                              alpha_plus=ap, alpha_minus=am)
+        for path_id in (1, 2, 3, 4):
+            with pytest.raises(FocalLineError):
+                cs.vvpm_det(path_id, pair, spec, au)
+    am = 2.0 * K.FOCAL_TOL * ap
+    pair = cs.LambertPair(r=0.25 * (ap + am), rp=0.25 * (ap + am), s=0.5 * (ap - am),
+                          alpha_plus=ap, alpha_minus=am)
+    assert math.isfinite(cs.vvpm_det(1, pair, spec, au).D)
+    # the same pair from vectors: the determinant and the SC refuse alike
+    r_vec, rp_vec = [-60.0, 60.0e-7, 0.0], [50.0, 0.0, 0.0]
+    pair = cs.lambert_variables(r_vec, rp_vec)
+    assert 0.0 < pair.alpha_minus <= K.FOCAL_TOL * pair.alpha_plus
+    with pytest.raises(FocalLineError):
+        cs.vvpm_det(1, pair, spec, au)
+    with pytest.raises(FocalLineError):
+        cs.green_sc_bound(r_vec, rp_vec, spec, au)
+
+
+def test_bound_regime_only(au):
+    # E > 0 and a repulsive interaction are refused by name, not answered
+    # by the bound-state formula or a bare math domain error
+    spec = cs.EnergySpec.from_energy(0.3, au)  # 4|a| = 6.67
+    near = cs.lambert_variables([0.05, 0.01, 0.0], [0.06, 0.0, 0.0])
+    far = cs.lambert_variables([5.0, 0.0, 0.0], [0.0, 4.0, 0.0])
+    assert far.alpha_plus > 4.0 * spec.a
+    repulsive = cs.SystemParams(attractive=False)
+    bound = cs.energy_from_nu(9.7, au)
+    allowed = cs.lambert_variables([80.0, 30.0, 0.0], [50.0, 0.0, 0.0])
+    for pair, sp, par in ((near, spec, au), (far, spec, au), (near, spec, repulsive),
+                          (allowed, bound, repulsive)):
+        with pytest.raises(ValueError, match="bound regime"):
+            cs.vvpm_det(1, pair, sp, par)
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
