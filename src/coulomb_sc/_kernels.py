@@ -21,9 +21,10 @@ Each formula has two forms:
 * array kernels (``sc_bound_field``, ``ua_field`` and the ``*_array``
   functions) evaluate the same expressions in the same order with NumPy,
   one masked set of array operations per branch of the scalar code, over
-  blocks of ``FIELD_BLOCK`` points; the grid scans use them.  Series stop
-  per element where the scalar loop stops, so both forms agree to
-  rounding.
+  blocks of ``FIELD_BLOCK`` points; the grid scans use them.  A series
+  runs over the whole block until every element's scalar stopping rule
+  has fired, and each element's sums freeze at its own stop, so both
+  forms add the same terms and agree to rounding.
 
 Conventions used throughout (plain floats, or float arrays in the array
 kernels):
@@ -492,9 +493,9 @@ def ua_point(s, ap, am, four_a, nu, kappa, g0):
 # ==========================================================================
 #
 # Every branch of a scalar kernel becomes one masked set of array
-# operations, written in the scalar operation order; a series loop keeps
-# the still-running elements only and stops each where the scalar loop
-# stops.
+# operations, written in the scalar operation order; a series loop runs
+# over the whole block until the last element stops, each element's sums
+# frozen by a mask from the term where its scalar loop stops.
 
 #: points per block of the array drivers (bounds the temporaries)
 FIELD_BLOCK = 4096
@@ -521,26 +522,24 @@ def _w_bound_forbidden_im_array(alpha, a, sk):
 
 
 def _airy_decaying(x):
-    """airy_ai_both for x > 7."""
+    """airy_ai_both for x > 7.  An element freezes where the scalar loop
+    breaks, so a divergent term is never added."""
     xi = 2.0 / 3.0 * x * np.sqrt(x)
     su = np.ones_like(x)
     sv = np.ones_like(x)
-    idx = np.arange(x.shape[0])
     m = np.ones_like(x)
     prev = np.ones_like(x)
-    xr = xi
+    run = np.ones(x.shape, dtype=bool)
     for k in range(1, len(_AIRY_U)):
-        if idx.size == 0:
-            break
-        m = -m / xr
+        m = -m / xi
         tu = _AIRY_U[k] * m
-        go = ~(np.abs(tu) > prev)
-        idx, m, tu, xr = idx[go], m[go], tu[go], xr[go]
+        run &= ~(np.abs(tu) > prev)
         prev = np.abs(tu)
-        su[idx] += tu
-        sv[idx] += _AIRY_V[k] * m
-        go = ~(prev < 1e-18)
-        idx, m, prev, xr = idx[go], m[go], prev[go], xr[go]
+        su = np.where(run, su + tu, su)
+        sv = np.where(run, sv + _AIRY_V[k] * m, sv)
+        run &= ~(prev < 1e-18)
+        if not run.any():
+            break
     pre = np.exp(-xi) / (2.0 * _SQRT_PI)
     q = x ** 0.25
     return pre * su / q, -pre * sv * q
@@ -573,20 +572,16 @@ def _airy_oscillating(x):
 
 
 def _airy_maclaurin(x):
-    """airy_ai_both for |x| <= 7 (and NaN)."""
-    n = x.shape[0]
-    out = np.empty((4, n))
-    idx = np.arange(n)
+    """airy_ai_both for |x| <= 7 (and NaN).  A converged element's terms
+    are zeroed, which freezes its sums where the scalar loop breaks."""
     x2 = x * x
-    tf = np.ones(n)
-    f = np.ones(n)
-    fp = np.zeros(n)
-    tg = x.copy()
-    g = x.copy()
-    gp = np.ones(n)
+    tf = np.ones_like(x)
+    f = np.ones_like(x)
+    fp = np.zeros_like(x)
+    tg = x
+    g = x
+    gp = np.ones_like(x)
     for k in range(1, 80):
-        if idx.size == 0:
-            break
         fp = fp + tf * x2 / (3.0 * k - 1.0)
         tf = tf * x2 * x / ((3.0 * k) * (3.0 * k - 1.0))
         f = f + tf
@@ -594,13 +589,10 @@ def _airy_maclaurin(x):
         tg = tg * x2 * x / ((3.0 * k + 1.0) * (3.0 * k))
         g = g + tg
         done = np.abs(tf) + np.abs(tg) < 1e-20 * (1.0 + np.abs(f) + np.abs(g))
-        if done.any():
-            out[:, idx[done]] = f[done], fp[done], g[done], gp[done]
-            go = ~done
-            idx, x, x2, tf, f, fp, tg, g, gp = (
-                v[go] for v in (idx, x, x2, tf, f, fp, tg, g, gp))
-    out[:, idx] = f, fp, g, gp
-    f, fp, g, gp = out
+        if done.all():
+            break
+        tf[done] = 0.0
+        tg[done] = 0.0
     return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
 
 
@@ -618,23 +610,24 @@ def airy_ai_both_array(x):
 
 
 def _odd_tail_array(x, sign):
-    """_odd_tail over an array."""
+    """_odd_tail over an array.  An element's sum freezes where the scalar
+    loop stops."""
     out = np.empty_like(x)
     big = x > 0.5
     xb = x[big]
     out[big] = xb - np.sin(xb) if sign < 0.0 else np.sinh(xb) - xb
-    idx = np.flatnonzero(~big)
-    x2 = x[idx] * x[idx]
-    term = x[idx] * x2 / 6.0
+    xs = x[~big]
+    x2 = xs * xs
+    term = xs * x2 / 6.0
     total = term
     k = 1
-    while idx.size:
-        go = np.abs(term) > 1e-17 * total
-        out[idx[~go]] = total[~go]
-        idx, x2, term, total = idx[go], x2[go], term[go], total[go]
+    run = np.abs(term) > 1e-17 * total
+    while run.any():
         term = term * (sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))
-        total = total + term
+        total = np.where(run, total + term, total)
+        run &= np.abs(term) > 1e-17 * total
         k += 1
+    out[~big] = total
     return out
 
 

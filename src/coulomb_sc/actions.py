@@ -253,8 +253,10 @@ def reduced_action_bound_forbidden(alpha_plus: float, spec: EnergySpec,
     The real part is the alpha-independent half-loop action pi a sqrt(2mu|E|);
     the imaginary part grows with tunnel depth.  Returned as (preferred,
     conjugate) where the preferred branch has positive imaginary part, which
-    makes exp(i W/hbar) decay deep in the tunnel.  Both branches matter in
-    the uniform approximation near the tunnel exit.
+    makes exp(i W/hbar) decay deep in the tunnel.  The tunnelling SC
+    (``green_sc_tunnel``) takes the preferred branch; the Langer uniform
+    approximation uses neither, since it continues the Whittaker
+    functions, not the actions.
     """
     if spec.E >= 0.0:
         raise ValueError("reduced_action_bound_forbidden requires E < 0")

@@ -46,7 +46,8 @@ class PoleError(CoulombSCError, ArithmeticError):
 
 
 class IllConditionedError(CoulombSCError, ArithmeticError):
-    """A finite-difference stencil degenerated (step underflow or noise)."""
+    """A value cannot be computed in floating point: a stencil degenerated
+    (step underflow or noise), or a closed form overflowed."""
 
 
 class UnsupportedDimensionError(CoulombSCError, ValueError):

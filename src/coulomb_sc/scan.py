@@ -331,24 +331,15 @@ def _axis_index(ax: str, ndim: int) -> int:
 def build_points(config: ScanConfig, params: SystemParams):
     """(points array, per-axis coordinate columns) in deterministic
     row-major order: first swept axis outermost."""
-    axes = []
-    for ax, lo, hi, count in config.grids:
-        axes.append((ax, np.linspace(lo, hi, int(count))))
     base = np.zeros(params.ndim)
     for ax, val in config.fixes.items():
         base[_axis_index(ax, params.ndim)] = val
-    if len(axes) == 1:
-        ax, vals = axes[0]
-        pts = np.tile(base, (len(vals), 1))
-        pts[:, _axis_index(ax, params.ndim)] = vals
-        return pts, [vals]
-    (ax1, v1), (ax2, v2) = axes
-    pts = np.tile(base, (len(v1) * len(v2), 1))
-    c1 = np.repeat(v1, len(v2))
-    c2 = np.tile(v2, len(v1))
-    pts[:, _axis_index(ax1, params.ndim)] = c1
-    pts[:, _axis_index(ax2, params.ndim)] = c2
-    return pts, [c1, c2]
+    axes = [np.linspace(lo, hi, int(count)) for _, lo, hi, count in config.grids]
+    cols = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    pts = np.tile(base, (cols[0].size, 1))
+    for (ax, *_), col in zip(config.grids, cols):
+        pts[:, _axis_index(ax, params.ndim)] = col
+    return pts, cols
 
 
 def eval_sc(points, source, spec: EnergySpec, params: SystemParams):

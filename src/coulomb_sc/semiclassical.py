@@ -27,7 +27,8 @@ from .actions import (
     scatter_velocity,
     _scales,
 )
-from .errors import ForbiddenRegionError, OnCausticError, PoleError, RegionError
+from .errors import (ForbiddenRegionError, IllConditionedError, OnCausticError,
+                     PoleError, RegionError)
 from .geometry import (
     RegionClass,
     bound_class,
@@ -129,11 +130,16 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
               forbidden: bool) -> FieldSample:
     """Bound SC value at one endpoint pair, which must lie beyond the
     caustic if ``forbidden`` and inside it otherwise; region and status
-    are the kernel's."""
+    are the kernel's.  A value that overflows (endpoints a tiny distance
+    apart) raises IllConditionedError."""
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     _bound_guards(spec, params)
-    val, region, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
-                                           *sc_constants(spec, params))
+    args = sc_constants(spec, params)
+    try:
+        val, region, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
+                                               *args)
+    except OverflowError as exc:
+        raise IllConditionedError(f"SC amplitude overflows at s = {pair.s}") from exc
     refuse_point(status)
     if forbidden:
         if region != K.REGION_FORBIDDEN:
@@ -144,6 +150,8 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
         raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
     if status == K.STATUS_CAUSTIC:
         raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
+    if not cmath.isfinite(val):
+        raise IllConditionedError(f"SC value {val} is not finite at s = {pair.s}")
     return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val,
                        bound_class(region, pair, 4.0 * spec.a))
 

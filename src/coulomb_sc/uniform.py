@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import _kernels as K
 from .actions import round_trip, _scales
-from .errors import RegionError, UnsupportedDimensionError
+from .errors import IllConditionedError, RegionError, UnsupportedDimensionError
 from .geometry import bound_class, endpoint_lists, lambert_variables, refuse_point
 from .model import EnergySpec, SystemParams
 from .semiclassical import FieldSample, _bound_guards
@@ -105,7 +105,8 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
     """Langer-uniform bound-state Green function (n = 3).
 
     Finite and smooth across the caustic; merges with the primitive
-    semiclassical value away from it on either side.
+    semiclassical value away from it on either side.  A value that
+    overflows (endpoints a tiny distance apart) raises IllConditionedError.
     """
     if params.ndim != 3:
         raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
@@ -120,5 +121,7 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
             "the inner leg is at or past its turning point (doubly forbidden)"
             if pair.alpha_minus > 2.0 * spec.a
             else "both legs lie inside the inner turning point z_in"))
+    if not math.isfinite(val.real):
+        raise IllConditionedError(f"UA value {val.real} is not finite at s = {pair.s}")
     return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val,
                        bound_class(region, pair, 4.0 * spec.a))

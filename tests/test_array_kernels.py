@@ -239,7 +239,7 @@ def test_empty_input():
 
 
 def test_airy_array_matches_scalar():
-    # all three argument ranges, their edges, and NaN
+    # all three argument ranges, their edges, and NaN; then no argument at all
     x = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-7.0, 7.0, np.nextafter(7.0, 8.0),
                                                          np.nextafter(-7.0, -8.0), 0.0,
                                                          300.0, np.nan]])
@@ -249,3 +249,19 @@ def test_airy_array_matches_scalar():
     ok = ~np.isnan(x)
     np.testing.assert_allclose(ai[ok], ref[ok, 0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(aip[ok], ref[ok, 1], rtol=1e-12, atol=1e-14)
+    assert [v.shape for v in K.airy_ai_both_array(np.zeros(0))] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_odd_tail_array_matches_scalar(sign):
+    # the series below 0.5, the closed form above it, the edge between, NaN
+    x = np.concatenate([np.linspace(0.0, 3.0, 3001),
+                        [0.0, 0.5, np.nextafter(0.5, 1.0), 1e-300, np.nan]])
+    got = K._odd_tail_array(x, sign)
+    ref = np.array([K._odd_tail(float(v), sign) for v in x])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    ok = ~np.isnan(x)
+    np.testing.assert_allclose(got[ok], ref[ok], rtol=1e-14, atol=0.0)
+    # the series adds the same terms in the same order: equal to the bit
+    np.testing.assert_array_equal(got[x <= 0.5], ref[x <= 0.5])
+    assert K._odd_tail_array(np.zeros(0), sign).shape == (0,)

@@ -9,6 +9,7 @@ from coulomb_sc import _kernels as K
 from coulomb_sc.errors import (
     FocalLineError,
     ForbiddenRegionError,
+    IllConditionedError,
     OnCausticError,
     PoleError,
     RegionError,
@@ -362,3 +363,18 @@ def test_one_region_decision_per_call(au, monkeypatch):
         except RegionError:
             pass
         assert len(calls) == 1, (fn.__name__, r)
+
+
+@pytest.mark.parametrize("api, ndim, s", [
+    (cs.green_sc_bound, 3, 1e-310),   # the amplitude overflows to inf, then NaN
+    (cs.green_uniform, 3, 1e-310),    # 1/s overflows to -inf
+    (cs.green_sc_bound, 5, 1e-160),   # ``** p`` raises OverflowError
+])
+def test_near_coincident_endpoints_are_ill_conditioned(api, ndim, s):
+    # endpoints a tiny distance apart: no value may come out with status OK
+    params = cs.SystemParams(ndim=ndim)
+    spec = cs.energy_from_nu(9.7, params)
+    r = [0.0] * (ndim - 1) + [30.0]
+    rp = [s] + r[1:]
+    with pytest.raises(IllConditionedError, match="not finite|overflows"):
+        api(r, rp, spec, params)
