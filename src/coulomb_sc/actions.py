@@ -13,7 +13,7 @@ from typing import NamedTuple
 from . import _kernels as K
 from .errors import ForbiddenRegionError, RegionError
 from .geometry import LambertPair, Region, classify_region
-from .model import EnergySpec, SystemParams
+from .model import EnergySpec, SystemParams, bound_regime, scattering_regime
 from .vvpm import _morse_bases
 
 
@@ -44,57 +44,42 @@ class PathQuantity(NamedTuple):
     loops: int
 
 
-def _scales(spec: EnergySpec, params: SystemParams):
-    """(sk, cv, ts) for the current energy; see _kernels docstring."""
-    sk = math.sqrt(2.0 * params.mu * abs(spec.E))
-    cv = math.sqrt(2.0 * abs(spec.E) / params.mu)
-    ts = params.mu * spec.a / sk
-    return sk, cv, ts
-
-
 def velocity(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
     """Collinear speed at path coordinate alpha/2, bound allowed regime.
 
     v = sqrt(2|E|/mu) sqrt((4a - alpha)/alpha); diverges at the force
     center (alpha -> 0) and vanishes at the turning point alpha = 4a.
     """
-    if spec.E >= 0.0:
-        raise ValueError("velocity: bound form requires E < 0")
+    _, cv, _ = bound_regime(spec, params)
     if alpha <= 0.0:
         raise RegionError("velocity diverges at the force center (alpha = 0)")
     if alpha >= 4.0 * spec.a:
         raise RegionError(
             f"alpha = {alpha} is at/beyond the turning point 4a = {4.0 * spec.a}"
         )
-    _, cv, _ = _scales(spec, params)
     return K.v_bound(alpha, spec.a, cv)
 
 
 def reduced_action_bound(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
     """Half-action W(alpha) for bound motion, 0 <= alpha <= 4a (endpoint as limit)."""
-    if spec.E >= 0.0:
-        raise ValueError("reduced_action_bound requires E < 0")
+    sk, _, _ = bound_regime(spec, params)
     if alpha < 0.0 or alpha > 4.0 * spec.a * (1.0 + 1e-12):
         raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {4.0 * spec.a}]")
-    sk, _, _ = _scales(spec, params)
     return K.w_bound(min(alpha, 4.0 * spec.a), spec.a, sk)
 
 
 def travel_time_bound(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
     """Half travel time t(alpha) for bound motion; t = dW/dE at fixed alpha."""
-    if spec.E >= 0.0:
-        raise ValueError("travel_time_bound requires E < 0")
+    _, _, ts = bound_regime(spec, params)
     if alpha < 0.0 or alpha > 4.0 * spec.a * (1.0 + 1e-12):
         raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {4.0 * spec.a}]")
-    _, _, ts = _scales(spec, params)
     g = K.gamma_angle(min(alpha, 4.0 * spec.a), spec.a)
     return ts * (g - math.sin(g))
 
 
 def round_trip(spec: EnergySpec, params: SystemParams) -> tuple[float, float]:
     """(W_2pi, T_2pi) = (2 pi sqrt(mu a Kc), 2 pi sqrt(mu a^3 / Kc)) for E < 0."""
-    if spec.E >= 0.0:
-        raise ValueError("round_trip requires E < 0")
+    bound_regime(spec, params)
     w = 2.0 * math.pi * math.sqrt(params.mu * spec.a * params.Kc)
     t = 2.0 * math.pi * math.sqrt(params.mu * spec.a**3 / params.Kc)
     return w, t
@@ -104,6 +89,7 @@ def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     """(BasicActions, sk, ts, gamma_plus) of a bound pair on the allowed
     side: the scales, the round trip and the anomaly angles behind
     basic_actions and four_paths, each computed once."""
+    sk, _, ts = bound_regime(spec, params)
     if classify_region(pair, spec, params.attractive).tag is Region.FORBIDDEN:
         raise ForbiddenRegionError(
             "endpoint pair lies beyond the caustic; use the forbidden-region forms"
@@ -114,7 +100,6 @@ def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     for alpha in (pair.alpha_plus, pair.alpha_minus):
         if alpha < 0.0 or alpha > four_a * (1.0 + 1e-12):
             raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {four_a}]")
-    sk, _, ts = _scales(spec, params)
     gp = K.gamma_angle(min(pair.alpha_plus, four_a), a)
     gm = K.gamma_angle(min(pair.alpha_minus, four_a), a)
     sin_p, sin_m = math.sin(gp), math.sin(gm)
@@ -184,11 +169,9 @@ def loop_variant(pq: PathQuantity, j: int, spec: EnergySpec,
 
 def scatter_velocity(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
     """Collinear speed for attractive unbounded motion (E > 0)."""
-    if spec.E <= 0.0:
-        raise ValueError("scatter_velocity requires E > 0")
+    _, cv, _ = scattering_regime(spec, params)
     if alpha <= 0.0:
         raise RegionError("alpha must be positive")
-    _, cv, _ = _scales(spec, params)
     return cv * math.sqrt((4.0 * spec.a + alpha) / alpha)
 
 
@@ -196,13 +179,11 @@ def reduced_action_scatter_attractive(alpha: float, spec: EnergySpec,
                                       params: SystemParams) -> float:
     """Half-action for E > 0 attractive motion, anchored at alpha = 0;
     monotone increasing, ~ sqrt(2 mu E) alpha / 2 for large alpha."""
-    if spec.E <= 0.0:
-        raise ValueError("reduced_action_scatter_attractive requires E > 0")
+    sk, _, _ = scattering_regime(spec, params)
     if alpha < 0.0:
         raise RegionError("alpha must be nonnegative")
     if alpha == 0.0:
         return 0.0
-    sk, _, _ = _scales(spec, params)
     a = spec.a
     return sk * (0.5 * math.sqrt((4.0 * a + alpha) * alpha)
                  + 2.0 * a * math.asinh(math.sqrt(alpha / (4.0 * a))))
@@ -212,14 +193,12 @@ def reduced_action_scatter_repulsive(alpha: float, spec: EnergySpec,
                                      params: SystemParams) -> float:
     """Half-action for E > 0 repulsive motion on the allowed side
     alpha >= 4|a|; vanishes at the turning point."""
-    if spec.E <= 0.0:
-        raise ValueError("reduced_action_scatter_repulsive requires E > 0")
+    sk, _, _ = scattering_regime(spec, params)
     if alpha < 4.0 * spec.a * (1.0 - 1e-12):
         raise ForbiddenRegionError(
             f"alpha = {alpha} is inside the repulsive barrier (< 4|a| = "
             f"{4.0 * spec.a}); use reduced_action_repulsive_forbidden"
         )
-    sk, _, _ = _scales(spec, params)
     return K.w_bound_forbidden_im(max(alpha, 4.0 * spec.a), spec.a, sk)
 
 
@@ -232,13 +211,11 @@ def reduced_action_repulsive_forbidden(alpha_minus: float, spec: EnergySpec,
     Both analytic-continuation branches are returned, the decaying
     (positive-imaginary) one first; the caller selects.
     """
-    if spec.E <= 0.0:
-        raise ValueError("reduced_action_repulsive_forbidden requires E > 0")
+    sk, _, _ = scattering_regime(spec, params)
     if alpha_minus < 0.0 or alpha_minus > 4.0 * spec.a * (1.0 + 1e-12):
         raise RegionError(
             f"alpha_minus = {alpha_minus} outside the barrier [0, 4|a|]"
         )
-    sk, _, _ = _scales(spec, params)
     a = spec.a
     alpha = min(alpha_minus, 4.0 * a)
     g = K.gamma_angle(alpha, a)  # 2 asin(sqrt(alpha/4|a|))
@@ -258,14 +235,12 @@ def reduced_action_bound_forbidden(alpha_plus: float, spec: EnergySpec,
     approximation uses neither, since it continues the Whittaker
     functions, not the actions.
     """
-    if spec.E >= 0.0:
-        raise ValueError("reduced_action_bound_forbidden requires E < 0")
+    sk, _, _ = bound_regime(spec, params)
     if alpha_plus <= 4.0 * spec.a:
         raise RegionError(
             f"alpha_plus = {alpha_plus} is not beyond the caustic 4a = {4.0 * spec.a}; "
             "use reduced_action_bound"
         )
-    sk, _, _ = _scales(spec, params)
     re = math.pi * spec.a * sk
     im = K.w_bound_forbidden_im(alpha_plus, spec.a, sk)
     return complex(re, im), complex(re, -im)
@@ -275,6 +250,7 @@ def kepler_transfer_time(xi: float, xi_p: float, eps: float, spec: EnergySpec,
                          params: SystemParams) -> float:
     """Transfer time between eccentric anomalies xi' -> xi on an ellipse of
     eccentricity eps: sqrt(mu a^3/Kc) (xi - eps sin xi - xi' + eps sin xi')."""
+    bound_regime(spec, params)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eccentricity must satisfy 0 <= eps < 1, got {eps}")
     ts = math.sqrt(params.mu * spec.a**3 / params.Kc)

@@ -119,9 +119,10 @@ def _scan_config(args, want_grids: int) -> ScanConfig:
     cfg = ScanConfig()
     if args.config:
         data = load_json_config(args.config)
-        if "lmax" in data:
-            raise ConfigError("unknown key 'lmax': the exact reference is Hostler's "
-                              "closed form and has no partial-wave truncation")
+        unknown = [key for key in data if key not in _CONFIG_TYPES]
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                              f"the keys are {', '.join(_CONFIG_TYPES)}")
         for key, (what, check) in _CONFIG_TYPES.items():
             if key in data and not check(data[key]):
                 raise ConfigError(f"config key {key!r} must be {what}, got {data[key]!r}")

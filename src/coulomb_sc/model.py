@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from .errors import PoleError
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -22,6 +24,12 @@ class SystemParams:
     hbar    -- action quantum
     ndim    -- spatial dimension, >= 2
     attractive -- sign flag for the interaction (True: -Kc/r)
+
+    mu, Kc and hbar must be finite and positive.  E < 0 needs
+    attractive=True (the bound evaluators refuse anything else, see
+    ``bound_regime``); for E > 0 the evaluator's name selects the
+    interaction, e.g. ``reduced_action_scatter_repulsive``, and the flag
+    is not read.
     """
 
     mu: float = 1.0
@@ -31,14 +39,13 @@ class SystemParams:
     attractive: bool = True
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.Kc <= 0.0:
-            raise ValueError(
-                f"Kc must be positive (use the 'attractive' flag for the sign), got {self.Kc}"
-            )
-        if self.hbar <= 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0.0 < self.mu < math.inf:  # false for NaN, too
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        if not 0.0 < self.Kc < math.inf:
+            raise ValueError(f"Kc must be finite and positive (use the 'attractive' flag "
+                             f"for the sign), got {self.Kc}")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
         if int(self.ndim) != self.ndim or self.ndim < 2:
             raise ValueError(f"ndim must be an integer >= 2, got {self.ndim}")
 
@@ -78,6 +85,49 @@ class EnergySpec(NamedTuple):
             k = math.nan
             nu = math.nan
         return cls(E=E, a=a, k=k, nu=nu)
+
+
+# --- the regime rule: which (E, interaction) each closed form takes ----------
+
+#: guard band around integer k inside which bound evaluators refuse to run
+POLE_GUARD = 1e-9
+
+
+def bound_regime(spec: EnergySpec, params: SystemParams) -> tuple[float, float, float]:
+    """(sk, cv, ts) = (sqrt(2 mu |E|), sqrt(2|E| / mu), mu a / sk), the
+    momentum, velocity and time scales (see ``_kernels``) of the bound
+    closed forms, which hold for E < 0 in the attractive potential only:
+    any other input raises ValueError."""
+    E = spec.E
+    if E >= 0.0:
+        raise ValueError(f"E = {E} is outside the bound regime (E < 0)")
+    if not params.attractive:
+        raise ValueError("a repulsive interaction has no bound regime")
+    e2, mu = -2.0 * E, params.mu  # 2|E|; doubling is exact: mu e2 = 2 mu |E|
+    sk = math.sqrt(mu * e2)
+    return sk, math.sqrt(e2 / mu), mu * spec.a / sk
+
+
+def scattering_regime(spec: EnergySpec, params: SystemParams) -> tuple[float, float, float]:
+    """(sk, cv, ts) as in ``bound_regime``, for the E > 0 forms; E <= 0
+    raises ValueError.  The interaction flag is not read: each scattering
+    form is named for the interaction it models."""
+    E = spec.E
+    if E <= 0.0:
+        raise ValueError(f"E = {E} is outside the scattering regime (E > 0)")
+    e2, mu = 2.0 * E, params.mu  # doubling is exact: mu e2 = 2 mu E
+    sk = math.sqrt(mu * e2)
+    return sk, math.sqrt(e2 / mu), mu * spec.a / sk
+
+
+def check_pole(spec: EnergySpec):
+    """Raise PoleError for a bound energy within POLE_GUARD of an
+    eigenvalue (integer k), where the loop sum diverges; call it after
+    ``bound_regime``, which refuses the energies without a k."""
+    nearest = round(spec.k)
+    if abs(spec.k - nearest) < POLE_GUARD:
+        raise PoleError(f"energy within the pole guard band of eigenvalue k = {nearest}",
+                        k=nearest, energy=spec.E)
 
 
 def energy_eigenvalue(k: int, params: SystemParams) -> float:

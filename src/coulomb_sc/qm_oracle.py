@@ -46,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import IllConditionedError, PoleError, RegionError
+from .errors import IllConditionedError, PoleError, RegionError, UnsupportedDimensionError
 from .geometry import classify_region, lambert_variables
-from .model import EnergySpec, SystemParams
-from .semiclassical import POLE_GUARD, FieldSample, _check_pole
+from .model import POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole
+from .semiclassical import FieldSample
 
 
 def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:
@@ -65,7 +65,7 @@ def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple
     half-action ``_kernels.w_bound_forbidden_im``.
     """
     a = spec.a
-    sk = math.sqrt(2.0 * params.mu * abs(spec.E))
+    sk, _, _ = bound_regime(spec, params)
     r_turn = 2.0 * a
     r_max = max(1.3 * r_turn, 1.2 * r_need)
     w_anchor = K.w_bound_forbidden_im(2.0 * max(r_turn, r_need), a, sk)
@@ -284,9 +284,8 @@ def radial_green(l: int, r_small: float, r_large: float, E: float,
     nu = 5.3): high l needs an explicit r_max and h."""
     if not 0.0 < r_small <= r_large:
         raise ValueError("need 0 < r_small <= r_large")
-    if E >= 0.0:
-        raise ValueError("radial_green requires E < 0")
     spec = EnergySpec.from_energy(E, params)
+    bound_regime(spec, params)
     nu = spec.k + 1.0
     nearest = round(nu)
     if nearest >= l + 1 and abs(nu - nearest) < POLE_GUARD:
@@ -320,10 +319,9 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
     apart can span more than float64's range of the solutions' growth.
     """
     if params.ndim != 3:
-        raise ValueError("the quantum reference is implemented for n = 3")
-    if spec.E >= 0.0:
-        raise ValueError("qm_field requires E < 0")
-    _check_pole(spec)
+        raise UnsupportedDimensionError("the quantum reference is implemented for n = 3")
+    bound_regime(spec, params)
+    check_pole(spec)
 
     pts = np.atleast_2d(R)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -33,10 +33,11 @@ import numpy as np
 from . import _kernels as K
 from .errors import ConfigError, PoleError
 from .geometry import REGIONS
-from .model import EnergySpec, SystemParams, energy_eigenvalue, energy_from_nu, quantization_action
+from .model import (EnergySpec, SystemParams, bound_regime, check_pole, energy_eigenvalue,
+                    energy_from_nu, quantization_action)
 from .qm_oracle import qm_field
 from .uniform import ua_constants
-from .semiclassical import _check_pole, sc_constants
+from .semiclassical import sc_constants
 
 AXIS_NAMES = ("x", "y", "z", "x4", "x5", "x6")
 
@@ -299,7 +300,7 @@ class ScanConfig:
     def energy_spec(self, params: SystemParams) -> EnergySpec:
         spec = bound_energy_spec(self.nu, self.energy, params)
         try:
-            _check_pole(spec)
+            check_pole(spec)
         except PoleError as exc:
             raise ConfigError(f"nu = {spec.nu} sits on a bound-state pole; offset it") from exc
         return spec
@@ -311,16 +312,15 @@ class ScanConfig:
 def bound_energy_spec(nu: float | None, energy: float | None,
                       params: SystemParams) -> EnergySpec:
     """EnergySpec from nu or, when nu is None, from the energy.  Scans, cuts
-    and tof evaluate the bound regime only: anything but a finite negative
-    energy is a ConfigError."""
+    and tof evaluate the bound regime only: what ``bound_regime`` refuses,
+    and an energy that is not finite and nonzero, is a ConfigError."""
     try:
         spec = energy_from_nu(nu, params) if nu is not None \
             else EnergySpec.from_energy(energy, params)
+        bound_regime(spec, params)
     except (ValueError, OverflowError) as exc:  # OverflowError: nu beyond ~1e154
         raise ConfigError(f"no usable energy for nu = {nu}, energy = {energy}: {exc}") \
             from exc
-    if spec.E > 0.0:
-        raise ConfigError(f"energy {spec.E} > 0: only the bound regime (E < 0) is evaluated")
     return spec
 
 
@@ -349,8 +349,6 @@ def eval_sc(points, source, spec: EnergySpec, params: SystemParams):
 
 def eval_ua(points, source, spec: EnergySpec, params: SystemParams):
     """Langer-uniform field over points: (values, region, status)."""
-    if params.ndim != 3:
-        raise ConfigError("the uniform approximation requires ndim = 3")
     return K.ua_field(points, source, *ua_constants(spec, params))
 
 

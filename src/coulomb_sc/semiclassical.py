@@ -25,7 +25,6 @@ from .actions import (
     reduced_action_scatter_attractive,
     round_trip,
     scatter_velocity,
-    _scales,
 )
 from .errors import (ForbiddenRegionError, IllConditionedError, OnCausticError,
                      PoleError, RegionError)
@@ -37,11 +36,9 @@ from .geometry import (
     lambert_variables,
     refuse_point,
 )
-from .model import EnergySpec, SystemParams
+from .model import EnergySpec, SystemParams, bound_regime, check_pole, scattering_regime
 from .vvpm import vvpm_det
 
-#: guard band around integer k inside which bound evaluators refuse to run
-POLE_GUARD = 1e-9
 #: loop_factor refuses quantization arguments this close to an integer
 LOOP_POLE_TOL = 1e-12
 
@@ -76,15 +73,6 @@ def loop_factor(w_2pi: float, ndim: int, hbar: float) -> complex:
     return 0.5 + 0.5j / math.tan(math.pi * x)
 
 
-def _check_pole(spec: EnergySpec):
-    if abs(spec.k - round(spec.k)) < POLE_GUARD:
-        raise PoleError(
-            f"energy within the pole guard band of eigenvalue k = {int(round(spec.k))}",
-            k=int(round(spec.k)),
-            energy=spec.E,
-        )
-
-
 # the complex powers depend on (ndim, hbar) only; typed, so that ndim = 3
 # and 3.0 keep their own values
 @functools.lru_cache(maxsize=64, typed=True)
@@ -107,23 +95,15 @@ def _elementary_prefactor(ndim: int, hbar: float) -> complex:
 def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
     """(a, k, ndim, mu, hbar, sk, cv, merged prefactor, elementary
     prefactor, loop factor, sin(pi k)): the energy-dependent arguments of
-    the bound SC kernels after the three Lambert lengths."""
-    sk, cv, _ = _scales(spec, params)
+    the bound SC kernels after the three Lambert lengths.  Refuses what
+    ``bound_regime`` refuses and pole energies (``check_pole``)."""
+    sk, cv, _ = bound_regime(spec, params)
+    check_pole(spec)
     return (spec.a, spec.k, params.ndim, params.mu, params.hbar, sk, cv,
             _merged_prefactor(params.ndim, params.hbar),
             _elementary_prefactor(params.ndim, params.hbar),
             loop_factor(round_trip(spec, params)[0], params.ndim, params.hbar),
             math.sin(math.pi * spec.k))
-
-
-def _bound_guards(spec: EnergySpec, params: SystemParams):
-    """Refuse what no bound evaluator takes: E >= 0, a repulsive
-    interaction and an energy in the pole guard band."""
-    if spec.E >= 0.0:
-        raise ValueError("bound-state evaluator requires E < 0")
-    if not params.attractive:
-        raise ValueError("bound states require an attractive interaction")
-    _check_pole(spec)
 
 
 def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
@@ -133,7 +113,6 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
     are the kernel's.  A value that overflows (endpoints a tiny distance
     apart) raises IllConditionedError."""
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    _bound_guards(spec, params)
     args = sc_constants(spec, params)
     try:
         val, region, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
@@ -183,7 +162,8 @@ def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
     """Amplitudes, actions (with the complex round trip) and Morse indices
     of the four elementary paths, recomputing the determinant per path."""
     pair = lambert_variables(r_vec, rp_vec, params)
-    _bound_guards(spec, params)
+    bound_regime(spec, params)
+    check_pole(spec)
     region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)
     refuse_point(status)
     if region != K.REGION_ALLOWED:
@@ -253,8 +233,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
                                 params: SystemParams) -> FieldSample:
     """Two-hyperbola scattering Green function for E > 0, attractive case
     (no caustic; every point is classically reachable)."""
-    if spec.E <= 0.0:
-        raise ValueError("green_sc_scatter_attractive requires E > 0")
+    scattering_regime(spec, params)
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     refuse_point(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])
     n = params.ndim

@@ -29,11 +29,11 @@ import math
 from typing import NamedTuple
 
 from . import _kernels as K
-from .actions import round_trip, _scales
+from .actions import round_trip
 from .errors import IllConditionedError, RegionError, UnsupportedDimensionError
 from .geometry import bound_class, endpoint_lists, lambert_variables, refuse_point
-from .model import EnergySpec, SystemParams
-from .semiclassical import FieldSample, _bound_guards
+from .model import EnergySpec, SystemParams, bound_regime, check_pole
+from .semiclassical import FieldSample
 
 
 def airy_ai(x: float) -> float:
@@ -72,12 +72,10 @@ def uniform_inputs(r_vec, rp_vec, spec: EnergySpec,
     the Langer turning point and is shifted from zeta by about 1e-2 at
     nu = 5.3 and 1e-3 at nu = 29.2.
     """
-    if params.ndim != 3:
-        raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
+    ua_constants(spec, params)  # the UA's dimension, regime and pole rules
     pair = lambert_variables(r_vec, rp_vec, params)
-    _bound_guards(spec, params)
     refuse_point(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])
-    sk, _, _ = _scales(spec, params)
+    sk, _, _ = bound_regime(spec, params)
     w2pi, _ = round_trip(spec, params)
     hbar, a = params.hbar, spec.a
     ap = pair.alpha_plus
@@ -92,9 +90,13 @@ def uniform_inputs(r_vec, rp_vec, spec: EnergySpec,
 
 def ua_constants(spec: EnergySpec, params: SystemParams):
     """(4a, nu, kappa, g0) for the uniform kernels: Whittaker index nu,
-    kappa = sqrt(2 mu |E|)/hbar, and g0 = mu / (2 sqrt(pi) hbar^2 sin(pi nu));
-    the callers have refused pole energies."""
-    sk, _, _ = _scales(spec, params)
+    kappa = sqrt(2 mu |E|)/hbar, and g0 = mu / (2 sqrt(pi) hbar^2 sin(pi nu)).
+    Refuses n != 3 (UnsupportedDimensionError), what ``bound_regime``
+    refuses and pole energies (``check_pole``)."""
+    if params.ndim != 3:
+        raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
+    sk, _, _ = bound_regime(spec, params)
+    check_pole(spec)
     nu = spec.k + 1.0
     g0 = params.mu / (2.0 * math.sqrt(math.pi) * params.hbar ** 2
                       * math.sin(math.pi * nu))
@@ -108,12 +110,9 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
     semiclassical value away from it on either side.  A value that
     overflows (endpoints a tiny distance apart) raises IllConditionedError.
     """
-    if params.ndim != 3:
-        raise UnsupportedDimensionError("uniform approximation implemented for n = 3")
+    args = ua_constants(spec, params)
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
-    _bound_guards(spec, params)
-    val, region, status = K.ua_point(pair.s, pair.alpha_plus, pair.alpha_minus,
-                                     *ua_constants(spec, params))
+    val, region, status = K.ua_point(pair.s, pair.alpha_plus, pair.alpha_minus, *args)
     refuse_point(status)
     if status == K.STATUS_UNSUPPORTED:
         # kappa alpha_- >= 0.999 z_out > 2 nu = 2 kappa a, or kappa alpha_+ <= z_in < 2 nu

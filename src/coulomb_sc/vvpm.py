@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import IllConditionedError, OnCausticError, RegionError
 from .geometry import LambertPair, refuse_point
-from .model import EnergySpec, SystemParams
+from .model import EnergySpec, SystemParams, bound_regime
 
 PATH_IDS = (1, 2, 3, 4)
 
@@ -96,9 +96,7 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     """
     if path_id not in PATH_IDS:
         raise ValueError(f"path_id must be in 1..4, got {path_id}")
-    if spec.E >= 0.0 or not params.attractive:
-        raise ValueError("vvpm_det: the closed forms hold in the bound regime only "
-                         "(E < 0, attractive interaction)")
+    _, cv, _ = bound_regime(spec, params)
     four_a = 4.0 * spec.a
     region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
     if region == K.REGION_CAUSTIC:
@@ -112,7 +110,6 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
 
     # the velocities K.v_bound and the transverse factor of
     # dimensional_factor, written out: the guards above cover theirs
-    cv = math.sqrt(2.0 * abs(spec.E) / params.mu)
     vp = cv * math.sqrt((four_a - pair.alpha_plus) / pair.alpha_plus)
     vm = cv * math.sqrt((four_a - pair.alpha_minus) / pair.alpha_minus)
     n = params.ndim

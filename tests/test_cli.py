@@ -258,6 +258,12 @@ def test_config_errors_exit_two(capsys, tmp_path):
         code, out, err = run_cli([cmd, "--config", str(path)], capsys)
         assert code == 2, (key, value)
         assert f"config error: config key {key!r} must be" in err and out == "", (key, value)
+    # a misspelled key is refused by name, not dropped in favour of the default
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**cut_cfg, "cut": "x:-40:60:25", "exclude_radus": 1000}))
+    code, out, err = run_cli(["cut", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "config error: unknown config key(s) 'exclude_radus'" in err
     for cmd, base in (("scan", scan_cfg), ("cut", cut_cfg)):  # integers are numbers
         path = tmp_path / "good.json"
         path.write_text(json.dumps(base))

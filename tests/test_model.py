@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import coulomb_sc as cs
@@ -84,3 +85,78 @@ def test_parameter_validation():
         cs.energy_from_nu(0.0, cs.AU)
     with pytest.raises(ValueError):
         cs.EnergySpec.from_energy(0.0, cs.AU)
+
+
+@pytest.mark.parametrize("field", ["mu", "Kc", "hbar"])
+def test_parameter_must_be_finite(field):
+    # NaN passes a "<= 0" test; every bound evaluator would then fail in
+    # round() of the pole check instead of here
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            cs.SystemParams(**{field: value})
+
+
+# an allowed pair at nu = 9.7 (4a = 376 Bohr), n = 3, and a tunnel pair
+# (alpha_+ = 785, alpha_- = 115)
+_R, _RP = np.array([80.0, 30.0, 0.0]), np.array([50.0, 0.0, 0.0])
+_PAIR = cs.lambert_variables(_R, _RP)
+_R_TUNNEL, _RP_TUNNEL = np.array([300.0, 0.0, 0.0]), np.array([0.0, 150.0, 0.0])
+
+BOUND_ONLY = {
+    "velocity": lambda sp, par: cs.velocity(100.0, sp, par),
+    "reduced_action_bound": lambda sp, par: cs.reduced_action_bound(100.0, sp, par),
+    "travel_time_bound": lambda sp, par: cs.travel_time_bound(100.0, sp, par),
+    "reduced_action_bound_forbidden":
+        lambda sp, par: cs.reduced_action_bound_forbidden(500.0, sp, par),
+    "round_trip": cs.round_trip,
+    "kepler_transfer_time": lambda sp, par: cs.kepler_transfer_time(1.3, 0.4, 0.5, sp, par),
+    "four_paths": lambda sp, par: cs.four_paths(_PAIR, sp, par),
+    "basic_actions": lambda sp, par: cs.basic_actions(_PAIR, sp, par),
+    "loop_variant":
+        lambda sp, par: cs.loop_variant(cs.PathQuantity(1, 1.0, 1.0, 0, 0), 1, sp, par),
+    "vvpm_det": lambda sp, par: cs.vvpm_det(1, _PAIR, sp, par),
+    "green_sc_bound": lambda sp, par: cs.green_sc_bound(_R, _RP, sp, par),
+    "green_sc_tunnel": lambda sp, par: cs.green_sc_tunnel(_R_TUNNEL, _RP_TUNNEL, sp, par),
+    "green_sc_bound_sum": lambda sp, par: cs.green_sc_bound_sum(_R, _RP, sp, par, 3, 0.1),
+    "green_sc_bound_product":
+        lambda sp, par: cs.green_sc_bound_product(_R, _RP, sp, par, None, 0.1),
+    "green_uniform": lambda sp, par: cs.green_uniform(_R, _RP, sp, par),
+    "uniform_inputs": lambda sp, par: cs.uniform_inputs(_R, _RP, sp, par),
+    "green_qm": lambda sp, par: cs.green_qm(_R, _RP, sp, par),
+    "qm_field": lambda sp, par: cs.qm_field(_R[None, :], _RP, sp, par),
+    "radial_green": lambda sp, par: cs.radial_green(0, 10.0, 20.0, sp.E, par),
+}
+
+SCATTERING_ONLY = {
+    "scatter_velocity": lambda sp, par: cs.scatter_velocity(100.0, sp, par),
+    "reduced_action_scatter_attractive":
+        lambda sp, par: cs.reduced_action_scatter_attractive(100.0, sp, par),
+    "reduced_action_scatter_repulsive":
+        lambda sp, par: cs.reduced_action_scatter_repulsive(500.0, sp, par),
+    "reduced_action_repulsive_forbidden":
+        lambda sp, par: cs.reduced_action_repulsive_forbidden(100.0, sp, par),
+    "green_sc_scatter_attractive":
+        lambda sp, par: cs.green_sc_scatter_attractive(_R, _RP, sp, par),
+}
+
+
+@pytest.mark.parametrize("name", BOUND_ONLY)
+def test_bound_evaluators_refuse_other_regimes(au, name):
+    # each takes the bound inputs; E > 0 and a repulsive E < 0 are refused
+    # by the regime rule, not answered with the attractive bound value
+    bound = cs.energy_from_nu(9.7, au)
+    BOUND_ONLY[name](bound, au)
+    repulsive = cs.SystemParams(attractive=False)
+    for spec, params in ((cs.EnergySpec.from_energy(-bound.E, au), au), (bound, repulsive)):
+        with pytest.raises(ValueError) as info:
+            BOUND_ONLY[name](spec, params)
+        assert info.type is ValueError, (spec.E, params.attractive)
+
+
+@pytest.mark.parametrize("name", SCATTERING_ONLY)
+def test_scattering_evaluators_refuse_bound_energies(au, name):
+    scattering = cs.EnergySpec.from_energy(1.0 / (2.0 * 9.7**2), au)
+    SCATTERING_ONLY[name](scattering, au)
+    with pytest.raises(ValueError) as info:
+        SCATTERING_ONLY[name](cs.energy_from_nu(9.7, au), au)
+    assert info.type is ValueError
