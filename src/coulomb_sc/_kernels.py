@@ -11,7 +11,8 @@ one pair) runs before any kernel.  One rule then labels a point by its
 region and status (``region_status``, ``region_status_array``): the
 source point s = 0, the focal line alpha_- <= FOCAL_TOL alpha_+, and the
 side of the caustic alpha_+ = 4a, with a relative band of CAUSTIC_TOL
-labelled on the caustic.  Each method adds only its own statuses.
+labelled on the caustic: ``caustic_region``, which every per-point
+function asks of its alphas.  Each method adds only its own statuses.
 
 Each formula has two forms:
 
@@ -226,15 +227,19 @@ def lambert_arrays(points, source):
     return r, rp, s, r + rp + s, r + rp - s
 
 
+def caustic_region(alpha, four_a):
+    """REGION_* code of one alpha against the caustic alpha = 4a: on it
+    within CAUSTIC_TOL * 4a, else allowed below and forbidden above."""
+    if abs(alpha - four_a) <= CAUSTIC_TOL * four_a:
+        return REGION_CAUSTIC
+    return REGION_ALLOWED if alpha < four_a else REGION_FORBIDDEN
+
+
 def region_status(s, ap, am, four_a):
-    """(region, status) of one point: the region is the side of the
-    caustic alpha_+ = 4a, on it within CAUSTIC_TOL * 4a; the status is
-    STATUS_SOURCE at s = 0, STATUS_FOCAL on the focal line and STATUS_OK
-    elsewhere."""
-    if abs(ap - four_a) <= CAUSTIC_TOL * four_a:
-        region = REGION_CAUSTIC
-    else:
-        region = REGION_ALLOWED if ap < four_a else REGION_FORBIDDEN
+    """(region, status) of one point: the region is caustic_region of
+    alpha_+; the status is STATUS_SOURCE at s = 0, STATUS_FOCAL on the
+    focal line and STATUS_OK elsewhere."""
+    region = caustic_region(ap, four_a)
     if s <= 0.0:
         return region, STATUS_SOURCE
     return region, STATUS_FOCAL if am <= FOCAL_TOL * ap else STATUS_OK
@@ -270,7 +275,7 @@ def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
     four_a = 4.0 * a
     region, status = region_status(s, ap, am, four_a)
     if status == STATUS_OK and (region == REGION_CAUSTIC
-                                or abs(am - four_a) <= CAUSTIC_TOL * four_a):
+                                or caustic_region(am, four_a) == REGION_CAUSTIC):
         # on the caustic, or the inner leg at its own turning point (v_minus = 0)
         status = STATUS_CAUSTIC
     if status != STATUS_OK:

@@ -11,8 +11,9 @@ import math
 from typing import NamedTuple
 
 from . import _kernels as K
-from .errors import ForbiddenRegionError, RegionError
-from .geometry import LambertPair, Region, classify_region
+from .errors import RegionError
+from .geometry import (ALLOWED_SIDE, FORBIDDEN_SIDE, LambertPair, barrier_region,
+                       refuse_region)
 from .model import EnergySpec, SystemParams, bound_regime, scattering_regime
 from .vvpm import _morse_bases
 
@@ -63,17 +64,17 @@ def velocity(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
 def reduced_action_bound(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
     """Half-action W(alpha) for bound motion, 0 <= alpha <= 4a (endpoint as limit)."""
     sk, _, _ = bound_regime(spec, params)
-    if alpha < 0.0 or alpha > 4.0 * spec.a * (1.0 + 1e-12):
-        raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {4.0 * spec.a}]")
-    return K.w_bound(min(alpha, 4.0 * spec.a), spec.a, sk)
+    refuse_region(K.caustic_region(alpha, 4.0 * spec.a), ALLOWED_SIDE,
+                  "use reduced_action_bound_forbidden", alpha)
+    return K.w_bound(alpha, spec.a, sk)
 
 
 def travel_time_bound(alpha: float, spec: EnergySpec, params: SystemParams) -> float:
     """Half travel time t(alpha) for bound motion; t = dW/dE at fixed alpha."""
     _, _, ts = bound_regime(spec, params)
-    if alpha < 0.0 or alpha > 4.0 * spec.a * (1.0 + 1e-12):
-        raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {4.0 * spec.a}]")
-    g = K.gamma_angle(min(alpha, 4.0 * spec.a), spec.a)
+    refuse_region(K.caustic_region(alpha, 4.0 * spec.a), ALLOWED_SIDE,
+                  "the bound travel time ends at the caustic", alpha)
+    g = K.gamma_angle(alpha, spec.a)
     return ts * (g - math.sin(g))
 
 
@@ -87,21 +88,18 @@ def round_trip(spec: EnergySpec, params: SystemParams) -> tuple[float, float]:
 
 def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     """(BasicActions, sk, ts, gamma_plus) of a bound pair on the allowed
-    side: the scales, the round trip and the anomaly angles behind
-    basic_actions and four_paths, each computed once."""
+    side or in the caustic band: the scales, the round trip and the
+    anomaly angles behind basic_actions and four_paths, each computed once."""
     sk, _, ts = bound_regime(spec, params)
-    if classify_region(pair, spec, params.attractive).tag is Region.FORBIDDEN:
-        raise ForbiddenRegionError(
-            "endpoint pair lies beyond the caustic; use the forbidden-region forms"
-        )
-    w2pi, t2pi = round_trip(spec, params)
     a = spec.a
-    four_a = 4.0 * a
-    for alpha in (pair.alpha_plus, pair.alpha_minus):
-        if alpha < 0.0 or alpha > four_a * (1.0 + 1e-12):
-            raise RegionError(f"alpha = {alpha} outside [0, 4a] = [0, {four_a}]")
-    gp = K.gamma_angle(min(pair.alpha_plus, four_a), a)
-    gm = K.gamma_angle(min(pair.alpha_minus, four_a), a)
+    refuse_region(K.caustic_region(pair.alpha_plus, 4.0 * a), ALLOWED_SIDE,
+                  "use the forbidden-region forms")
+    # rounding can put the alpha_minus of a focal pair just below 0
+    if pair.alpha_minus < 0.0:
+        raise RegionError(f"alpha = {pair.alpha_minus} is negative")
+    w2pi, t2pi = round_trip(spec, params)
+    gp = K.gamma_angle(pair.alpha_plus, a)
+    gm = K.gamma_angle(pair.alpha_minus, a)
     sin_p, sin_m = math.sin(gp), math.sin(gm)
     b = BasicActions(sk * a * (gp + sin_p), sk * a * (gm + sin_m),
                      ts * (gp - sin_p), ts * (gm - sin_m), w2pi, t2pi)
@@ -192,34 +190,31 @@ def reduced_action_scatter_attractive(alpha: float, spec: EnergySpec,
 def reduced_action_scatter_repulsive(alpha: float, spec: EnergySpec,
                                      params: SystemParams) -> float:
     """Half-action for E > 0 repulsive motion on the allowed side
-    alpha >= 4|a|; vanishes at the turning point."""
+    alpha >= 4|a|, its band included; vanishes at the turning point."""
     sk, _, _ = scattering_regime(spec, params)
-    if alpha < 4.0 * spec.a * (1.0 - 1e-12):
-        raise ForbiddenRegionError(
-            f"alpha = {alpha} is inside the repulsive barrier (< 4|a| = "
-            f"{4.0 * spec.a}); use reduced_action_repulsive_forbidden"
-        )
-    return K.w_bound_forbidden_im(max(alpha, 4.0 * spec.a), spec.a, sk)
+    refuse_region(barrier_region(alpha, 4.0 * spec.a), ALLOWED_SIDE,
+                  "use reduced_action_repulsive_forbidden in the repulsive barrier", alpha)
+    return K.w_bound_forbidden_im(alpha, spec.a, sk)
 
 
 def reduced_action_repulsive_forbidden(alpha_minus: float, spec: EnergySpec,
                                        params: SystemParams) -> tuple[complex, complex]:
     """Purely imaginary half-action inside the repulsive barrier
-    (0 <= alpha_minus < 4|a|); its magnitude vanishes at the turning point
-    alpha_minus = 4|a| and reaches pi |a| sqrt(2 mu E) at alpha_minus = 0.
+    (0 <= alpha_minus <= 4|a|, its band included); its magnitude vanishes
+    at the turning point alpha_minus = 4|a| and reaches pi |a| sqrt(2 mu E)
+    at alpha_minus = 0.
 
     Both analytic-continuation branches are returned, the decaying
     (positive-imaginary) one first; the caller selects.
     """
     sk, _, _ = scattering_regime(spec, params)
-    if alpha_minus < 0.0 or alpha_minus > 4.0 * spec.a * (1.0 + 1e-12):
-        raise RegionError(
-            f"alpha_minus = {alpha_minus} outside the barrier [0, 4|a|]"
-        )
     a = spec.a
-    alpha = min(alpha_minus, 4.0 * a)
+    four_a = 4.0 * a
+    refuse_region(barrier_region(alpha_minus, four_a), FORBIDDEN_SIDE,
+                  "use reduced_action_scatter_repulsive", alpha_minus)
+    alpha = min(alpha_minus, four_a)
     g = K.gamma_angle(alpha, a)  # 2 asin(sqrt(alpha/4|a|))
-    mag = sk * a * (math.pi - g) - sk * 0.5 * math.sqrt((4.0 * a - alpha) * alpha)
+    mag = sk * a * (math.pi - g) - sk * 0.5 * math.sqrt((four_a - alpha) * alpha)
     return complex(0.0, mag), complex(0.0, -mag)
 
 
@@ -233,14 +228,12 @@ def reduced_action_bound_forbidden(alpha_plus: float, spec: EnergySpec,
     makes exp(i W/hbar) decay deep in the tunnel.  The tunnelling SC
     (``green_sc_tunnel``) takes the preferred branch; the Langer uniform
     approximation uses neither, since it continues the Whittaker
-    functions, not the actions.
+    functions, not the actions.  The caustic band is taken: up to
+    alpha_plus = 4a the imaginary part is 0.
     """
     sk, _, _ = bound_regime(spec, params)
-    if alpha_plus <= 4.0 * spec.a:
-        raise RegionError(
-            f"alpha_plus = {alpha_plus} is not beyond the caustic 4a = {4.0 * spec.a}; "
-            "use reduced_action_bound"
-        )
+    refuse_region(K.caustic_region(alpha_plus, 4.0 * spec.a), FORBIDDEN_SIDE,
+                  "use reduced_action_bound", alpha_plus)
     re = math.pi * spec.a * sk
     im = K.w_bound_forbidden_im(alpha_plus, spec.a, sk)
     return complex(re, im), complex(re, -im)

@@ -4,7 +4,9 @@ The entire fixed-energy Kepler/Coulomb problem depends on the endpoints
 only through alpha_plus = r + r' + s and alpha_minus = r + r' - s, where s
 is the chord length.  This module computes those, classifies the point
 against the caustic, and provides the anomaly-angle cross-check form of
-the reduced action.
+the reduced action.  Every per-point evaluator refuses through its two
+helpers: ``refuse_point`` (source point, focal line) and ``refuse_region``
+(a side of the caustic the form does not take).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels as K
-from .errors import DimensionMismatchError, FocalLineError, ForbiddenRegionError, RegionError
+from .errors import (DimensionMismatchError, FocalLineError, ForbiddenRegionError,
+                     OnCausticError, RegionError)
 from .model import EnergySpec, SystemParams
 
 
@@ -102,6 +105,38 @@ def refuse_point(status: int):
         raise FocalLineError("endpoints collinear through the force center (alpha_minus = 0)")
 
 
+#: the REGION_* codes a form takes: finite at the caustic on its allowed
+#: or forbidden side (the band included), divergent there, or beyond only
+ALLOWED_SIDE = (K.REGION_ALLOWED, K.REGION_CAUSTIC)
+FORBIDDEN_SIDE = (K.REGION_CAUSTIC, K.REGION_FORBIDDEN)
+ALLOWED_ONLY = (K.REGION_ALLOWED,)
+FORBIDDEN_ONLY = (K.REGION_FORBIDDEN,)
+#: the exception and the place of each REGION_* code, in code order
+_REFUSALS = ((RegionError, "on the allowed side of the caustic"),
+             (OnCausticError, "on the caustic"),
+             (ForbiddenRegionError, "beyond the caustic"))
+
+
+def refuse_region(region: int, accepts: tuple, hint: str, alpha: float | None = None):
+    """Raise the exception of a ``_kernels.caustic_region`` code a form does
+    not take: RegionError on the allowed side, OnCausticError in the band,
+    ForbiddenRegionError beyond.  A per-alpha form also passes its alpha,
+    which the message names and which must be >= 0 (RegionError)."""
+    if region not in accepts:
+        exc, where = _REFUSALS[region]
+        what = "endpoint pair" if alpha is None else f"alpha = {alpha}"
+        raise exc(f"{what} lies {where}; {hint}")
+    if alpha is not None and alpha < 0.0:
+        raise RegionError(f"alpha = {alpha} is negative")
+
+
+def barrier_region(alpha: float, four_a: float) -> int:
+    """The caustic_region code about the repulsive (E > 0) turning point
+    alpha = 4|a|, whose allowed side lies beyond it: REGION_FORBIDDEN - code
+    swaps the codes of the two sides and keeps the band's."""
+    return K.REGION_FORBIDDEN - K.caustic_region(alpha, four_a)
+
+
 def bound_class(code: int, pair: LambertPair, four_a: float) -> RegionClass:
     """The RegionClass of a pair for E < 0 attractive from its
     ``_kernels`` REGION_* code; four_a = 4a."""
@@ -112,44 +147,33 @@ def classify_region(pair: LambertPair, spec: EnergySpec,
                     attractive: bool = True) -> RegionClass:
     """Classify an endpoint pair as Allowed / OnCaustic / Forbidden.
 
-    E < 0 attractive: the caustic is alpha_plus = 4a, with the kernels'
-    region rule (``_kernels.region_status``).
+    E < 0 attractive: the caustic is alpha_plus = 4a.
     E > 0 repulsive:  allowed motion needs alpha_minus > 4|a|.
     E > 0 attractive: every point is reachable.
-    Both caustics carry the relative band ``_kernels.CAUSTIC_TOL``.
+    Both caustics carry the band of ``_kernels.caustic_region``.
     """
     four_a = 4.0 * spec.a
     if spec.E < 0.0:
         if not attractive:
             raise ValueError("E < 0 with a repulsive interaction has no "
                              "classically allowed region")
-        code = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)[0]
-        return bound_class(code, pair, four_a)
+        return bound_class(K.caustic_region(pair.alpha_plus, four_a), pair, four_a)
     if attractive:
         return RegionClass(Region.ALLOWED, math.inf)
-    margin = (pair.alpha_minus - four_a) / four_a
-    if abs(pair.alpha_minus - four_a) <= K.CAUSTIC_TOL * four_a:
-        return RegionClass(Region.ON_CAUSTIC, margin)
-    return RegionClass(Region.ALLOWED if pair.alpha_minus > four_a else Region.FORBIDDEN,
-                       margin)
+    return RegionClass(REGIONS[barrier_region(pair.alpha_minus, four_a)],
+                       (pair.alpha_minus - four_a) / four_a)
 
 
 def anomaly_angles(pair: LambertPair, a: float) -> tuple[float, float]:
     """Principal-branch angles with sin^2(gamma/2) = alpha_plus/4a and
     sin^2(delta/2) = alpha_minus/4a, 0 <= delta <= gamma <= pi.
 
-    Only defined up to the caustic; beyond it the analytic continuation of
-    the action (actions module) must be used instead.
+    Defined up to the caustic, its band included (gamma = pi); beyond it
+    the action's continuation (actions module) must be used instead.
     """
-    four_a = 4.0 * a
-    if pair.alpha_plus > four_a * (1.0 + 1e-12):
-        raise ForbiddenRegionError(
-            f"alpha_plus = {pair.alpha_plus} exceeds 4a = {four_a}: no real anomaly "
-            "angles; use the forbidden-region action continuation"
-        )
-    gamma = 2.0 * math.asin(min(1.0, math.sqrt(pair.alpha_plus / four_a)))
-    delta = 2.0 * math.asin(min(1.0, math.sqrt(pair.alpha_minus / four_a)))
-    return gamma, delta
+    refuse_region(K.caustic_region(pair.alpha_plus, 4.0 * a), ALLOWED_SIDE,
+                  "no real anomaly angles: use the forbidden-region action continuation")
+    return K.gamma_angle(pair.alpha_plus, a), K.gamma_angle(pair.alpha_minus, a)
 
 
 def action_via_anomalies(gamma: float, delta: float, a: float,

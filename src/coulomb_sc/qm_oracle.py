@@ -279,9 +279,11 @@ def solve_radial(l: int, E: float, params: SystemParams,
 def radial_green(l: int, r_small: float, r_large: float, E: float,
                  params: SystemParams, r_max: float | None = None,
                  h: float | None = None) -> float:
-    """Radial Green component g_l(r_<, r_>; E) for E < 0, n = 3.  The default
-    mesh is sized for l = 0 (relative error 7e-9 there, 1e-3 at l = 40 and
-    nu = 5.3): high l needs an explicit r_max and h."""
+    """Radial Green component g_l(r_<, r_>; E) for E < 0, n = 3 only, as in
+    qm_field.  The default mesh is sized for l = 0 (relative error 7e-9
+    there, 1e-3 at l = 40 and nu = 5.3): high l needs an explicit r_max and h."""
+    if params.ndim != 3:
+        raise UnsupportedDimensionError("the radial Green function is implemented for n = 3")
     if not 0.0 < r_small <= r_large:
         raise ValueError("need 0 < r_small <= r_large")
     spec = EnergySpec.from_energy(E, params)

@@ -26,21 +26,21 @@ from .actions import (
     round_trip,
     scatter_velocity,
 )
-from .errors import (ForbiddenRegionError, IllConditionedError, OnCausticError,
-                     PoleError, RegionError)
+from .errors import IllConditionedError, OnCausticError, PoleError
 from .geometry import (
+    ALLOWED_ONLY,
+    FORBIDDEN_ONLY,
     RegionClass,
     bound_class,
     classify_region,
     endpoint_lists,
     lambert_variables,
     refuse_point,
+    refuse_region,
 )
-from .model import EnergySpec, SystemParams, bound_regime, check_pole, scattering_regime
-from .vvpm import vvpm_det
-
-#: loop_factor refuses quantization arguments this close to an integer
-LOOP_POLE_TOL = 1e-12
+from .model import (POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole,
+                    scattering_regime)
+from .vvpm import PATH_IDS, vvpm_det
 
 
 class FieldSample(NamedTuple):
@@ -60,13 +60,13 @@ def loop_factor(w_2pi: float, ndim: int, hbar: float) -> complex:
     1/2 + (i/2) cot[pi (W_2pi/(2 pi hbar) - m_2pi/4)],  m_2pi = 2(n-1).
 
     Poles at nonnegative-integer argument are the bound states; arguments
-    within LOOP_POLE_TOL of an integer raise PoleError carrying it.
+    within ``model.POLE_GUARD`` of an integer raise PoleError carrying it.
     """
     if w_2pi <= 0.0:
         raise ValueError("round-trip action must be positive")
     x = w_2pi / (2.0 * math.pi * hbar) - (ndim - 1) / 2.0
     nearest = round(x)
-    if abs(x - nearest) < LOOP_POLE_TOL:
+    if abs(x - nearest) < POLE_GUARD:
         raise PoleError(
             f"loop factor pole: quantization argument {x} is an integer", k=int(nearest)
         )
@@ -107,9 +107,9 @@ def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
 
 
 def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
-              forbidden: bool) -> FieldSample:
-    """Bound SC value at one endpoint pair, which must lie beyond the
-    caustic if ``forbidden`` and inside it otherwise; region and status
+              accepts: tuple, hint: str) -> FieldSample:
+    """Bound SC value at one endpoint pair, which must lie in a caustic
+    region the form ``accepts`` (``refuse_region``); region and status
     are the kernel's.  A value that overflows (endpoints a tiny distance
     apart) raises IllConditionedError."""
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
@@ -120,13 +120,7 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
     except OverflowError as exc:
         raise IllConditionedError(f"SC amplitude overflows at s = {pair.s}") from exc
     refuse_point(status)
-    if forbidden:
-        if region != K.REGION_FORBIDDEN:
-            raise RegionError("green_sc_tunnel requires a point beyond the caustic")
-    elif region == K.REGION_CAUSTIC:
-        raise OnCausticError("on the caustic: use green_uniform")
-    elif region == K.REGION_FORBIDDEN:
-        raise ForbiddenRegionError("beyond the caustic: use green_sc_tunnel")
+    refuse_region(region, accepts, hint)
     if status == K.STATUS_CAUSTIC:
         raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
     if not cmath.isfinite(val):
@@ -141,7 +135,8 @@ def green_sc_bound(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fie
 
     Real for odd n; even n carries the principal-branch complex prefactor.
     """
-    return _green_sc(r_vec, rp_vec, spec, params, False)
+    return _green_sc(r_vec, rp_vec, spec, params, ALLOWED_ONLY,
+                     "use green_uniform on the caustic, green_sc_tunnel beyond it")
 
 
 def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
@@ -153,7 +148,8 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
     Raises OnCausticError where the inner leg reaches its own turning
     point, alpha_minus = 4a.
     """
-    return _green_sc(r_vec, rp_vec, spec, params, True)
+    return _green_sc(r_vec, rp_vec, spec, params, FORBIDDEN_ONLY,
+                     "green_sc_tunnel requires a point beyond the caustic")
 
 
 # --- explicit loop summation (diagnostic / factorization check) -------------
@@ -166,19 +162,15 @@ def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
     check_pole(spec)
     region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)
     refuse_point(status)
-    if region != K.REGION_ALLOWED:
-        raise RegionError("explicit loop sum implemented for the allowed region")
+    refuse_region(region, ALLOWED_ONLY, "explicit loop sum implemented for the allowed region")
     paths = four_paths(pair, spec, params)
     w2pi_c = 2.0 * math.pi * params.hbar * (k_c + (params.ndim - 1) / 2.0)
     w1 = paths[0].W
     w2 = paths[1].W
     ws = (w1, w2, w2pi_c - w1, w2pi_c - w2)
-    amps = tuple(math.sqrt(abs(vvpm_det(i, pair, spec, params).D)) for i in PATHS)
+    amps = tuple(math.sqrt(abs(vvpm_det(i, pair, spec, params).D)) for i in PATH_IDS)
     morse = tuple(p.morse for p in paths)
     return amps, ws, morse, w2pi_c
-
-
-PATHS = (1, 2, 3, 4)
 
 
 def green_sc_bound_sum(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
@@ -225,10 +217,6 @@ def green_sc_bound_product(r_vec, rp_vec, spec: EnergySpec, params: SystemParams
 
 # --- scattering (E > 0) ------------------------------------------------------
 
-def _scatter_prefactor(ndim: int, hbar: float) -> complex:
-    return -1j / (hbar * (2j * math.pi * hbar) ** ((ndim - 1) / 2.0))
-
-
 def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
                                 params: SystemParams) -> FieldSample:
     """Two-hyperbola scattering Green function for E > 0, attractive case
@@ -245,7 +233,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
     den = math.sqrt(vp * vm)
     sd1 = (params.mu * (vp + vm) / (2.0 * pair.s)) ** ((n - 1) / 2.0) / den
     sd2 = (params.mu * (vm - vp) / (2.0 * pair.s)) ** ((n - 1) / 2.0) / den
-    val = _scatter_prefactor(n, hbar) * (
+    val = -1j / (hbar * (2j * math.pi * hbar) ** ((n - 1) / 2.0)) * (
         sd1 * cmath.exp(1j * (wp - wm) / hbar)
         + sd2 * cmath.exp(1j * (wp + wm) / hbar - 0.5j * math.pi * (n - 2))
     )

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _kernels as K
-from .errors import IllConditionedError, OnCausticError, RegionError
-from .geometry import LambertPair, refuse_point
+from .errors import IllConditionedError, RegionError
+from .geometry import ALLOWED_ONLY, LambertPair, refuse_point, refuse_region
 from .model import EnergySpec, SystemParams, bound_regime
 
 PATH_IDS = (1, 2, 3, 4)
@@ -99,31 +99,16 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     _, cv, _ = bound_regime(spec, params)
     four_a = 4.0 * spec.a
     region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
-    if region == K.REGION_CAUSTIC:
-        raise OnCausticError(
-            "v+ vanishes on the caustic and the determinant diverges; "
-            "use the uniform approximation"
-        )
-    if region == K.REGION_FORBIDDEN:
-        raise RegionError("endpoint pair beyond the caustic; no real determinant")
+    refuse_region(region, ALLOWED_ONLY, "no finite real determinant: use green_uniform")
     refuse_point(status)
 
     # the velocities K.v_bound and the transverse factor of
     # dimensional_factor, written out: the guards above cover theirs
     vp = cv * math.sqrt((four_a - pair.alpha_plus) / pair.alpha_plus)
     vm = cv * math.sqrt((four_a - pair.alpha_minus) / pair.alpha_minus)
-    n = params.ndim
-    if path_id == 1 or path_id == 3:
-        f = -params.mu * (vp + vm) / (2.0 * pair.s)
-        d = f ** (n - 1) / (vp * vm)
-        if path_id == 3:
-            d = -d
-    else:
-        f = -params.mu * (vp - vm) / (2.0 * pair.s)
-        d = -(f ** (n - 1)) / (vp * vm)
-        if path_id == 4:
-            d = -d
-    return VvpmValue(path_id, d, f)
+    f = -params.mu * ((vp + vm) if path_id % 2 else (vp - vm)) / (2.0 * pair.s)
+    d = f ** (params.ndim - 1) / (vp * vm)
+    return VvpmValue(path_id, -d if path_id in (2, 3) else d, f)
 
 
 # --- finite-difference cross-check -----------------------------------------

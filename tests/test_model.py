@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coulomb_sc as cs
+from coulomb_sc.errors import UnsupportedDimensionError
 
 
 def test_eigenvalue_ground_states(au):
@@ -151,6 +152,15 @@ def test_bound_evaluators_refuse_other_regimes(au, name):
         with pytest.raises(ValueError) as info:
             BOUND_ONLY[name](spec, params)
         assert info.type is ValueError, (spec.E, params.attractive)
+
+
+def test_radial_green_refuses_other_dimensions():
+    # the 3-D radial equation is no n = 2 channel: next to the 3-D nu = 5
+    # pole it returned -6.5e10 instead of a refusal
+    plane = cs.SystemParams(ndim=2)
+    E = -1.0 / (2.0 * 25.0) * (1.0 + 1e-13)
+    with pytest.raises(UnsupportedDimensionError):
+        cs.radial_green(0, 10.0, 20.0, E, plane)
 
 
 @pytest.mark.parametrize("name", SCATTERING_ONLY)

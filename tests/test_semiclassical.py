@@ -33,6 +33,17 @@ def test_loop_factor_special_values(au):
         cs.loop_factor(-1.0, n, 1.0)
 
 
+def test_loop_factor_pole_band_is_the_model_guard(au):
+    # loop_factor refuses the band of model.POLE_GUARD about an integer,
+    # the band check_pole refuses for the energy
+    n = 3
+    w = lambda x: 2 * math.pi * (x + (n - 1) / 2)
+    with pytest.raises(PoleError) as exc:
+        cs.loop_factor(w(3.0 + 1e-10), n, 1.0)
+    assert exc.value.k == 3
+    assert cmath.isfinite(cs.loop_factor(w(3.0 + 1e-8), n, 1.0))
+
+
 def test_loop_factor_poles_are_eigenvalues(au):
     # the poles over E < 0 sit exactly on the bound spectrum
     for n in (2, 3, 4, 5):
