@@ -27,6 +27,10 @@ Each formula has two forms:
   has fired, and each element's sums freeze at its own stop, so both
   forms add the same terms and agree to rounding.
 
+The SC value is one prefactor times one bracket, pref_merged * B /
+sin(pi k), with B real on both sides of the caustic (``sc_bound_point``)
+and complex only where both legs are forbidden (``_sc_doubly``).
+
 Conventions used throughout (plain floats, or float arrays in the array
 kernels):
 
@@ -101,11 +105,12 @@ def w_bound_forbidden_im(alpha, a, sk):
     Re W_+ is the alpha-independent half-loop action pi a sk.  The same
     function of alpha is the half-action of repulsive scattering (E > 0)
     on its allowed side alpha >= 4|a|, which vanishes at the turning point.
+    It is sk (sqrt((alpha - 4a) alpha)/2 - 2a acosh(sqrt(alpha/4a))) =
+    sk a (sinh t - t), t = 2 asinh(sqrt(alpha/4a - 1)), without cancellation.
     """
     if alpha <= 4.0 * a:
         return 0.0
-    return sk * (0.5 * math.sqrt((alpha - 4.0 * a) * alpha)
-                 - 2.0 * a * math.acosh(math.sqrt(alpha / (4.0 * a))))
+    return sk * a * _odd_tail(2.0 * math.asinh(math.sqrt((alpha - 4.0 * a) / (4.0 * a))), 1.0)
 
 
 # ==========================================================================
@@ -258,17 +263,22 @@ def region_status_array(s, ap, am, four_a):
 # semiclassical point evaluators (bound E < 0)
 # ==========================================================================
 
-def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
-                   pref_merged, pref_elem, pglob, sinpk):
-    """Semiclassical bound-state Green value at one point.
-
-    Allowed region: merged two-path interference form (real for odd ndim).
-    Forbidden region: two-path tunneling continuation with the
-    positive-imaginary action branch, times the loop factor (real for odd
-    ndim while the inner leg is allowed, alpha_- < 4a).  Besides the
-    source and the focal line, the caustic band and the inner leg's
-    turning point alpha_- = 4a (within CAUSTIC_TOL * 4a) get NaN, with
-    STATUS_CAUSTIC.
+def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
+    """Semiclassical bound-state Green value at one point,
+    pref_merged * B / sin(pi k), p = (n - 1)/2, with a real bracket B on
+    each side of the caustic: the merged interference of the two path
+    families where the point is allowed (alpha_+ < 4a); beyond it, the
+    inner leg allowed, the two-path continuation v_+ -> i w,
+    W_+ -> pi a sk + i K times the loop factor 1/2 + (i/2) cot(pi k),
+    summed to
+        (mu |v_- + i w| / 2s)^p e^(-K/hbar)
+        cos(p atan2(w, v_-) + pi (p/2 - 1/4) - W_-/hbar) / sqrt(w v_-),
+    at n = 3 Hostler's bracket with the decaying outer solution.  Doubly
+    forbidden points take the complex bracket of ``_sc_doubly``; every
+    other value is real (odd n) or imaginary (even n), its zero part +0.0.
+    Besides the source and the focal line, the caustic band and the inner
+    leg's turning point alpha_- = 4a (within CAUSTIC_TOL * 4a) get NaN,
+    with STATUS_CAUSTIC.
 
     Returns (value, region_code, status_code).
     """
@@ -295,43 +305,33 @@ def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
         w2 = wp + wm
         br = (sd1 * math.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))
               + sd2 * math.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
-        return pref_merged * br / sinpk, region, STATUS_OK
-
-    val = sc_forbidden_value(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
-    if am < four_a and ndim % 2 == 1:
-        # inner leg allowed, odd n: the value is real; its imaginary part
-        # is rounding noise whose sign follows the last bit of the arithmetic
-        val = complex(val.real, 0.0)
-    return val, region, STATUS_OK
-
-
-def sc_forbidden_value(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob):
-    """Complex two-path tunnelling value beyond the caustic (alpha_+ > 4a),
-    before sc_bound_point drops the imaginary rounding noise of odd n."""
-    four_a = 4.0 * a
-    p = (ndim - 1.0) / 2.0
-    # continue v_plus -> i w, W_plus -> pi a sk + i Im
-    w_im_p = w_bound_forbidden_im(ap, a, sk)
-    wtp = complex(math.pi * a * sk, w_im_p)
-    wvel_p = cv * math.sqrt((ap - four_a) / ap)
-    if am >= four_a:
-        # doubly forbidden: continue the minus leg the same way
-        w_im_m = w_bound_forbidden_im(am, a, sk)
-        wtm = complex(math.pi * a * sk, w_im_m)
-        vmc = complex(0.0, cv * math.sqrt((am - four_a) / am))
+    elif am < four_a:
+        # tunnelling: the real form of the docstring
+        vm = v_bound(am, a, cv)
+        w = cv * math.sqrt((ap - four_a) / ap)
+        br = ((mu * math.hypot(vm, w) / (2.0 * s)) ** p
+              * math.exp(-w_bound_forbidden_im(ap, a, sk) / hbar)
+              * math.cos(p * math.atan2(w, vm) + math.pi * (0.5 * p - 0.25)
+                         - w_bound(am, a, sk) / hbar) / math.sqrt(w * vm))
     else:
-        wtm = complex(w_bound(am, a, sk), 0.0)
-        vmc = complex(v_bound(am, a, cv), 0.0)
-    vpc = complex(0.0, wvel_p)
-    denc = cmath.sqrt(vpc * vmc)
-    b1 = mu * (vmc + vpc) / (2.0 * s)
-    b2 = mu * (vmc - vpc) / (2.0 * s)
-    a1 = b1 ** p / denc
-    a2 = cmath.exp(-0.5j * math.pi * (ndim - 2.0)) * b2 ** p / denc
-    w1 = wtp - wtm
-    w2 = wtp + wtm
-    return pref_elem * pglob * (a1 * cmath.exp(1j * w1 / hbar)
-                                + a2 * cmath.exp(1j * w2 / hbar))
+        br = _sc_doubly(s, cv * math.sqrt((ap - four_a) / ap),
+                        cv * math.sqrt((am - four_a) / am), w_bound_forbidden_im(ap, a, sk),
+                        w_bound_forbidden_im(am, a, sk), k, p, mu, hbar, math.exp)
+    # adding 0j makes the zero part +0.0, whatever the signs of the factors
+    return pref_merged * br / sinpk + 0j, region, STATUS_OK
+
+
+def _sc_doubly(s, wp, wm, kp, km, k, p, mu, hbar, exp):
+    """Complex bracket of the doubly forbidden SC, scalar or array (``exp``
+    from math or NumPy): both legs continued, v -> i w, W -> pi a sk + i K,
+    times the loop factor; its real part is about half of Hostler's value.
+        [-i e^(-i pi k) (mu (w_+ + w_-)/2s)^p e^(-(K_+ - K_-)/hbar)
+         + e^(i pi k) (mu (w_+ - w_-)/2s)^p e^(-(K_+ + K_-)/hbar)] / (2 sqrt(w_+ w_-))
+    """
+    phase = cmath.exp(1j * math.pi * k)
+    return (-1j * phase.conjugate() * (mu * (wp + wm) / (2.0 * s)) ** p * exp((km - kp) / hbar)
+            + phase * (mu * (wp - wm) / (2.0 * s)) ** p * exp(-(kp + km) / hbar)) \
+        / (2.0 * (wp * wm) ** 0.5)
 
 
 # ==========================================================================
@@ -506,14 +506,6 @@ def ua_point(s, ap, am, four_a, nu, kappa, g0):
 FIELD_BLOCK = 4096
 
 
-def _cplx(re, im):
-    """complex(re, im) elementwise, without arithmetic on either part."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _w_bound_array(alpha, a, sk):
     """w_bound over an array."""
     g = 2.0 * np.arcsin(np.sqrt(np.clip(alpha / (4.0 * a), 0.0, 1.0)))
@@ -522,8 +514,8 @@ def _w_bound_array(alpha, a, sk):
 
 def _w_bound_forbidden_im_array(alpha, a, sk):
     """w_bound_forbidden_im over an array with alpha >= 4a."""
-    return sk * (0.5 * np.sqrt((alpha - 4.0 * a) * alpha)
-                 - 2.0 * a * np.arccosh(np.sqrt(alpha / (4.0 * a))))
+    return sk * a * _odd_tail_array(2.0 * np.arcsinh(np.sqrt((alpha - 4.0 * a) / (4.0 * a))),
+                                    1.0)
 
 
 def _airy_decaying(x):
@@ -741,8 +733,7 @@ def _map_blocks(block_kernel, points, source, *args):
     return vals, region, status
 
 
-def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
-                    pref_merged, pref_elem, pglob, sinpk):
+def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
     four_a = 4.0 * a
     region, status = region_status_array(s, ap, am, four_a)
     # on the caustic, or the inner leg at its own turning point (v_minus = 0)
@@ -770,51 +761,31 @@ def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv,
           + sd2 * np.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
     vals[ok] = pref_merged * br / sinpk
 
-    ok = rest & ~inside
-    am_ = am[ok]
-    val = sc_forbidden_array(ap[ok], am_, s[ok], a, ndim, mu, hbar, sk, cv,
-                             pref_elem, pglob)
-    if ndim % 2 == 1:
-        # inner leg allowed, odd n: real up to rounding noise
-        val.imag[am_ < four_a] = 0.0
-    vals[ok] = val
-    return vals, region, status
+    # tunnelling: the real form of sc_bound_point
+    ok = rest & ~inside & (am < four_a)
+    s_, ap_, am_ = s[ok], ap[ok], am[ok]
+    vm = cv * np.sqrt((four_a - am_) / am_)
+    w = cv * np.sqrt((ap_ - four_a) / ap_)
+    br = ((mu * np.hypot(vm, w) / (2.0 * s_)) ** p
+          * np.exp(-_w_bound_forbidden_im_array(ap_, a, sk) / hbar)
+          * np.cos(p * np.arctan2(w, vm) + math.pi * (0.5 * p - 0.25)
+                   - _w_bound_array(am_, a, sk) / hbar) / np.sqrt(w * vm))
+    vals[ok] = pref_merged * br / sinpk
+
+    ok = rest & (am >= four_a)
+    s_, ap_, am_ = s[ok], ap[ok], am[ok]
+    br = _sc_doubly(s_, cv * np.sqrt((ap_ - four_a) / ap_), cv * np.sqrt((am_ - four_a) / am_),
+                    _w_bound_forbidden_im_array(ap_, a, sk),
+                    _w_bound_forbidden_im_array(am_, a, sk), k, p, mu, hbar, np.exp)
+    vals[ok] = pref_merged * br / sinpk
+    # adding 0j makes the zero part +0.0, whatever the signs of the factors
+    return vals + 0j, region, status
 
 
-def sc_forbidden_array(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob):
-    """sc_forbidden_value over arrays with alpha_+ > 4a."""
-    four_a = 4.0 * a
-    p = (ndim - 1.0) / 2.0
-    # continue v_plus -> i w, W_plus -> pi a sk + i Im
-    wtp = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(ap, a, sk))
-    wvel_p = cv * np.sqrt((ap - four_a) / ap)
-    wtm = np.empty(ap.shape, dtype=np.complex128)
-    vmc = np.empty(ap.shape, dtype=np.complex128)
-    dbl = am >= four_a
-    # doubly forbidden: continue the minus leg the same way
-    amd = am[dbl]
-    wtm[dbl] = _cplx(math.pi * a * sk, _w_bound_forbidden_im_array(amd, a, sk))
-    vmc[dbl] = _cplx(0.0, cv * np.sqrt((amd - four_a) / amd))
-    amd = am[~dbl]
-    wtm[~dbl] = _w_bound_array(amd, a, sk)
-    vmc[~dbl] = cv * np.sqrt((four_a - amd) / amd)
-    vpc = _cplx(0.0, wvel_p)
-    denc = np.sqrt(vpc * vmc)
-    b1 = mu * (vmc + vpc) / (2.0 * s)
-    b2 = mu * (vmc - vpc) / (2.0 * s)
-    a1 = b1 ** p / denc
-    a2 = cmath.exp(-0.5j * math.pi * (ndim - 2.0)) * b2 ** p / denc
-    w1 = wtp - wtm
-    w2 = wtp + wtm
-    return pref_elem * pglob * (a1 * np.exp(1j * w1 / hbar)
-                                + a2 * np.exp(1j * w2 / hbar))
-
-
-def sc_bound_field(points, source, a, k, ndim, mu, hbar, sk, cv,
-                   pref_merged, pref_elem, pglob, sinpk):
+def sc_bound_field(points, source, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
     """sc_bound_point at every row of points (N x n), array-wise."""
     return _map_blocks(_sc_bound_block, points, source, a, k, ndim, mu, hbar, sk, cv,
-                       pref_merged, pref_elem, pglob, sinpk)
+                       pref_merged, sinpk)
 
 
 def _ua_block(s, ap, am, four_a, nu, kappa, g0):

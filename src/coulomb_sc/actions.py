@@ -79,30 +79,30 @@ def travel_time_bound(alpha: float, spec: EnergySpec, params: SystemParams) -> f
 
 
 def round_trip(spec: EnergySpec, params: SystemParams) -> tuple[float, float]:
-    """(W_2pi, T_2pi) = (2 pi sqrt(mu a Kc), 2 pi sqrt(mu a^3 / Kc)) for E < 0."""
-    bound_regime(spec, params)
-    w = 2.0 * math.pi * math.sqrt(params.mu * spec.a * params.Kc)
-    t = 2.0 * math.pi * math.sqrt(params.mu * spec.a**3 / params.Kc)
-    return w, t
+    """(W_2pi, T_2pi) = (2 pi sk a, 2 pi ts) = (2 pi sqrt(mu a Kc),
+    2 pi sqrt(mu a^3 / Kc)) for E < 0, from ``bound_regime``'s scales."""
+    sk, _, ts = bound_regime(spec, params)
+    return 2.0 * math.pi * sk * spec.a, 2.0 * math.pi * ts
 
 
 def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     """(BasicActions, sk, ts, gamma_plus) of a bound pair on the allowed
     side or in the caustic band: the scales, the round trip and the
-    anomaly angles behind basic_actions and four_paths, each computed once."""
+    anomaly angles behind basic_actions and four_paths, each computed once.
+    An alpha_minus that rounding puts in the focal band below 0,
+    [-FOCAL_TOL alpha_plus, 0), is read as 0 (gamma_angle does)."""
     sk, _, ts = bound_regime(spec, params)
     a = spec.a
     refuse_region(K.caustic_region(pair.alpha_plus, 4.0 * a), ALLOWED_SIDE,
                   "use the forbidden-region forms")
-    # rounding can put the alpha_minus of a focal pair just below 0
-    if pair.alpha_minus < 0.0:
+    if pair.alpha_minus < -K.FOCAL_TOL * pair.alpha_plus:
         raise RegionError(f"alpha = {pair.alpha_minus} is negative")
-    w2pi, t2pi = round_trip(spec, params)
     gp = K.gamma_angle(pair.alpha_plus, a)
     gm = K.gamma_angle(pair.alpha_minus, a)
     sin_p, sin_m = math.sin(gp), math.sin(gm)
     b = BasicActions(sk * a * (gp + sin_p), sk * a * (gm + sin_m),
-                     ts * (gp - sin_p), ts * (gm - sin_m), w2pi, t2pi)
+                     ts * (gp - sin_p), ts * (gm - sin_m),
+                     2.0 * math.pi * sk * a, 2.0 * math.pi * ts)
     return b, sk, ts, gp
 
 
@@ -133,7 +133,8 @@ def four_paths(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> lis
     b, sk, ts, gp = _bound_legs(pair, spec, params)
     a = spec.a
     four_a = 4.0 * a
-    x_p, x_m = min(pair.alpha_plus / four_a, 1.0), min(pair.alpha_minus / four_a, 1.0)
+    x_p = min(pair.alpha_plus / four_a, 1.0)
+    x_m = min(max(pair.alpha_minus, 0.0) / four_a, 1.0)
     den = math.sqrt(x_p * (1.0 - x_m)) + math.sqrt(x_m * (1.0 - x_p))
     # den = 0 only where both angles are 0 or both pi (then d = 0)
     d = 2.0 * math.asin(min(1.0, 2.0 * pair.s / four_a / den)) if den > 0.0 else 0.0

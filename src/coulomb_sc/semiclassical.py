@@ -2,9 +2,14 @@
 
 Bound regime (E < 0): the four elementary paths plus all loop repetitions
 sum, in closed form, to a two-path interference formula times a cotangent
-loop factor whose poles are the exact bound-state energies.  Scattering
-(E > 0) is a bare two-path sum.  Classically forbidden points use the
-positive-imaginary continuation of the outer action.
+loop factor whose poles are the exact bound-state energies.  Both sides of
+the caustic then take one prefactor and one real closed form,
+``pref_merged * B / sin(pi k)``: the merged interference bracket where the
+point is classically allowed, and beyond the caustic the outer action's
+positive-imaginary continuation, whose two paths and loop factor sum to a
+real bracket decaying like e^(-Im W_+/hbar) (``_kernels.sc_bound_point``).
+Doubly forbidden points keep a complex bracket.  Scattering (E > 0) is a
+bare two-path sum.
 
 Global phase convention: fixed so that G -> -mu / (2 pi hbar^2 s) as
 s -> 0 in three dimensions (the free source singularity), which also
@@ -20,12 +25,7 @@ import math
 from typing import NamedTuple
 
 from . import _kernels as K
-from .actions import (
-    four_paths,
-    reduced_action_scatter_attractive,
-    round_trip,
-    scatter_velocity,
-)
+from .actions import four_paths, reduced_action_scatter_attractive, scatter_velocity
 from .errors import IllConditionedError, OnCausticError, PoleError
 from .geometry import (
     ALLOWED_ONLY,
@@ -93,17 +93,14 @@ def _elementary_prefactor(ndim: int, hbar: float) -> complex:
 
 
 def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
-    """(a, k, ndim, mu, hbar, sk, cv, merged prefactor, elementary
-    prefactor, loop factor, sin(pi k)): the energy-dependent arguments of
-    the bound SC kernels after the three Lambert lengths.  Refuses what
-    ``bound_regime`` refuses and pole energies (``check_pole``)."""
+    """(a, k, ndim, mu, hbar, sk, cv, merged prefactor, sin(pi k)): the
+    energy-dependent arguments of the bound SC kernels after the three
+    Lambert lengths.  Refuses what ``bound_regime`` refuses and pole
+    energies (``check_pole``)."""
     sk, cv, _ = bound_regime(spec, params)
     check_pole(spec)
     return (spec.a, spec.k, params.ndim, params.mu, params.hbar, sk, cv,
-            _merged_prefactor(params.ndim, params.hbar),
-            _elementary_prefactor(params.ndim, params.hbar),
-            loop_factor(round_trip(spec, params)[0], params.ndim, params.hbar),
-            math.sin(math.pi * spec.k))
+            _merged_prefactor(params.ndim, params.hbar), math.sin(math.pi * spec.k))
 
 
 def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
@@ -144,7 +141,8 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
 
     The outer action takes the positive-imaginary branch, so the value
     decays exponentially with tunnel depth; the inner (allowed) leg is
-    unchanged, and the loop factor still carries the bound-state poles.
+    unchanged, and 1/sin(pi k) still carries the bound-state poles.  Real
+    for odd n while the inner leg is allowed.
     Raises OnCausticError where the inner leg reaches its own turning
     point, alpha_minus = 4a.
     """

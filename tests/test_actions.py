@@ -332,3 +332,50 @@ def test_kepler_transfer_time(au, rng):
         val *= math.sqrt(au.mu * a / au.Kc)
         closed = cs.kepler_transfer_time(xi, xi_p, eps, sp, au)
         assert closed == pytest.approx(val, rel=1e-8)
+
+
+def test_bound_forbidden_im_full_precision_near_turning_point(au):
+    # Im W_+ = sk (sqrt((alpha - 4a) alpha)/2 - 2a acosh(sqrt(alpha/4a))) in
+    # mpmath at the float alpha, for u = alpha/4a - 1 from 1e-15 to 10: the
+    # two terms cancel as u -> 0, and the kernel keeps every digit
+    from coulomb_sc import _kernels as K
+
+    mp.mp.dps = 50
+    u = np.array([m * 10.0 ** e for e in range(-15, 2) for m in (1.0, 3.0)])
+    for nu in (5.3, 9.7, 29.2):
+        spec = cs.energy_from_nu(nu, au)
+        a = spec.a
+        sk = math.sqrt(2.0 * au.mu * abs(spec.E))
+        alpha = 4.0 * a * (1.0 + u)
+        am, fa = mp.mpf(a), 4 * mp.mpf(a)
+        want = np.array([float(sk * (mp.sqrt((mp.mpf(x) - fa) * x) / 2
+                                     - 2 * am * mp.acosh(mp.sqrt(x / fa)))) for x in alpha])
+        got = np.array([K.w_bound_forbidden_im(x, a, sk) for x in alpha.tolist()])
+        assert np.max(np.abs(got / want - 1.0)) <= 4e-15
+        assert np.max(np.abs(K._w_bound_forbidden_im_array(alpha, a, sk) / want - 1.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_focal_pairs_answer_whatever_the_last_bit(ndim):
+    # endpoints on opposite sides of the centre on one line: alpha_- =
+    # r + r' - s is 0 up to rounding, and a value just below 0 lies in the
+    # focal band of the region rule, like one just above
+    params = cs.SystemParams(ndim=ndim)
+    rng = np.random.default_rng(20261023 + ndim)
+    below = 0
+    for _ in range(35):
+        spec = cs.energy_from_nu(rng.uniform(5.0, 30.0), params)
+        u = rng.normal(size=ndim)
+        u /= np.linalg.norm(u)
+        total = 2.0 * spec.a * rng.uniform(0.05, 0.95)
+        rp = total * rng.uniform(0.1, 0.9)
+        pair = cs.lambert_variables(-(total - rp) * u, rp * u, params)
+        assert abs(pair.alpha_minus) <= 1e-12 * pair.alpha_plus
+        below += pair.alpha_minus < 0.0
+        paths = cs.four_paths(pair, spec, params)
+        b = cs.basic_actions(pair, spec, params)
+        # the focal limit: the inner leg's action is 0 to the rounding of alpha_-
+        assert 0.0 <= b.w_minus <= 1e-6 * b.w_plus and 0.0 <= b.t_minus <= 1e-6 * b.t_plus
+        assert paths[0].W == pytest.approx(paths[1].W, rel=1e-6)
+        assert all(math.isfinite(p.W) and math.isfinite(p.T) for p in paths)
+    assert below > 0

@@ -9,8 +9,10 @@ values equal to rounding in units of the largest value (a pointwise
 relative bound cannot hold at the nodes of the field).
 """
 
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -144,14 +146,59 @@ def test_sc_inner_turning_point_is_flagged(ndim):
     assert math.isnan(val.real) and (reg, st) == (K.REGION_FORBIDDEN, K.STATUS_CAUSTIC)
 
 
+def two_path_continuation(s, ap, am, spec, params):
+    """The SC beyond the caustic as the elementary two-path continuation:
+    each leg past 4a takes v -> i w and W -> pi a sk + i Im W, times the
+    elementary prefactor and the loop factor, in complex arithmetic on the
+    principal branch.  Returns the value and a node-free scale, the sum of
+    the two paths' moduli."""
+    a, n, mu, hbar = spec.a, params.ndim, params.mu, params.hbar
+    sk, cv, _ = cs.model.bound_regime(spec, params)
+    p = (n - 1.0) / 2.0
+
+    def leg(alpha):
+        if alpha < 4.0 * a:
+            return complex(K.w_bound(alpha, a, sk), 0.0), complex(K.v_bound(alpha, a, cv), 0.0)
+        return (complex(math.pi * a * sk, K.w_bound_forbidden_im(alpha, a, sk)),
+                complex(0.0, cv * math.sqrt((alpha - 4.0 * a) / alpha)))
+
+    (wtp, vpc), (wtm, vmc) = leg(ap), leg(am)
+    denc = cmath.sqrt(vpc * vmc)
+    t1 = (mu * (vmc + vpc) / (2.0 * s)) ** p / denc * cmath.exp(1j * (wtp - wtm) / hbar)
+    t2 = (cmath.exp(-0.5j * math.pi * (n - 2.0)) * (mu * (vmc - vpc) / (2.0 * s)) ** p / denc
+          * cmath.exp(1j * (wtp + wtm) / hbar))
+    pref = (-1.0 / (1j * hbar * (-2j * math.pi * hbar) ** p)
+            * cs.loop_factor(cs.round_trip(spec, params)[0], n, hbar))
+    return pref * (t1 + t2), abs(pref) * (abs(t1) + abs(t2))
+
+
+def forbidden_points(rng, a, ndim, n_tunnel, n_doubly):
+    """(points, source) pairs beyond the caustic: tunnelling pairs for two
+    sources, the inner leg far from and near its turning point, and doubly
+    forbidden pairs for a third, in the plane of the first two axes."""
+    four_a = 4.0 * a
+    out = []
+    for rp, n, lo in ((0.35 * a, n_tunnel // 2, -0.99), (1.9 * a, n_tunnel - n_tunnel // 2, -0.99),
+                      (2.5 * a, n_doubly, (four_a * (1.0 + 1e-6) - 2.5 * a) / (2.5 * a))):
+        v = rp * rng.uniform(lo, 0.99, n)
+        R = elliptic_points(rp, rng.uniform(np.maximum(four_a * 1.001 - rp, v), 3.0 * four_a), v)
+        pts = np.zeros((n, ndim))
+        pts[:, :2] = R[:, :2]
+        source = np.zeros(ndim)
+        source[0] = rp
+        out.append((pts, source))
+    return out
+
+
 @pytest.mark.parametrize("ndim", [3, 5])
 def test_odd_n_forbidden_value_is_real(ndim):
     # inner leg allowed (alpha_- < 4a): the tunnelling value of odd n is
-    # real, and its computed imaginary part is rounding noise
+    # real; the complex continuation it sums carries rounding noise, which
+    # the real form has not
     params = cs.SystemParams(ndim=ndim)
     spec = cs.energy_from_nu(NU, params)
     args = sc_constants(spec, params)
-    a, mu, hbar, sk, cv, pref_elem, pglob = (args[0], *args[3:7], *args[8:10])
+    a = spec.a
     four_a = 4.0 * a
     rng = np.random.default_rng(20261020 + ndim)
     rp = 0.35 * a
@@ -160,19 +207,101 @@ def test_odd_n_forbidden_value_is_real(ndim):
                         rng.uniform(-0.99 * rp, 0.99 * rp, 200))
     _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
     assert np.all(ap > four_a) and np.all(am < four_a)
-    raw = K.sc_forbidden_array(ap, am, s, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
+    raw, scale = np.array([two_path_continuation(*v, spec, params)
+                           for v in zip(s.tolist(), ap.tolist(), am.tolist())]).T
+    scale = scale.real
     assert np.max(np.abs(raw.imag) / np.abs(raw)) <= 1e-10
-    raw_point = [K.sc_forbidden_value(*v, a, ndim, mu, hbar, sk, cv, pref_elem, pglob)
-                 for v in zip(ap.tolist(), am.tolist(), s.tolist())]
-    assert max(abs(v.imag) / abs(v) for v in raw_point) <= 1e-10
-    assert any(v.imag != 0.0 for v in raw_point)  # the noise the kernels drop
+    assert np.any(raw.imag != 0.0)  # the noise the real form does not make
     vals, _, status = K.sc_bound_field(R, rp_vec, *args)
     assert np.all(status == K.STATUS_OK)
     assert np.all(vals.imag == 0.0) and not np.any(np.signbit(vals.imag))
-    np.testing.assert_array_equal(vals.real, raw.real)
-    for s_, ap_, am_, want in zip(s.tolist(), ap.tolist(), am.tolist(), raw_point):
+    assert np.max(np.abs(vals.real - raw.real) / scale) <= 1e-13
+    for s_, ap_, am_, want, scl, v in zip(s.tolist(), ap.tolist(), am.tolist(), raw, scale, vals):
         val = K.sc_bound_point(s_, ap_, am_, *args)[0]
-        assert val.imag == 0.0 and val.real == want.real
+        assert val.imag == 0.0 and not math.copysign(1.0, val.imag) < 0.0
+        assert abs(val.real - want.real) <= 1e-13 * scl
+        assert abs(val.real - v.real) <= 1e-13 * scl
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4, 5])
+def test_forbidden_forms_are_the_two_path_continuation(ndim):
+    # beyond the caustic both kernels give the elementary two-path
+    # continuation (both legs continued where alpha_- > 4a too), summed in
+    # closed form: pref_merged * B / sin(pi k), B real for a tunnelling pair
+    params = cs.SystemParams(ndim=ndim)
+    rng = np.random.default_rng(20261021 + ndim)
+    worst = 0.0
+    for nu in (5.3, 9.7, 29.2):
+        spec = cs.energy_from_nu(nu, params)
+        four_a = 4.0 * spec.a
+        args = sc_constants(spec, params)
+        pref = args[7] / args[8]
+        for R, rp_vec in forbidden_points(rng, spec.a, ndim, 200, 50):
+            vals, _, status = K.sc_bound_field(R, rp_vec, *args)
+            assert np.all(status == K.STATUS_OK)
+            _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
+            assert np.all(ap > four_a)
+            for v, lengths in zip(vals, zip(s.tolist(), ap.tolist(), am.tolist())):
+                want, scale = two_path_continuation(*lengths, spec, params)
+                val = K.sc_bound_point(*lengths, *args)[0]
+                worst = max(worst, abs(val - want) / scale, abs(v - want) / scale)
+                if lengths[2] < four_a:
+                    bracket = val / pref
+                    assert bracket.imag == 0.0 and (v / pref).imag == 0.0
+    assert worst <= 1e-13
+
+
+def test_tunnel_form_is_hostlers_bracket():
+    # n = 3: G = g0/s (W'(x) M(y) - W(x) M'(y)), x, y = kappa alpha_+-, with
+    # the primitive WKB pair of Q = nu/z - 1/4: the decaying outer solution
+    # W = |Q|^(-1/4) e^(-K) / (2 sqrt(pi)), K = int_4nu^x sqrt(-Q), and the
+    # regular M = Q^(-1/4) sin(w(y) - pi/4), w = int_0^y sqrt(Q), each
+    # differentiated through its phase only
+    params = cs.AU
+    rng = np.random.default_rng(20261022)
+    mp.mp.dps = 30
+    for nu in (5.3, 9.7, 29.2):
+        spec = cs.energy_from_nu(nu, params)
+        args = sc_constants(spec, params)
+        kappa = 1.0 / nu
+        g0 = 1.0 / (2.0 * math.sqrt(math.pi) * math.sin(math.pi * nu))
+        for R, rp_vec in forbidden_points(rng, spec.a, 3, 200, 0)[:2]:
+            vals, _, _ = K.sc_bound_field(R, rp_vec, *args)
+            _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
+            for v, s_, x, y in zip(vals, s.tolist(), kappa * ap, kappa * am):
+                qx, qy = 0.25 - nu / x, nu / y - 0.25
+                k_x = float(mp.sqrt(x * (x - 4 * nu)) / 2
+                            - 2 * nu * mp.acosh(mp.sqrt(x / (4 * nu))))
+                g = 2.0 * math.asin(math.sqrt(y / (4.0 * nu)))
+                phase = nu * (g + math.sin(g)) - 0.25 * math.pi
+                w = qx ** -0.25 * math.exp(-k_x) / (2.0 * math.sqrt(math.pi))
+                m, mp_ = qy ** -0.25 * math.sin(phase), qy ** 0.25 * math.cos(phase)
+                want = g0 / s_ * (-math.sqrt(qx) * w * m - w * mp_)
+                scale = abs(g0 / s_) * w * (math.sqrt(qx) + math.sqrt(qy)) * qy ** -0.25
+                assert abs(v.real - want) <= 1e-13 * scale and v.imag == 0.0
+
+
+@pytest.mark.parametrize("ndim", [3, 5])
+def test_odd_n_values_have_a_positive_zero_imaginary_part(ndim):
+    # allowed and tunnelling values of odd n are real whatever the signs of
+    # sin(pi k) and of the bracket: their imaginary part is +0.0, never
+    # -0.0, so a scan writes the same bytes for the same value
+    params = cs.SystemParams(ndim=ndim)
+    rng = np.random.default_rng(20261024 + ndim)
+    for nu in (5.3, 6.3):
+        spec = cs.energy_from_nu(nu, params)
+        args = sc_constants(spec, params)
+        rp = 0.35 * spec.a
+        rp_vec = np.array([rp, 0.0, 0.0])
+        R = elliptic_points(rp, rng.uniform(rp, 3.0 * 4.0 * spec.a, 400),
+                            rng.uniform(-0.99 * rp, 0.99 * rp, 400))
+        vals, region, status = K.sc_bound_field(R, rp_vec, *args)
+        ok = status == K.STATUS_OK
+        assert set(region[ok].tolist()) == {K.REGION_ALLOWED, K.REGION_FORBIDDEN}
+        assert (vals.real[ok] > 0.0).any() and (vals.real[ok] < 0.0).any()
+        assert np.all(vals.imag[ok] == 0.0) and not np.any(np.signbit(vals.imag[ok]))
+        for v in scalar_map(K.sc_bound_point, R, rp_vec, *args)[0][ok]:
+            assert v.imag == 0.0 and not np.signbit(v.imag)
 
 
 def test_ua_field_matches_point_kernel():
