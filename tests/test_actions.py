@@ -340,16 +340,17 @@ def test_bound_forbidden_im_full_precision_near_turning_point(au):
     # two terms cancel as u -> 0, and the kernel keeps every digit
     from coulomb_sc import _kernels as K
 
-    mp.mp.dps = 50
     u = np.array([m * 10.0 ** e for e in range(-15, 2) for m in (1.0, 3.0)])
     for nu in (5.3, 9.7, 29.2):
         spec = cs.energy_from_nu(nu, au)
         a = spec.a
         sk = math.sqrt(2.0 * au.mu * abs(spec.E))
         alpha = 4.0 * a * (1.0 + u)
-        am, fa = mp.mpf(a), 4 * mp.mpf(a)
-        want = np.array([float(sk * (mp.sqrt((mp.mpf(x) - fa) * x) / 2
-                                     - 2 * am * mp.acosh(mp.sqrt(x / fa)))) for x in alpha])
+        with mp.workdps(50):
+            am, fa = mp.mpf(a), 4 * mp.mpf(a)
+            want = np.array([float(sk * (mp.sqrt((mp.mpf(x) - fa) * x) / 2
+                                         - 2 * am * mp.acosh(mp.sqrt(x / fa))))
+                             for x in alpha])
         got = np.array([K.w_bound_forbidden_im(x, a, sk) for x in alpha.tolist()])
         assert np.max(np.abs(got / want - 1.0)) <= 4e-15
         assert np.max(np.abs(K._w_bound_forbidden_im_array(alpha, a, sk) / want - 1.0)) <= 4e-15

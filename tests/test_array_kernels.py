@@ -259,7 +259,6 @@ def test_tunnel_form_is_hostlers_bracket():
     # differentiated through its phase only
     params = cs.AU
     rng = np.random.default_rng(20261022)
-    mp.mp.dps = 30
     for nu in (5.3, 9.7, 29.2):
         spec = cs.energy_from_nu(nu, params)
         args = sc_constants(spec, params)
@@ -270,8 +269,9 @@ def test_tunnel_form_is_hostlers_bracket():
             _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
             for v, s_, x, y in zip(vals, s.tolist(), kappa * ap, kappa * am):
                 qx, qy = 0.25 - nu / x, nu / y - 0.25
-                k_x = float(mp.sqrt(x * (x - 4 * nu)) / 2
-                            - 2 * nu * mp.acosh(mp.sqrt(x / (4 * nu))))
+                with mp.workdps(30):
+                    k_x = float(mp.sqrt(x * (x - 4 * nu)) / 2
+                                - 2 * nu * mp.acosh(mp.sqrt(x / (4 * nu))))
                 g = 2.0 * math.asin(math.sqrt(y / (4.0 * nu)))
                 phase = nu * (g + math.sin(g)) - 0.25 * math.pi
                 w = qx ** -0.25 * math.exp(-k_x) / (2.0 * math.sqrt(math.pi))
