@@ -28,7 +28,6 @@ from . import __version__
 from .errors import ConfigError, CoulombSCError, PoleError
 from .geometry import classify_region, lambert_variables
 from .model import SystemParams
-from .actions import four_paths, loop_variant
 from .scan import (
     ScanConfig,
     bound_energy_spec,
@@ -215,6 +214,7 @@ def cmd_cut(args) -> int:
 
 
 def cmd_tof(args) -> int:
+    from .actions import four_paths, loop_variant
     params = _params(args.ndim)
     if (args.nu is None) == (args.energy is None):
         raise ConfigError("exactly one of --nu / --energy must be given")

@@ -8,14 +8,20 @@ be substituted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import PoleError
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class _SystemFields(NamedTuple):
+    mu: float = 1.0
+    Kc: float = 1.0
+    hbar: float = 1.0
+    ndim: int = 3
+    attractive: bool = True
+
+
+class SystemParams(_SystemFields):
     """Immutable system definition.
 
     mu      -- reduced mass (mass unit)
@@ -30,27 +36,42 @@ class SystemParams:
     ``bound_regime``); for E > 0 the evaluator's name selects the
     interaction, e.g. ``reduced_action_scatter_repulsive``, and the flag
     is not read.
+
+    A named tuple, validated on every path that builds one (the
+    constructor, ``_make``, ``_replace``, ``with_ndim``); it equals only
+    another SystemParams with the same fields.
     """
 
-    mu: float = 1.0
-    Kc: float = 1.0
-    hbar: float = 1.0
-    ndim: int = 3
-    attractive: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.mu < math.inf:  # false for NaN, too
-            raise ValueError(f"mu must be finite and positive, got {self.mu}")
-        if not 0.0 < self.Kc < math.inf:
+    def __new__(cls, mu: float = 1.0, Kc: float = 1.0, hbar: float = 1.0, ndim: int = 3,
+                attractive: bool = True):
+        if not 0.0 < mu < math.inf:  # false for NaN, too
+            raise ValueError(f"mu must be finite and positive, got {mu}")
+        if not 0.0 < Kc < math.inf:
             raise ValueError(f"Kc must be finite and positive (use the 'attractive' flag "
-                             f"for the sign), got {self.Kc}")
-        if not 0.0 < self.hbar < math.inf:
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
-        if int(self.ndim) != self.ndim or self.ndim < 2:
-            raise ValueError(f"ndim must be an integer >= 2, got {self.ndim}")
+                             f"for the sign), got {Kc}")
+        if not 0.0 < hbar < math.inf:
+            raise ValueError(f"hbar must be finite and positive, got {hbar}")
+        if int(ndim) != ndim or ndim < 2:
+            raise ValueError(f"ndim must be an integer >= 2, got {ndim}")
+        return tuple.__new__(cls, (mu, Kc, hbar, ndim, attractive))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the tuple's own _make (and _replace, which calls it) skips __new__
+        return cls(*super()._make(iterable))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def with_ndim(self, ndim: int) -> "SystemParams":
-        return replace(self, ndim=ndim)
+        return self._replace(ndim=ndim)
 
 
 #: Atomic units, three dimensions, attractive.

@@ -1,9 +1,11 @@
 """Grid scans, comparison cuts and CSV emission.
 
 Grid points are evaluated by the array kernels (``_kernels.sc_bound_field``,
-``ua_field``: NumPy over blocks of points, each point its own slot), which
-reduce every block to its Lambert lengths (s, alpha_+, alpha_-) with
-``_kernels.lambert_arrays``; the exact reference takes the same reduction.
+``uniform.ua_field``: NumPy over blocks of points, each point its own
+slot), which reduce every block to its Lambert lengths (s, alpha_+,
+alpha_-) with ``_kernels.lambert_arrays``; the exact reference takes the
+same reduction.  ``uniform`` and ``qm_oracle`` are imported by the first
+UA or exact evaluation, so a scan compiles only the methods it runs.
 All three methods label a point by the one region/status rule of
 ``_kernels`` (caustic band ``CAUSTIC_TOL``, focal line ``FOCAL_TOL``).
 Output rows are assembled in deterministic grid order.  Per-point failures
@@ -23,7 +25,6 @@ value at a time.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -35,8 +36,6 @@ from .errors import ConfigError, PoleError
 from .geometry import REGIONS
 from .model import (EnergySpec, SystemParams, bound_regime, check_pole, energy_eigenvalue,
                     energy_from_nu, quantization_action)
-from .qm_oracle import qm_field
-from .uniform import ua_constants
 from .semiclassical import sc_constants
 
 AXIS_NAMES = ("x", "y", "z", "x4", "x5", "x6")
@@ -349,7 +348,16 @@ def eval_sc(points, source, spec: EnergySpec, params: SystemParams):
 
 def eval_ua(points, source, spec: EnergySpec, params: SystemParams):
     """Langer-uniform field over points: (values, region, status)."""
-    return K.ua_field(points, source, *ua_constants(spec, params))
+    from .uniform import ua_constants, ua_field
+    return ua_field(points, source, *ua_constants(spec, params))
+
+
+def qm_field(points, source, spec: EnergySpec, params: SystemParams):
+    """``qm_oracle.qm_field``, imported on the first call.  ``eval_qm``
+    looks it up in this module, where a caller may wrap it (the traced
+    runs of ``perfbench`` do)."""
+    from .qm_oracle import qm_field
+    return qm_field(points, source, spec, params)
 
 
 def eval_qm(points, source, spec: EnergySpec, params: SystemParams):
@@ -452,6 +460,7 @@ def eigenvalue_table(kmax: int, params: SystemParams) -> list[tuple[int, float, 
 
 
 def load_json_config(path: str) -> dict:
+    import json
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -15,6 +15,8 @@ Global phase convention: fixed so that G -> -mu / (2 pi hbar^2 s) as
 s -> 0 in three dimensions (the free source singularity), which also
 matches the exact reference.  All evaluators are pure; grid
 scans evaluate the same formulas array-wise (``_kernels.sc_bound_field``).
+The explicit loop sums and the scattering form import ``actions`` and
+``vvpm`` when called, so that an SC scan loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 from typing import NamedTuple
 
 from . import _kernels as K
-from .actions import four_paths, reduced_action_scatter_attractive, scatter_velocity
 from .errors import IllConditionedError, OnCausticError, PoleError
 from .geometry import (
     ALLOWED_ONLY,
@@ -40,7 +41,6 @@ from .geometry import (
 )
 from .model import (POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole,
                     scattering_regime)
-from .vvpm import PATH_IDS, vvpm_det
 
 
 class FieldSample(NamedTuple):
@@ -155,6 +155,8 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
 def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
     """Amplitudes, actions (with the complex round trip) and Morse indices
     of the four elementary paths, recomputing the determinant per path."""
+    from .actions import four_paths
+    from .vvpm import PATH_IDS, vvpm_det
     pair = lambert_variables(r_vec, rp_vec, params)
     bound_regime(spec, params)
     check_pole(spec)
@@ -219,6 +221,7 @@ def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
                                 params: SystemParams) -> FieldSample:
     """Two-hyperbola scattering Green function for E > 0, attractive case
     (no caustic; every point is classically reachable)."""
+    from .actions import reduced_action_scatter_attractive, scatter_velocity
     scattering_regime(spec, params)
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     refuse_point(K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)[1])

@@ -18,6 +18,7 @@ import pytest
 
 import coulomb_sc as cs
 from coulomb_sc import _kernels as K
+from coulomb_sc import uniform as U
 from coulomb_sc.semiclassical import sc_constants
 from coulomb_sc.uniform import ua_constants
 
@@ -338,8 +339,8 @@ def test_ua_field_matches_point_kernel():
             parts.append(elliptic_points(rp, rng.uniform(rp, 4.0 * rp, am.size), am - rp))
         R = np.concatenate(parts)
         assert R.shape[0] % K.FIELD_BLOCK != 0
-        ref = scalar_map(K.ua_point, R, rp_vec, *args)
-        assert_same(K.ua_field(R, rp_vec, *args), ref)
+        ref = scalar_map(U.ua_point, R, rp_vec, *args)
+        assert_same(U.ua_field(R, rp_vec, *args), ref)
         _, _, _, ap, am = K.lambert_arrays(R, rp_vec)
         ok = ref[2] == K.STATUS_OK
         ok_x.append(kappa * ap[ok])
@@ -352,9 +353,9 @@ def test_ua_field_matches_point_kernel():
         near = z[np.abs(z - z_turn) < 1e-5 * z_turn]
         assert (near < z_turn).sum() >= 3 and (near > z_turn).sum() >= 3
     # the regular solution's blend of its Airy and primitive forms
-    xi = np.array([K.langer_phase(v - z_in, v, d, z_out, -1.0) for v in y[y > z_in]])
-    assert ((xi > K.XI_A) & (xi < K.XI_B)).sum() >= 10
-    assert (xi <= K.XI_A).sum() >= 10 and (xi >= K.XI_B).sum() >= 10
+    xi = np.array([U.langer_phase(v - z_in, v, d, z_out, -1.0) for v in y[y > z_in]])
+    assert ((xi > U.XI_A) & (xi < U.XI_B)).sum() >= 10
+    assert (xi <= U.XI_A).sum() >= 10 and (xi >= U.XI_B).sum() >= 10
 
 
 def test_empty_input():
@@ -362,7 +363,7 @@ def test_empty_input():
     R = np.zeros((0, 3))
     rp_vec = np.array([20.0, 0.0, 0.0])
     for result in (K.sc_bound_field(R, rp_vec, *sc_constants(spec, cs.AU)),
-                   K.ua_field(R, rp_vec, *ua_constants(spec, cs.AU))):
+                   U.ua_field(R, rp_vec, *ua_constants(spec, cs.AU))):
         assert [v.shape for v in result] == [(0,)] * 3
         assert [v.dtype for v in result] == [np.complex128, np.int8, np.int8]
 
@@ -372,13 +373,13 @@ def test_airy_array_matches_scalar():
     x = np.concatenate([np.linspace(-40.0, 40.0, 4001), [-7.0, 7.0, np.nextafter(7.0, 8.0),
                                                          np.nextafter(-7.0, -8.0), 0.0,
                                                          300.0, np.nan]])
-    ai, aip = K.airy_ai_both_array(x)
-    ref = np.array([K.airy_ai_both(float(v)) for v in x])
+    ai, aip = U.airy_ai_both_array(x)
+    ref = np.array([U.airy_ai_both(float(v)) for v in x])
     np.testing.assert_array_equal(np.isnan(ai), np.isnan(ref[:, 0]))
     ok = ~np.isnan(x)
     np.testing.assert_allclose(ai[ok], ref[ok, 0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(aip[ok], ref[ok, 1], rtol=1e-12, atol=1e-14)
-    assert [v.shape for v in K.airy_ai_both_array(np.zeros(0))] == [(0,), (0,)]
+    assert [v.shape for v in U.airy_ai_both_array(np.zeros(0))] == [(0,), (0,)]
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])

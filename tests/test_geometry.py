@@ -5,6 +5,7 @@ import pytest
 
 import coulomb_sc as cs
 from coulomb_sc import _kernels as K
+from coulomb_sc import uniform as U
 from coulomb_sc.errors import DimensionMismatchError, ForbiddenRegionError
 from coulomb_sc.scan import eval_qm
 from coulomb_sc.semiclassical import sc_constants
@@ -192,7 +193,7 @@ def test_one_region_rule_for_every_method(au):
     np.testing.assert_allclose(ap / four_a - 1.0, offsets, rtol=1e-5)
     want = [K.REGION_FORBIDDEN, K.REGION_ALLOWED, K.REGION_CAUSTIC]
     for _, region, _ in (K.sc_bound_field(pts, rp_vec, *sc_constants(spec, au)),
-                         K.ua_field(pts, rp_vec, *ua_constants(spec, au)),
+                         U.ua_field(pts, rp_vec, *ua_constants(spec, au)),
                          eval_qm(pts, rp_vec, spec, au)):
         assert region.tolist() == want
     tags = {K.REGION_ALLOWED: cs.Region.ALLOWED, K.REGION_CAUSTIC: cs.Region.ON_CAUSTIC,

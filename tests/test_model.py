@@ -97,6 +97,45 @@ def test_parameter_must_be_finite(field):
             cs.SystemParams(**{field: value})
 
 
+# each refused field value, with the message its check raises
+_BAD_FIELDS = [("mu", -1.0, "mu must be finite and positive"),
+               ("mu", math.nan, "mu must be finite and positive"),
+               ("Kc", 0.0, "Kc must be finite and positive"),
+               ("hbar", math.inf, "hbar must be finite and positive"),
+               ("ndim", 1, "ndim must be an integer >= 2"),
+               ("ndim", 2.5, "ndim must be an integer >= 2")]
+
+
+@pytest.mark.parametrize("build", ["keywords", "positional", "_make", "_replace",
+                                   "with_ndim"])
+def test_every_way_of_building_params_validates(build):
+    for field, value, message in _BAD_FIELDS:
+        if build == "with_ndim" and field != "ndim":
+            continue
+        fields = [value if name == field else getattr(cs.AU, name) for name in cs.AU._fields]
+        make = {"keywords": lambda: cs.SystemParams(**{field: value}),
+                "positional": lambda: cs.SystemParams(*fields),
+                "_make": lambda: cs.SystemParams._make(fields),
+                "_replace": lambda: cs.AU._replace(**{field: value}),
+                "with_ndim": lambda: cs.AU.with_ndim(value)}[build]
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_params_are_an_immutable_value():
+    p = cs.SystemParams(mu=2.0, ndim=4)
+    assert repr(p) == "SystemParams(mu=2.0, Kc=1.0, hbar=1.0, ndim=4, attractive=True)"
+    assert p == cs.SystemParams(2.0, 1.0, 1.0, 4, True) == cs.AU._replace(mu=2.0).with_ndim(4)
+    assert hash(p) == hash(cs.SystemParams(2.0, ndim=4))
+    assert p != cs.AU.with_ndim(4) and not p == cs.AU.with_ndim(4)
+    # a named tuple that equals no plain tuple of its fields
+    assert p != (2.0, 1.0, 1.0, 4, True) and not (2.0, 1.0, 1.0, 4, True) == p
+    with pytest.raises(AttributeError):
+        p.mu = 1.0
+    with pytest.raises(AttributeError):
+        p.extra = 1.0
+
+
 # an allowed pair at nu = 9.7 (4a = 376 Bohr), n = 3, and a tunnel pair
 # (alpha_+ = 785, alpha_- = 115)
 _R, _RP = np.array([80.0, 30.0, 0.0]), np.array([50.0, 0.0, 0.0])

@@ -6,6 +6,7 @@ import pytest
 
 import coulomb_sc as cs
 from coulomb_sc import _kernels as K
+from coulomb_sc import uniform as U
 from coulomb_sc.errors import (
     FocalLineError,
     ForbiddenRegionError,
@@ -342,7 +343,7 @@ def test_per_point_apis_match_kernels_on_numpy_norm_lengths():
                 r_vec, rp_vec, spec, params = seeded_pair(rng, ndim, kind)
                 cases = [(sc_api, on_lengths(K.sc_bound_point), sc_constants(spec, params))]
                 if ndim == 3:
-                    cases.append((cs.green_uniform, on_lengths(K.ua_point),
+                    cases.append((cs.green_uniform, on_lengths(U.ua_point),
                                   ua_constants(spec, params)))
                 pair = cs.lambert_variables(r_vec, rp_vec, params)
                 lengths = [float(np.linalg.norm(v)) for v in (r_vec, rp_vec, r_vec - rp_vec)]

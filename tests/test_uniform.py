@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 import coulomb_sc as cs
+from coulomb_sc import uniform as U
 from coulomb_sc.errors import RegionError, UnsupportedDimensionError
 
 
@@ -63,6 +64,32 @@ def test_airy_defining_ode():
     for x in (-8.0, -3.3, 0.4, 2.2, 5.0):
         second = (cs.airy_ai(x + h) - 2 * cs.airy_ai(x) + cs.airy_ai(x - h)) / h**2
         assert second == pytest.approx(x * cs.airy_ai(x), rel=1e-3, abs=1e-9)
+
+
+def loop_maclaurin_airy(x):
+    """The Maclaurin branch of ``airy_ai_both`` with its denominators
+    computed term by term, as the kernel did before it read them from a
+    table: the reference the table must reproduce bit for bit."""
+    x2 = x * x
+    tf, f, fp = 1.0, 1.0, 0.0
+    tg, g, gp = x, x, 1.0
+    for k in range(1, 80):
+        fp += tf * x2 / (3.0 * k - 1.0)
+        tf = tf * x2 * x / ((3.0 * k) * (3.0 * k - 1.0))
+        f += tf
+        gp += tg * x2 / (3.0 * k)
+        tg = tg * x2 * x / ((3.0 * k + 1.0) * (3.0 * k))
+        g += tg
+        if abs(tf) + abs(tg) < 1e-20 * (1.0 + abs(f) + abs(g)):
+            break
+    return U._AI0 * f + U._AIP0 * g, U._AI0 * fp + U._AIP0 * gp
+
+
+def test_airy_maclaurin_is_the_term_by_term_loop_bit_for_bit():
+    rng = np.random.default_rng(1964)
+    xs = np.concatenate([rng.uniform(-7.0, 7.0, 20000), [-7.0, 7.0, 0.0, -0.0, 1e-300]])
+    for x in xs.tolist():
+        assert U.airy_ai_both(x) == loop_maclaurin_airy(x), x
 
 
 # --- uniform approximation ---------------------------------------------------
