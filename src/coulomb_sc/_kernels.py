@@ -1,6 +1,6 @@
 """The semiclassical (SC) kernels, scalar and array, with what they share
 with the other modules: the one-dimensional actions, the Lambert
-reduction, the region rule, the odd series tails and the block driver.
+reduction, the region rule, the odd series tails and ``_map_blocks``.
 A kernel with a single user lives with that user: the uniform
 approximation's Airy and Langer kernels in ``uniform``, the exact
 reference's radial solver in ``qm_oracle``.

@@ -17,7 +17,7 @@ between the turning points is exactly pi (nu - 1/2), so the Wronskian is
 All phase integrals are elementary closed forms.  The kernels below, the
 Airy function and the Langer solutions, scalar (``ua_point``) and array
 (``ua_field``, for the grid scans), live here with their one user; they
-share the Lambert reduction, the region rule and the block driver of
+share the Lambert reduction, the region rule and ``_map_blocks`` of
 ``_kernels``.
 
 The result is finite and smooth across the caustic, reduces to the
