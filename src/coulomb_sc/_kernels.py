@@ -15,19 +15,20 @@ side of the caustic alpha_+ = 4a, with a relative band of CAUSTIC_TOL
 labelled on the caustic: ``caustic_region``, which every per-point
 function asks of its alphas.  Each method adds only its own statuses.
 
-Each formula has two forms:
-
-* scalar kernels (``sc_bound_point`` and the actions it calls; in
-  ``uniform``, ``ua_point``) take plain floats; the per-point APIs call
-  them at a few microseconds per point;
-* array kernels (``sc_bound_field``, ``uniform.ua_field`` and the
-  ``*_array`` functions) evaluate the same expressions in the same
-  order with NumPy, one masked set of array operations per branch of the
-  scalar code, over blocks of ``FIELD_BLOCK`` points (``_map_blocks``);
-  the grid scans use them.  A series runs over the whole block until
-  every element's scalar stopping rule has fired, and each element's sums
-  freeze at its own stop, so both forms add the same terms and agree to
-  rounding.
+Each formula has one body, written once over a backend ``xp``: ``_MATH``
+(``math``, ``min``, ``_odd_tail``) for the scalar kernels, which serve the
+per-point APIs on plain floats without NumPy (``sc_bound_point``;
+``uniform.ua_point``), and ``_NUMPY`` (``np``, ``np.minimum``,
+``_odd_tail_array``) for the array kernels, which serve the grid scans
+over blocks of ``FIELD_BLOCK`` points (``sc_bound_field``,
+``uniform.ua_field``).  Each call site names its form, and only the
+branch dispatch differs (``if``, or one mask per branch), so both forms
+evaluate the same expressions in the same order.  Two forms are left only
+where the control flow depends on the data: the region rule, the Lambert
+reduction (``geometry.lambert_variables``, ``lambert_arrays``) and the
+series (``_odd_tail``/``_odd_tail_array``; the Airy series in
+``uniform``), whose array loops run until every element's scalar stopping
+rule has fired, each element's sums frozen at its own stop.
 
 The SC value is one prefactor times one bracket, pref_merged * B /
 sin(pi k), with B real on both sides of the caustic (``sc_bound_point``)
@@ -50,6 +51,7 @@ stable parametrization near both endpoints.
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -88,15 +90,28 @@ def gamma_angle(alpha, a):
     return 2.0 * math.asin(math.sqrt(x))
 
 
+def _half_action(alpha, a, sk, xp):
+    """Half-action W(alpha) for bound motion, 0 < alpha < 4a."""
+    g = 2.0 * xp.asin(xp.sqrt(alpha / (4.0 * a)))
+    return sk * a * (g + xp.sin(g))
+
+
 def w_bound(alpha, a, sk):
-    """Half-action W(alpha) for bound motion, 0 <= alpha <= 4a."""
-    g = gamma_angle(alpha, a)
-    return sk * a * (g + math.sin(g))
+    """Half-action W(alpha) for bound motion, 0 <= alpha <= 4a; an alpha
+    outside is read as the nearer end."""
+    if alpha <= 0.0:
+        return 0.0
+    return _half_action(min(alpha, 4.0 * a), a, sk, _MATH)
 
 
 def v_bound(alpha, a, cv):
     """Collinear speed at path coordinate alpha/2 for bound motion."""
     return cv * math.sqrt((4.0 * a - alpha) / alpha)
+
+
+def _half_action_beyond(alpha, a, sk, xp):
+    """Im W_+ for alpha > 4a: sk a (sinh t - t), t = 2 asinh(sqrt(alpha/4a - 1))."""
+    return sk * a * xp.odd_tail(2.0 * xp.asinh(xp.sqrt((alpha - 4.0 * a) / (4.0 * a))), 1.0)
 
 
 def w_bound_forbidden_im(alpha, a, sk):
@@ -110,7 +125,7 @@ def w_bound_forbidden_im(alpha, a, sk):
     """
     if alpha <= 4.0 * a:
         return 0.0
-    return sk * a * _odd_tail(2.0 * math.asinh(math.sqrt((alpha - 4.0 * a) / (4.0 * a))), 1.0)
+    return _half_action_beyond(alpha, a, sk, _MATH)
 
 
 def _odd_tail(x, sign):
@@ -127,6 +142,38 @@ def _odd_tail(x, sign):
         total += term
         k += 1
     return total
+
+
+def _odd_tail_array(x, sign):
+    """_odd_tail over an array.  An element's sum freezes where the scalar
+    loop stops."""
+    out = np.empty_like(x)
+    big = x > 0.5
+    xb = x[big]
+    out[big] = xb - np.sin(xb) if sign < 0.0 else np.sinh(xb) - xb
+    xs = x[~big]
+    x2 = xs * xs
+    term = xs * x2 / 6.0
+    total = term
+    k = 1
+    run = np.abs(term) > 1e-17 * total
+    while run.any():
+        term = term * (sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))
+        total = np.where(run, total + term, total)
+        run &= np.abs(term) > 1e-17 * total
+        k += 1
+    out[~big] = total
+    return out
+
+
+#: the backends of the shared bodies: _MATH for scalar kernels, _NUMPY for array ones
+_MATH = SimpleNamespace(sqrt=math.sqrt, asin=math.asin, asinh=math.asinh, sin=math.sin,
+                        cos=math.cos, exp=math.exp, hypot=math.hypot, atan2=math.atan2,
+                        copysign=math.copysign, abs=abs, minimum=min, odd_tail=_odd_tail)
+_NUMPY = SimpleNamespace(sqrt=np.sqrt, asin=np.arcsin, asinh=np.arcsinh, sin=np.sin,
+                         cos=np.cos, exp=np.exp, hypot=np.hypot, atan2=np.arctan2,
+                         copysign=np.copysign, abs=np.abs, minimum=np.minimum,
+                         odd_tail=_odd_tail_array)
 
 
 # ==========================================================================
@@ -185,25 +232,70 @@ def region_status_array(s, ap, am, four_a):
 
 
 # ==========================================================================
-# semiclassical point evaluators (bound E < 0)
+# semiclassical kernels (bound E < 0)
 # ==========================================================================
+
+def _sc_allowed(s, ap, am, a, k, ndim, mu, hbar, sk, cv, xp):
+    """Bracket where the point is allowed (alpha_+ < 4a): the merged
+    interference of the two path families."""
+    p = (ndim - 1.0) / 2.0
+    vp = cv * xp.sqrt((4.0 * a - ap) / ap)
+    vm = cv * xp.sqrt((4.0 * a - am) / am)
+    wp = _half_action(ap, a, sk, xp)
+    wm = _half_action(am, a, sk, xp)
+    den = xp.sqrt(vp * vm)
+    sd1 = (mu * (vp + vm) / (2.0 * s)) ** p / den
+    sd2 = (mu * (vm - vp) / (2.0 * s)) ** p / den
+    w1 = wp - wm
+    w2 = wp + wm
+    return (sd1 * xp.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))
+            + sd2 * xp.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
+
+
+def _sc_tunnel(s, ap, am, a, k, ndim, mu, hbar, sk, cv, xp):
+    """Real bracket beyond the caustic with the inner leg allowed: the
+    two-path continuation v_+ -> i w, W_+ -> pi a sk + i K times the loop
+    factor 1/2 + (i/2) cot(pi k), summed to
+        (mu |v_- + i w| / 2s)^p e^(-K/hbar)
+        cos(p atan2(w, v_-) + pi (p/2 - 1/4) - W_-/hbar) / sqrt(w v_-),
+    at n = 3 Hostler's bracket with the decaying outer solution."""
+    p = (ndim - 1.0) / 2.0
+    vm = cv * xp.sqrt((4.0 * a - am) / am)
+    w = cv * xp.sqrt((ap - 4.0 * a) / ap)
+    return ((mu * xp.hypot(vm, w) / (2.0 * s)) ** p
+            * xp.exp(-_half_action_beyond(ap, a, sk, xp) / hbar)
+            * xp.cos(p * xp.atan2(w, vm) + math.pi * (0.5 * p - 0.25)
+                     - _half_action(am, a, sk, xp) / hbar) / xp.sqrt(w * vm))
+
+
+def _sc_doubly(s, ap, am, a, k, ndim, mu, hbar, sk, cv, xp):
+    """Complex bracket where both legs are forbidden: both continued,
+    v -> i w, W -> pi a sk + i K, times the loop factor; its real part is
+    about half of Hostler's value.
+        [-i e^(-i pi k) (mu (w_+ + w_-)/2s)^p e^(-(K_+ - K_-)/hbar)
+         + e^(i pi k) (mu (w_+ - w_-)/2s)^p e^(-(K_+ + K_-)/hbar)] / (2 sqrt(w_+ w_-))
+    """
+    p = (ndim - 1.0) / 2.0
+    wp = cv * xp.sqrt((ap - 4.0 * a) / ap)
+    wm = cv * xp.sqrt((am - 4.0 * a) / am)
+    kp = _half_action_beyond(ap, a, sk, xp)
+    km = _half_action_beyond(am, a, sk, xp)
+    phase = cmath.exp(1j * math.pi * k)
+    return (-1j * phase.conjugate() * (mu * (wp + wm) / (2.0 * s)) ** p * xp.exp((km - kp) / hbar)
+            + phase * (mu * (wp - wm) / (2.0 * s)) ** p * xp.exp(-(kp + km) / hbar)) \
+        / (2.0 * (wp * wm) ** 0.5)
+
 
 def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
     """Semiclassical bound-state Green value at one point,
     pref_merged * B / sin(pi k), p = (n - 1)/2, with a real bracket B on
-    each side of the caustic: the merged interference of the two path
-    families where the point is allowed (alpha_+ < 4a); beyond it, the
-    inner leg allowed, the two-path continuation v_+ -> i w,
-    W_+ -> pi a sk + i K times the loop factor 1/2 + (i/2) cot(pi k),
-    summed to
-        (mu |v_- + i w| / 2s)^p e^(-K/hbar)
-        cos(p atan2(w, v_-) + pi (p/2 - 1/4) - W_-/hbar) / sqrt(w v_-),
-    at n = 3 Hostler's bracket with the decaying outer solution.  Doubly
-    forbidden points take the complex bracket of ``_sc_doubly``; every
-    other value is real (odd n) or imaginary (even n), its zero part +0.0.
-    Besides the source and the focal line, the caustic band and the inner
-    leg's turning point alpha_- = 4a (within CAUSTIC_TOL * 4a) get NaN,
-    with STATUS_CAUSTIC.
+    each side of the caustic: ``_sc_allowed`` where the point is allowed
+    (alpha_+ < 4a), ``_sc_tunnel`` beyond it with the inner leg allowed.
+    Doubly forbidden points take the complex bracket of ``_sc_doubly``;
+    every other value is real (odd n) or imaginary (even n), its zero part
+    +0.0.  Besides the source and the focal line, the caustic band and the
+    inner leg's turning point alpha_- = 4a (within CAUSTIC_TOL * 4a) get
+    NaN, with STATUS_CAUSTIC.
 
     Returns (value, region_code, status_code).
     """
@@ -215,95 +307,18 @@ def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
         status = STATUS_CAUSTIC
     if status != STATUS_OK:
         return complex(math.nan, math.nan), region, status
-
-    p = (ndim - 1.0) / 2.0
-    if ap < four_a:
-        # classically allowed: merged interference of the two path families
-        vp = v_bound(ap, a, cv)
-        vm = v_bound(am, a, cv)
-        wp = w_bound(ap, a, sk)
-        wm = w_bound(am, a, sk)
-        den = math.sqrt(vp * vm)
-        sd1 = (mu * (vp + vm) / (2.0 * s)) ** p / den
-        sd2 = (mu * (vm - vp) / (2.0 * s)) ** p / den
-        w1 = wp - wm
-        w2 = wp + wm
-        br = (sd1 * math.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))
-              + sd2 * math.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
-    elif am < four_a:
-        # tunnelling: the real form of the docstring
-        vm = v_bound(am, a, cv)
-        w = cv * math.sqrt((ap - four_a) / ap)
-        br = ((mu * math.hypot(vm, w) / (2.0 * s)) ** p
-              * math.exp(-w_bound_forbidden_im(ap, a, sk) / hbar)
-              * math.cos(p * math.atan2(w, vm) + math.pi * (0.5 * p - 0.25)
-                         - w_bound(am, a, sk) / hbar) / math.sqrt(w * vm))
-    else:
-        br = _sc_doubly(s, cv * math.sqrt((ap - four_a) / ap),
-                        cv * math.sqrt((am - four_a) / am), w_bound_forbidden_im(ap, a, sk),
-                        w_bound_forbidden_im(am, a, sk), k, p, mu, hbar, math.exp)
+    bracket = _sc_allowed if ap < four_a else _sc_tunnel if am < four_a else _sc_doubly
+    br = bracket(s, ap, am, a, k, ndim, mu, hbar, sk, cv, _MATH)
     # adding 0j makes the zero part +0.0, whatever the signs of the factors
     return pref_merged * br / sinpk + 0j, region, STATUS_OK
 
 
-def _sc_doubly(s, wp, wm, kp, km, k, p, mu, hbar, exp):
-    """Complex bracket of the doubly forbidden SC, scalar or array (``exp``
-    from math or NumPy): both legs continued, v -> i w, W -> pi a sk + i K,
-    times the loop factor; its real part is about half of Hostler's value.
-        [-i e^(-i pi k) (mu (w_+ + w_-)/2s)^p e^(-(K_+ - K_-)/hbar)
-         + e^(i pi k) (mu (w_+ - w_-)/2s)^p e^(-(K_+ + K_-)/hbar)] / (2 sqrt(w_+ w_-))
-    """
-    phase = cmath.exp(1j * math.pi * k)
-    return (-1j * phase.conjugate() * (mu * (wp + wm) / (2.0 * s)) ** p * exp((km - kp) / hbar)
-            + phase * (mu * (wp - wm) / (2.0 * s)) ** p * exp(-(kp + km) / hbar)) \
-        / (2.0 * (wp * wm) ** 0.5)
-
-
 # ==========================================================================
-# array kernels: the scalar kernels above over blocks of points
+# array drivers: the scalar kernels' dispatch over blocks of points
 # ==========================================================================
-#
-# Every branch of a scalar kernel becomes one masked set of array
-# operations, written in the scalar operation order; a series loop runs
-# over the whole block until the last element stops, each element's sums
-# frozen by a mask from the term where its scalar loop stops.
 
 #: points per block of the array drivers (bounds the temporaries)
 FIELD_BLOCK = 4096
-
-
-def _w_bound_array(alpha, a, sk):
-    """w_bound over an array."""
-    g = 2.0 * np.arcsin(np.sqrt(np.clip(alpha / (4.0 * a), 0.0, 1.0)))
-    return sk * a * (g + np.sin(g))
-
-
-def _w_bound_forbidden_im_array(alpha, a, sk):
-    """w_bound_forbidden_im over an array with alpha >= 4a."""
-    return sk * a * _odd_tail_array(2.0 * np.arcsinh(np.sqrt((alpha - 4.0 * a) / (4.0 * a))),
-                                    1.0)
-
-
-def _odd_tail_array(x, sign):
-    """_odd_tail over an array.  An element's sum freezes where the scalar
-    loop stops."""
-    out = np.empty_like(x)
-    big = x > 0.5
-    xb = x[big]
-    out[big] = xb - np.sin(xb) if sign < 0.0 else np.sinh(xb) - xb
-    xs = x[~big]
-    x2 = xs * xs
-    term = xs * x2 / 6.0
-    total = term
-    k = 1
-    run = np.abs(term) > 1e-17 * total
-    while run.any():
-        term = term * (sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))
-        total = np.where(run, total + term, total)
-        run &= np.abs(term) > 1e-17 * total
-        k += 1
-    out[~big] = total
-    return out
 
 
 def _map_blocks(block_kernel, points, source, *args):
@@ -331,41 +346,11 @@ def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk)
     rest = status == STATUS_OK
     inside = ap < four_a
     vals = np.full(ap.shape, complex(math.nan, math.nan))
-    p = (ndim - 1.0) / 2.0
-
-    # classically allowed: merged interference of the two path families
-    ok = rest & inside
-    s_, ap_, am_ = s[ok], ap[ok], am[ok]
-    vp = cv * np.sqrt((four_a - ap_) / ap_)
-    vm = cv * np.sqrt((four_a - am_) / am_)
-    wp = _w_bound_array(ap_, a, sk)
-    wm = _w_bound_array(am_, a, sk)
-    den = np.sqrt(vp * vm)
-    sd1 = (mu * (vp + vm) / (2.0 * s_)) ** p / den
-    sd2 = (mu * (vm - vp) / (2.0 * s_)) ** p / den
-    w1 = wp - wm
-    w2 = wp + wm
-    br = (sd1 * np.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))
-          + sd2 * np.sin(math.pi * (3.0 * (ndim - 1.0) / 4.0 + k) - w2 / hbar))
-    vals[ok] = pref_merged * br / sinpk
-
-    # tunnelling: the real form of sc_bound_point
-    ok = rest & ~inside & (am < four_a)
-    s_, ap_, am_ = s[ok], ap[ok], am[ok]
-    vm = cv * np.sqrt((four_a - am_) / am_)
-    w = cv * np.sqrt((ap_ - four_a) / ap_)
-    br = ((mu * np.hypot(vm, w) / (2.0 * s_)) ** p
-          * np.exp(-_w_bound_forbidden_im_array(ap_, a, sk) / hbar)
-          * np.cos(p * np.arctan2(w, vm) + math.pi * (0.5 * p - 0.25)
-                   - _w_bound_array(am_, a, sk) / hbar) / np.sqrt(w * vm))
-    vals[ok] = pref_merged * br / sinpk
-
-    ok = rest & (am >= four_a)
-    s_, ap_, am_ = s[ok], ap[ok], am[ok]
-    br = _sc_doubly(s_, cv * np.sqrt((ap_ - four_a) / ap_), cv * np.sqrt((am_ - four_a) / am_),
-                    _w_bound_forbidden_im_array(ap_, a, sk),
-                    _w_bound_forbidden_im_array(am_, a, sk), k, p, mu, hbar, np.exp)
-    vals[ok] = pref_merged * br / sinpk
+    for bracket, ok in ((_sc_allowed, rest & inside),
+                        (_sc_tunnel, rest & ~inside & (am < four_a)),
+                        (_sc_doubly, rest & (am >= four_a))):
+        br = bracket(s[ok], ap[ok], am[ok], a, k, ndim, mu, hbar, sk, cv, _NUMPY)
+        vals[ok] = pref_merged * br / sinpk
     # adding 0j makes the zero part +0.0, whatever the signs of the factors
     return vals + 0j, region, status
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import (DimensionMismatchError, FocalLineError, ForbiddenRegionError,
                      OnCausticError, RegionError)
-from .model import EnergySpec, SystemParams
+from .model import EnergySpec, SystemParams, check_bound_interaction
 
 
 class LambertPair(NamedTuple):
@@ -154,9 +154,7 @@ def classify_region(pair: LambertPair, spec: EnergySpec,
     """
     four_a = 4.0 * spec.a
     if spec.E < 0.0:
-        if not attractive:
-            raise ValueError("E < 0 with a repulsive interaction has no "
-                             "classically allowed region")
+        check_bound_interaction(attractive)
         return bound_class(K.caustic_region(pair.alpha_plus, four_a), pair, four_a)
     if attractive:
         return RegionClass(Region.ALLOWED, math.inf)

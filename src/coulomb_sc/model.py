@@ -122,11 +122,17 @@ def bound_regime(spec: EnergySpec, params: SystemParams) -> tuple[float, float, 
     E = spec.E
     if E >= 0.0:
         raise ValueError(f"E = {E} is outside the bound regime (E < 0)")
-    if not params.attractive:
-        raise ValueError("a repulsive interaction has no bound regime")
+    check_bound_interaction(params.attractive)
     e2, mu = -2.0 * E, params.mu  # 2|E|; doubling is exact: mu e2 = 2 mu |E|
     sk = math.sqrt(mu * e2)
     return sk, math.sqrt(e2 / mu), mu * spec.a / sk
+
+
+def check_bound_interaction(attractive: bool):
+    """Raise ValueError for E < 0 in a repulsive potential (no bound regime,
+    no allowed region): ``bound_regime``'s and ``classify_region``'s rule."""
+    if not attractive:
+        raise ValueError("a repulsive interaction has no bound regime (E < 0)")
 
 
 def scattering_regime(spec: EnergySpec, params: SystemParams) -> tuple[float, float, float]:

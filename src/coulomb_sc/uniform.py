@@ -15,10 +15,13 @@ form about that point.  With the Langer term -1/(4 z^2) the phase integral
 between the turning points is exactly pi (nu - 1/2), so the Wronskian is
 -sin(pi nu)/sqrt(pi) and the loop poles come out with no gamma function.
 All phase integrals are elementary closed forms.  The kernels below, the
-Airy function and the Langer solutions, scalar (``ua_point``) and array
-(``ua_field``, for the grid scans), live here with their one user; they
-share the Lambert reduction, the region rule and ``_map_blocks`` of
-``_kernels``.
+Airy function and the Langer solutions, live here with their one user.
+As in ``_kernels``, each straight-line formula has one body over a
+backend ``xp``, called with ``_MATH`` by the scalar kernel (``ua_point``)
+and with ``_NUMPY`` by the array kernel (``ua_field``, for the grid
+scans); only the branch dispatch (``if`` or masks) and the Airy series,
+which stop per element, have two forms.  Both kernels share the Lambert
+reduction, the region rule and ``_map_blocks`` of ``_kernels``.
 
 The result is finite and smooth across the caustic, reduces to the
 primitive semiclassical value deep in the allowed region and to the
@@ -30,6 +33,7 @@ variable of the leading-order two-saddle form, reported by
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -121,9 +125,10 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
     refuse_point(status)
     if status == K.STATUS_UNSUPPORTED:
         # kappa alpha_- >= 0.999 z_out > 2 nu = 2 kappa a, or kappa alpha_+ <= z_in < 2 nu
+        am, a = pair.alpha_minus, spec.a
         raise RegionError("no uniform value: " + (
-            "the inner leg is at or past its turning point (doubly forbidden)"
-            if pair.alpha_minus > 2.0 * spec.a
+            "the inner leg is at or past its turning point (doubly forbidden)" if am > 4.0 * a
+            else "the inner leg is within 0.1% of its turning point z_out" if am > 2.0 * a
             else "both legs lie inside the inner turning point z_in"))
     if not math.isfinite(val.real):
         raise IllConditionedError(f"UA value {val.real} is not finite at s = {pair.s}")
@@ -183,29 +188,7 @@ def airy_ai_both(x):
         q = x ** 0.25
         return pre * su / q, -pre * sv * q
     if x < -7.0:
-        z = -x
-        xi = 2.0 / 3.0 * z * math.sqrt(z)
-        c = math.cos(xi - 0.25 * math.pi)
-        s = math.sin(xi - 0.25 * math.pi)
-        inv2 = 1.0 / (xi * xi)
-        # even/odd tails of the oscillatory expansion
-        me = 1.0
-        se_u = 1.0
-        se_v = 1.0
-        so_u = _AIRY_U[1] / xi
-        so_v = _AIRY_V[1] / xi
-        mo = 1.0 / xi
-        for k in range(1, (len(_AIRY_U) - 1) // 2):
-            me = -me * inv2
-            mo = -mo * inv2
-            se_u += _AIRY_U[2 * k] * me
-            se_v += _AIRY_V[2 * k] * me
-            so_u += _AIRY_U[2 * k + 1] * mo
-            so_v += _AIRY_V[2 * k + 1] * mo
-        q = z ** 0.25
-        ai = (c * se_u + s * so_u) / (_SQRT_PI * q)
-        aip = (s * se_v - c * so_v) * q / _SQRT_PI
-        return ai, aip
+        return _airy_oscillating(x, _MATH)
     # Maclaurin: two independent solutions of y'' = x y and their derivatives
     x2 = x * x
     tf = 1.0
@@ -230,6 +213,34 @@ def airy_ai_both(x):
     return ai, aip
 
 
+def _airy_oscillating(x, xp):
+    """(Ai(x), Ai'(x)) for x < -7: the oscillatory expansion (a fixed
+    number of terms)."""
+    z = -x
+    xi = 2.0 / 3.0 * z * xp.sqrt(z)
+    c = xp.cos(xi - 0.25 * math.pi)
+    s = xp.sin(xi - 0.25 * math.pi)
+    inv2 = 1.0 / (xi * xi)
+    # even/odd tails of the oscillatory expansion
+    me = 1.0
+    se_u = 1.0
+    se_v = 1.0
+    so_u = _AIRY_U[1] / xi
+    so_v = _AIRY_V[1] / xi
+    mo = 1.0 / xi
+    for k in range(1, (len(_AIRY_U) - 1) // 2):
+        me = -me * inv2
+        mo = -mo * inv2
+        se_u = se_u + _AIRY_U[2 * k] * me
+        se_v = se_v + _AIRY_V[2 * k] * me
+        so_u = so_u + _AIRY_U[2 * k + 1] * mo
+        so_v = so_v + _AIRY_V[2 * k + 1] * mo
+    q = z ** 0.25
+    ai = (c * se_u + s * so_u) / (_SQRT_PI * q)
+    aip = (s * se_v - c * so_v) * q / _SQRT_PI
+    return ai, aip
+
+
 # ==========================================================================
 # Langer-uniform Airy approximation (three dimensions)
 # ==========================================================================
@@ -247,6 +258,20 @@ def airy_ai_both(x):
 # turning point by the same uniform Airy form about z_in.
 
 
+def _phase_allowed(t, z, d, c, sigma, xp):
+    """langer_phase on the allowed side, t >= 0."""
+    th = 2.0 * xp.asin(xp.minimum(1.0, xp.sqrt(t / (2.0 * d))))
+    ps = 2.0 * xp.asin(xp.minimum(1.0, xp.sqrt(t * c / (2.0 * z * d))))
+    return sigma * 0.5 * d * xp.odd_tail(th, -1.0) + 0.5 * (c * th - ps)
+
+
+def _phase_beyond(t, z, d, c, sigma, xp):
+    """langer_phase beyond the turning point, t < 0."""
+    et = 2.0 * xp.asinh(xp.sqrt(-t / (2.0 * d)))
+    ch = 2.0 * xp.asinh(xp.sqrt(-t * c / (2.0 * z * d)))
+    return -(sigma * 0.5 * d * xp.odd_tail(et, 1.0) + 0.5 * (ch - c * et))
+
+
 def langer_phase(t, z, d, c, sigma):
     """Signed phase integral of sqrt|Q_L| between z and one turning point.
 
@@ -257,26 +282,50 @@ def langer_phase(t, z, d, c, sigma):
     R = z^2 Q_L, is regrouped so that the terms linear in the angle cancel
     analytically and the value keeps full relative accuracy as t -> 0.
     """
-    if t >= 0.0:
-        th = 2.0 * math.asin(min(1.0, math.sqrt(t / (2.0 * d))))
-        ps = 2.0 * math.asin(min(1.0, math.sqrt(t * c / (2.0 * z * d))))
-        return sigma * 0.5 * d * K._odd_tail(th, -1.0) + 0.5 * (c * th - ps)
-    et = 2.0 * math.asinh(math.sqrt(-t / (2.0 * d)))
-    ch = 2.0 * math.asinh(math.sqrt(-t * c / (2.0 * z * d)))
-    return -(sigma * 0.5 * d * K._odd_tail(et, 1.0) + 0.5 * (ch - c * et))
+    return (_phase_allowed if t >= 0.0 else _phase_beyond)(t, z, d, c, sigma, _MATH)
 
 
-def _langer_amplitude(t, z, nu, d, z_out, c, sigma):
+def _langer_amplitude(t, z, nu, d, z_out, c, sigma, xp):
     """(zeta, f, f') about one turning point: the Airy variable, the
     amplitude f = (zeta/Q_L)^(1/4) of the uniform form f(z) Ai(-zeta(z)),
     and f'; zeta' = -sigma / f^2."""
-    xi = langer_phase(t, z, d, c, sigma)
-    zeta = math.copysign((1.5 * abs(xi)) ** (2.0 / 3.0), xi)
+    xi = xp.phase(t, z, d, c, sigma)
+    zeta = xp.copysign((1.5 * xp.abs(xi)) ** (2.0 / 3.0), xi)
     q = t * (z_out - z if sigma < 0.0 else z - 1.0 / z_out) / (4.0 * z * z)
     qp = (1.0 - 2.0 * nu * z) / (2.0 * z * z * z)
     f = (zeta / q) ** 0.25
     fp = 0.25 * f * (-sigma / (f * f * zeta) - qp / q)
     return zeta, f, fp
+
+
+def _turning_point(z, nu, outer):
+    """(t, d, z_out, z_turn, c, sigma, norm, ts) of the Airy form about z_out
+    (outer) or z_in; ts is the half-width of the interpolation window."""
+    d = math.sqrt(4.0 * nu * nu - 1.0)
+    z_out = 2.0 * nu + d
+    if outer:
+        z_turn, c, sigma, norm = z_out, 1.0 / z_out, 1.0, 1.0
+        t = z_out - z
+    else:
+        z_turn, c, sigma, norm = 1.0 / z_out, z_out, -1.0, _SQRT_PI
+        t = z - z_turn
+    return t, d, z_out, z_turn, c, sigma, norm, 1e-5 * z_turn
+
+
+def _near_turning_point(t, z, nu, d, z_out, z_turn, c, sigma, ts, xp):
+    """(zeta, f, f') for |t| < ts: zeta at the true phase, f and f' (0/0
+    at the turning point) interpolated linearly between t = -ts and ts."""
+    zeta = xp.copysign((1.5 * xp.abs(xp.phase(t, z, d, c, sigma))) ** (2.0 / 3.0), t)
+    _, f1, fp1 = _langer_amplitude(ts, z_turn - sigma * ts, nu, d, z_out, c, sigma, _MATH)
+    _, f2, fp2 = _langer_amplitude(-ts, z_turn + sigma * ts, nu, d, z_out, c, sigma, _MATH)
+    w = 0.5 * (t + ts) / ts
+    return zeta, f2 + w * (f1 - f2), fp2 + w * (fp1 - fp2)
+
+
+def _airy_form(zeta, f, fp, sigma, norm, xp):
+    """norm (f Ai(-zeta), f' Ai(-zeta) + sigma Ai'(-zeta) / f)."""
+    ai, aip = xp.airy(-zeta)
+    return norm * f * ai, norm * (fp * ai + sigma * aip / f)
 
 
 def langer_airy(z, nu, outer):
@@ -288,29 +337,12 @@ def langer_airy(z, nu, outer):
     derivative (0/0 there) are interpolated linearly between the two
     sides; the Airy factor is always evaluated at the true zeta.
     """
-    d = math.sqrt(4.0 * nu * nu - 1.0)
-    z_out = 2.0 * nu + d
-    if outer:
-        z_turn, c, sigma, norm = z_out, 1.0 / z_out, 1.0, 1.0
-        t = z_out - z
-    else:
-        z_turn, c, sigma, norm = 1.0 / z_out, z_out, -1.0, _SQRT_PI
-        t = z - z_turn
-    ts = 1e-5 * z_turn
+    t, d, z_out, z_turn, c, sigma, norm, ts = _turning_point(z, nu, outer)
     if abs(t) >= ts:
-        zeta, f, fp = _langer_amplitude(t, z, nu, d, z_out, c, sigma)
+        zeta, f, fp = _langer_amplitude(t, z, nu, d, z_out, c, sigma, _MATH)
     else:
-        zeta = math.copysign((1.5 * abs(langer_phase(t, z, d, c, sigma)))
-                             ** (2.0 / 3.0), t)
-        _, f1, fp1 = _langer_amplitude(ts, z_turn - sigma * ts, nu, d, z_out,
-                                       c, sigma)
-        _, f2, fp2 = _langer_amplitude(-ts, z_turn + sigma * ts, nu, d, z_out,
-                                       c, sigma)
-        w = 0.5 * (t + ts) / ts
-        f = f2 + w * (f1 - f2)
-        fp = fp2 + w * (fp1 - fp2)
-    ai, aip = airy_ai_both(-zeta)
-    return norm * f * ai, norm * (fp * ai + sigma * aip / f)
+        zeta, f, fp = _near_turning_point(t, z, nu, d, z_out, z_turn, c, sigma, ts, _MATH)
+    return _airy_form(zeta, f, fp, sigma, norm, _MATH)
 
 
 # the regular solution is the primitive Langer form from XI_B radians of
@@ -320,29 +352,52 @@ XI_A = 1.0
 XI_B = 3.0
 
 
+def _primitive_regular(xi, t, z, nu, z_out, xp):
+    """(M_L, M_L', Q_L^(1/4)) at phase xi beyond z_in, t = z - z_in."""
+    q = t * (z_out - z) / (4.0 * z * z)
+    qp = (1.0 - 2.0 * nu * z) / (2.0 * z * z * z)
+    q4 = q ** 0.25
+    m = xp.sin(xi + 0.25 * math.pi) / q4
+    return m, q4 * xp.cos(xi + 0.25 * math.pi) - 0.25 * qp / q * m, q4
+
+
+def _blend(xi, ma, mpa, m, mp, q4):
+    """The Airy form (ma, mpa) blended into the primitive (m, mp) for
+    XI_A < xi < XI_B, with a C2 weight (xi' = sqrt(Q_L) = q4^2), so that G,
+    which holds M_L', stays C1."""
+    u = (xi - XI_A) / (XI_B - XI_A)
+    w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+    dw = 30.0 * (u * (1.0 - u)) ** 2 / (XI_B - XI_A) * q4 * q4
+    return ma + w * (m - ma), mpa + w * (mp - mpa) + dw * (m - ma)
+
+
 def langer_regular(z, nu):
     """M_L(z) = Q_L^(-1/4) sin(int_z_in^z sqrt(Q_L) + pi/4) and its
     derivative, continued uniformly through the inner turning point."""
-    d = math.sqrt(4.0 * nu * nu - 1.0)
-    z_out = 2.0 * nu + d
-    t = z - 1.0 / z_out
+    t, d, z_out = _turning_point(z, nu, False)[:3]
     xi = langer_phase(t, z, d, z_out, -1.0) if t > 0.0 else 0.0
     if xi < XI_B:
         ma, mpa = langer_airy(z, nu, False)
         if xi <= XI_A:
             return ma, mpa
-    q = t * (z_out - z) / (4.0 * z * z)
-    qp = (1.0 - 2.0 * nu * z) / (2.0 * z * z * z)
-    q4 = q ** 0.25
-    m = math.sin(xi + 0.25 * math.pi) / q4
-    mp = q4 * math.cos(xi + 0.25 * math.pi) - 0.25 * qp / q * m
+    m, mp, q4 = _primitive_regular(xi, t, z, nu, z_out, _MATH)
     if xi >= XI_B:
         return m, mp
-    # C2 weight (xi' = sqrt(Q_L)), so that G, which holds M_L', stays C1
-    u = (xi - XI_A) / (XI_B - XI_A)
-    w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-    dw = 30.0 * (u * (1.0 - u)) ** 2 / (XI_B - XI_A) * q4 * q4
-    return ma + w * (m - ma), mpa + w * (mp - mpa) + dw * (m - ma)
+    return _blend(xi, ma, mpa, m, mp, q4)
+
+
+def _unsupported(ap, am, nu, kappa):
+    """Where the construction has no value: the inner leg kappa alpha_- at or
+    past 0.999 z_out, or both legs inside z_in (kappa alpha_+ <= z_in)."""
+    z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
+    return (kappa * am >= 0.999 * z_out) | (kappa * ap <= 1.0 / z_out)
+
+
+def _hostler(s, ap, am, nu, kappa, g0, xp):
+    """G = g0 / s * (W_L'(x) M_L(y) - W_L(x) M_L'(y)), x, y = kappa alpha_+-."""
+    w, wp = xp.langer_airy(kappa * ap, nu, True)
+    m, mp = xp.langer_regular(kappa * am, nu)
+    return g0 * (wp * m - w * mp) / s
 
 
 def ua_point(s, ap, am, four_a, nu, kappa, g0):
@@ -350,25 +405,18 @@ def ua_point(s, ap, am, four_a, nu, kappa, g0):
 
     G = g0 / s * (W_L'(x) M_L(y) - W_L(x) M_L'(y)) with x, y = kappa
     alpha_+-, g0 = mu / (2 sqrt(pi) hbar^2 sin(pi nu)); finite and smooth
-    across the caustic.  Besides the source and the focal line, doubly
-    forbidden points and points with both legs inside the inner turning
-    point get NaN with STATUS_UNSUPPORTED.
+    across the caustic.  Besides the source and the focal line, points
+    whose inner leg reaches 0.999 z_out (doubly forbidden ones among them)
+    and points with both legs inside z_in get NaN with STATUS_UNSUPPORTED.
 
     Returns (value, region_code, status_code).
     """
     region, status = K.region_status(s, ap, am, four_a)
     if status != K.STATUS_OK:
         return complex(math.nan, math.nan), region, status
-    x = kappa * ap
-    y = kappa * am
-    z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
-    if y >= 0.999 * z_out or x <= 1.0 / z_out:
-        # doubly forbidden (inner leg at or past its own turning point), or
-        # both legs inside the inner turning point: outside this construction
+    if _unsupported(ap, am, nu, kappa):
         return complex(math.nan, math.nan), region, K.STATUS_UNSUPPORTED
-    w, wp = langer_airy(x, nu, True)
-    m, mp = langer_regular(y, nu)
-    return complex(g0 * (wp * m - w * mp) / s, 0.0), region, K.STATUS_OK
+    return complex(_hostler(s, ap, am, nu, kappa, g0, _MATH), 0.0), region, K.STATUS_OK
 
 
 # ==========================================================================
@@ -398,32 +446,6 @@ def _airy_decaying(x):
     pre = np.exp(-xi) / (2.0 * _SQRT_PI)
     q = x ** 0.25
     return pre * su / q, -pre * sv * q
-
-
-def _airy_oscillating(x):
-    """airy_ai_both for x < -7 (a fixed number of terms)."""
-    z = -x
-    xi = 2.0 / 3.0 * z * np.sqrt(z)
-    c = np.cos(xi - 0.25 * math.pi)
-    s = np.sin(xi - 0.25 * math.pi)
-    inv2 = 1.0 / (xi * xi)
-    me = 1.0
-    se_u = 1.0
-    se_v = 1.0
-    so_u = _AIRY_U[1] / xi
-    so_v = _AIRY_V[1] / xi
-    mo = 1.0 / xi
-    for k in range(1, (len(_AIRY_U) - 1) // 2):
-        me = -me * inv2
-        mo = -mo * inv2
-        se_u = se_u + _AIRY_U[2 * k] * me
-        se_v = se_v + _AIRY_V[2 * k] * me
-        so_u = so_u + _AIRY_U[2 * k + 1] * mo
-        so_v = so_v + _AIRY_V[2 * k + 1] * mo
-    q = z ** 0.25
-    ai = (c * se_u + s * so_u) / (_SQRT_PI * q)
-    aip = (s * se_v - c * so_v) * q / _SQRT_PI
-    return ai, aip
 
 
 def _airy_maclaurin(x):
@@ -458,9 +480,9 @@ def airy_ai_both_array(x):
     big = x > 7.0
     neg = x < -7.0
     mid = ~(big | neg)
-    for part, evaluate in ((big, _airy_decaying), (neg, _airy_oscillating),
-                           (mid, _airy_maclaurin)):
-        ai[part], aip[part] = evaluate(x[part])
+    ai[big], aip[big] = _airy_decaying(x[big])
+    ai[neg], aip[neg] = _airy_oscillating(x[neg], _NUMPY)
+    ai[mid], aip[mid] = _airy_maclaurin(x[mid])
     return ai, aip
 
 
@@ -468,64 +490,30 @@ def langer_phase_array(t, z, d, c, sigma):
     """langer_phase over arrays t, z."""
     out = np.empty_like(t)
     pos = t >= 0.0
-    tp, zp = t[pos], z[pos]
-    th = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(tp / (2.0 * d))))
-    ps = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(tp * c / (2.0 * zp * d))))
-    out[pos] = sigma * 0.5 * d * K._odd_tail_array(th, -1.0) + 0.5 * (c * th - ps)
+    out[pos] = _phase_allowed(t[pos], z[pos], d, c, sigma, _NUMPY)
     neg = ~pos
-    tn, zn = t[neg], z[neg]
-    et = 2.0 * np.arcsinh(np.sqrt(-tn / (2.0 * d)))
-    ch = 2.0 * np.arcsinh(np.sqrt(-tn * c / (2.0 * zn * d)))
-    out[neg] = -(sigma * 0.5 * d * K._odd_tail_array(et, 1.0) + 0.5 * (ch - c * et))
+    out[neg] = _phase_beyond(t[neg], z[neg], d, c, sigma, _NUMPY)
     return out
-
-
-def _langer_amplitude_array(t, z, nu, d, z_out, c, sigma):
-    """_langer_amplitude over arrays t, z."""
-    xi = langer_phase_array(t, z, d, c, sigma)
-    zeta = np.copysign((1.5 * np.abs(xi)) ** (2.0 / 3.0), xi)
-    q = t * (z_out - z if sigma < 0.0 else z - 1.0 / z_out) / (4.0 * z * z)
-    qp = (1.0 - 2.0 * nu * z) / (2.0 * z * z * z)
-    f = (zeta / q) ** 0.25
-    fp = 0.25 * f * (-sigma / (f * f * zeta) - qp / q)
-    return zeta, f, fp
 
 
 def langer_airy_array(z, nu, outer):
     """langer_airy over an array z."""
-    d = math.sqrt(4.0 * nu * nu - 1.0)
-    z_out = 2.0 * nu + d
-    if outer:
-        z_turn, c, sigma, norm = z_out, 1.0 / z_out, 1.0, 1.0
-        t = z_out - z
-    else:
-        z_turn, c, sigma, norm = 1.0 / z_out, z_out, -1.0, _SQRT_PI
-        t = z - z_turn
-    ts = 1e-5 * z_turn
+    t, d, z_out, z_turn, c, sigma, norm, ts = _turning_point(z, nu, outer)
     zeta = np.empty_like(z)
     f = np.empty_like(z)
     fp = np.empty_like(z)
     far = np.abs(t) >= ts
-    zeta[far], f[far], fp[far] = _langer_amplitude_array(t[far], z[far], nu, d, z_out,
-                                                         c, sigma)
+    zeta[far], f[far], fp[far] = _langer_amplitude(t[far], z[far], nu, d, z_out, c, sigma,
+                                                   _NUMPY)
     near = ~far
-    tn = t[near]
-    zeta[near] = np.copysign((1.5 * np.abs(langer_phase_array(tn, z[near], d, c, sigma)))
-                             ** (2.0 / 3.0), tn)
-    _, f1, fp1 = _langer_amplitude(ts, z_turn - sigma * ts, nu, d, z_out, c, sigma)
-    _, f2, fp2 = _langer_amplitude(-ts, z_turn + sigma * ts, nu, d, z_out, c, sigma)
-    w = 0.5 * (tn + ts) / ts
-    f[near] = f2 + w * (f1 - f2)
-    fp[near] = fp2 + w * (fp1 - fp2)
-    ai, aip = airy_ai_both_array(-zeta)
-    return norm * f * ai, norm * (fp * ai + sigma * aip / f)
+    zeta[near], f[near], fp[near] = _near_turning_point(t[near], z[near], nu, d, z_out,
+                                                        z_turn, c, sigma, ts, _NUMPY)
+    return _airy_form(zeta, f, fp, sigma, norm, _NUMPY)
 
 
 def langer_regular_array(z, nu):
     """langer_regular over an array z."""
-    d = math.sqrt(4.0 * nu * nu - 1.0)
-    z_out = 2.0 * nu + d
-    t = z - 1.0 / z_out
+    t, d, z_out = _turning_point(z, nu, False)[:3]
     xi = np.zeros_like(z)
     pos = t > 0.0
     xi[pos] = langer_phase_array(t[pos], z[pos], d, z_out, -1.0)
@@ -536,37 +524,24 @@ def langer_regular_array(z, nu):
     prim = ~(xi <= XI_A)
     blend = airy & prim
     ma, mpa = m[blend], mp[blend]
-    tp, zp, xp = t[prim], z[prim], xi[prim]
-    q = tp * (z_out - zp) / (4.0 * zp * zp)
-    qp = (1.0 - 2.0 * nu * zp) / (2.0 * zp * zp * zp)
-    q4 = q ** 0.25
-    mq = np.sin(xp + 0.25 * math.pi) / q4
-    m[prim] = mq
-    mp[prim] = q4 * np.cos(xp + 0.25 * math.pi) - 0.25 * qp / q * mq
-    # C2 weight (xi' = sqrt(Q_L)), so that G, which holds M_L', stays C1
-    u = (xi[blend] - XI_A) / (XI_B - XI_A)
-    w = u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-    q4 = q4[blend[prim]]
-    dw = 30.0 * (u * (1.0 - u)) ** 2 / (XI_B - XI_A) * q4 * q4
-    mb, mpb = m[blend], mp[blend]
-    m[blend] = ma + w * (mb - ma)
-    mp[blend] = mpa + w * (mpb - mpa) + dw * (mb - ma)
+    m[prim], mp[prim], q4 = _primitive_regular(xi[prim], t[prim], z[prim], nu, z_out, _NUMPY)
+    m[blend], mp[blend] = _blend(xi[blend], ma, mpa, m[blend], mp[blend], q4[blend[prim]])
     return m, mp
+
+
+#: ``_kernels``' backends with this module's scalar or array Airy and Langer forms
+_MATH = SimpleNamespace(**vars(K._MATH), airy=airy_ai_both, phase=langer_phase,
+                        langer_airy=langer_airy, langer_regular=langer_regular)
+_NUMPY = SimpleNamespace(**vars(K._NUMPY), airy=airy_ai_both_array, phase=langer_phase_array,
+                         langer_airy=langer_airy_array, langer_regular=langer_regular_array)
 
 
 def _ua_block(s, ap, am, four_a, nu, kappa, g0):
     region, status = K.region_status_array(s, ap, am, four_a)
-    x = kappa * ap
-    y = kappa * am
-    z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
-    # doubly forbidden, or both legs inside the inner turning point
-    status[(status == K.STATUS_OK) & ((y >= 0.999 * z_out) | (x <= 1.0 / z_out))] = \
-        K.STATUS_UNSUPPORTED
+    status[(status == K.STATUS_OK) & _unsupported(ap, am, nu, kappa)] = K.STATUS_UNSUPPORTED
     ok = status == K.STATUS_OK
     vals = np.full(ap.shape, complex(math.nan, math.nan))
-    w, wp = langer_airy_array(x[ok], nu, True)
-    m, mp = langer_regular_array(y[ok], nu)
-    vals[ok] = g0 * (wp * m - w * mp) / s[ok]
+    vals[ok] = _hostler(s[ok], ap[ok], am[ok], nu, kappa, g0, _NUMPY)
     return vals, region, status
 
 

@@ -353,7 +353,7 @@ def test_bound_forbidden_im_full_precision_near_turning_point(au):
                              for x in alpha])
         got = np.array([K.w_bound_forbidden_im(x, a, sk) for x in alpha.tolist()])
         assert np.max(np.abs(got / want - 1.0)) <= 4e-15
-        assert np.max(np.abs(K._w_bound_forbidden_im_array(alpha, a, sk) / want - 1.0)) <= 4e-15
+        assert np.max(np.abs(K._half_action_beyond(alpha, a, sk, K._NUMPY) / want - 1.0)) <= 4e-15
 
 
 @pytest.mark.parametrize("ndim", [2, 3])

@@ -37,3 +37,34 @@ def test_failing_runs_are_named_by_seed():
     tool = load_tool()
     assert tool.failing_seeds(runs) == {"parent": [501, 503], "change": [502, 503]}
     assert tool.failing_seeds(runs[:2]) == {"parent": [], "change": []}
+
+
+def test_csv_digests_compare_parent_and_change(tmp_path):
+    # each run's CSV is read from its own tree; identical bytes on both
+    # sides compare equal, one changed byte does not, and a workload
+    # without a CSV (pairs_scalar) has no comparison
+    import hashlib
+
+    tool = load_tool()
+    trees = {}
+    for side, data in (("parent", b"x,y\n1,2\n"), ("change", b"x,y\n1,2\n"),
+                       ("other", b"x,y\n1,3\n")):
+        out = tmp_path / side / "perfbench" / "out"
+        out.mkdir(parents=True)
+        (out / "scan_sc.csv").write_bytes(data)
+        trees[side] = tmp_path / side
+    digest = tool.csv_digest(trees["parent"], "scan_sc")
+    assert digest == hashlib.sha256(b"x,y\n1,2\n").hexdigest()
+    assert tool.csv_digest(trees["parent"], "pairs_scalar") is None
+
+    def runs(change_tree, workload="scan_sc"):
+        return [{"side": side, "csv_sha256": tool.csv_digest(tree, workload)}
+                for _ in range(2) for side, tree in (("parent", trees["parent"]),
+                                                     ("change", change_tree))]
+
+    same = tool.compare_csv(runs(trees["change"]))
+    assert same == {"parent": [digest], "change": [digest], "identical": True}
+    differ = tool.compare_csv(runs(trees["other"]))
+    assert differ["identical"] is False and differ["change"] != [digest]
+    assert tool.compare_csv(runs(trees["change"], "pairs_scalar")) == \
+        {"parent": [], "change": [], "identical": None}

@@ -193,6 +193,20 @@ def test_bound_evaluators_refuse_other_regimes(au, name):
         assert info.type is ValueError, (spec.E, params.attractive)
 
 
+def test_bound_interaction_rule_has_one_text(au):
+    # classify_region and bound_regime refuse E < 0 with a repulsive
+    # interaction by one rule, so with one message
+    from coulomb_sc.model import bound_regime
+
+    spec = cs.energy_from_nu(9.7, au)
+    repulsive = cs.SystemParams(attractive=False)
+    with pytest.raises(ValueError) as by_region:
+        cs.classify_region(_PAIR, spec, attractive=False)
+    with pytest.raises(ValueError) as by_regime:
+        bound_regime(spec, repulsive)
+    assert str(by_region.value) == str(by_regime.value)
+
+
 def test_radial_green_refuses_other_dimensions():
     # the 3-D radial equation is no n = 2 channel: next to the 3-D nu = 5
     # pole it returned -6.5e10 instead of a refusal

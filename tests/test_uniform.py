@@ -221,3 +221,16 @@ def test_unsupported_points_name_their_reason(au):
         cs.green_uniform(r, rp, spec, au)
     with pytest.raises(RegionError, match="both legs lie inside the inner turning point"):
         cs.green_uniform([0.01, 0.02, 0.0], [0.02, 0.0, 0.0], spec, au)
+    # an allowed pair whose inner leg lies within 0.1% of z_out is refused
+    # too, and for that reason, not as doubly forbidden
+    spec = cs.energy_from_nu(7.8406, au)
+    four_a = 4.0 * spec.a
+    ap, am = 0.99834 * four_a, 0.99815 * four_a
+    r = (ap + am) / 4.0
+    half = math.asin((ap - am) / (4.0 * r))  # |r - r'| = (ap - am)/2 at |r| = |r'|
+    r, rp = [r, 0.0, 0.0], [r * math.cos(2.0 * half), r * math.sin(2.0 * half), 0.0]
+    pair = cs.lambert_variables(r, rp)
+    assert cs.classify_region(pair, spec).tag is cs.Region.ALLOWED
+    with pytest.raises(RegionError, match="within 0.1% of its turning point z_out") as err:
+        cs.green_uniform(r, rp, spec, au)
+    assert "doubly forbidden" not in str(err.value)

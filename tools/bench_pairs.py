@@ -15,6 +15,9 @@ versions; and per workload, side and metric the median and quartiles.  Per
 metric it also gives the pairs the change won and whether its median moved
 by more than the parent's quartile distance.  Per workload and side it
 records, and prints, the seeds of the runs that read ``correct: false``.
+After each run of a CLI workload it records the sha256 of the CSV the run
+wrote (``perfbench/out/<workload>.csv`` in that tree), and per workload
+whether parent and change wrote identical bytes; that is printed too.
 Nothing here measures: every number comes from ``perfbench/run.py``.
 Untraced runs (``--trace 0``, the end-to-end metrics) go under
 "workloads", traced ones (``--trace 1``, the per-layer metrics) under
@@ -24,6 +27,7 @@ Untraced runs (``--trace 0``, the end-to-end metrics) go under
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -66,6 +70,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         sys.exit(f"{checkout.name} {workload} seed {seed} exited with {proc.returncode}:\n"
                  f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def csv_digest(tree: Path, workload: str) -> str | None:
+    """sha256 of the CSV the last run of ``workload`` wrote in ``tree``;
+    None for a workload that writes none (``pairs_scalar``)."""
+    path = tree / "perfbench" / "out" / f"{workload}.csv"
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+
+def compare_csv(runs: list[dict]) -> dict:
+    """Per side, the distinct CSV digests of its runs, and whether parent and
+    change wrote identical bytes in every run (None: no CSV)."""
+    out = {s: sorted({r["csv_sha256"] for r in runs if r["side"] == s} - {None})
+           for s in ("parent", "change")}
+    out["identical"] = (len(out["parent"]) == 1 and out["parent"] == out["change"]
+                        if out["parent"] or out["change"] else None)
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -146,6 +167,7 @@ def main() -> int:
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 result = run_once(trees[side], workload, seed, seconds, args.trace)
                 runs.append({"pair": i, "order": order, "side": side, "seed": seed,
+                             "csv_sha256": csv_digest(trees[side], workload),
                              "result": result})
                 order += 1
                 print(f"{workload} pair {i} {side}: "
@@ -162,9 +184,14 @@ def main() -> int:
                              for s in ("parent", "change")},
             "correct": all(r["result"]["correct"] for r in runs),
             "failing_seeds": failing_seeds(runs),
+            "csv": compare_csv(runs),
             "metrics": summarize(runs, bench["per_layer" if args.trace else "end_to_end"]),
         }
         out.write_text(json.dumps(record, indent=1) + "\n")
+        same = section[workload]["csv"]["identical"]
+        if same is not None:
+            print(f"{workload}: parent and change wrote "
+                  + ("identical CSV bytes" if same else "different CSV bytes"), flush=True)
         for side, seeds in section[workload]["failing_seeds"].items():
             if seeds:
                 print(f"{workload} {side}: correct: false at seeds "
