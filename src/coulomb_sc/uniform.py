@@ -137,7 +137,7 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
 
 
 # ==========================================================================
-# Airy function of the first kind (scalar, real argument)
+# Airy function of the first kind (real argument)
 # ==========================================================================
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -420,8 +420,8 @@ def ua_point(s, ap, am, four_a, nu, kappa, g0):
 
 
 # ==========================================================================
-# array kernels: the scalar kernels above over blocks of points, in the
-# manner of ``_kernels``' array section
+# array kernels: the series and the masked dispatch over blocks of points,
+# calling the bodies above with the NumPy backend
 # ==========================================================================
 
 def _airy_decaying(x):
