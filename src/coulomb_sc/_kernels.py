@@ -30,9 +30,9 @@ series (``_odd_tail``/``_odd_tail_array``; the Airy series in
 ``uniform``), whose array loops run until every element's scalar stopping
 rule has fired, each element's sums frozen at its own stop.
 
-The SC value is one prefactor times one bracket, pref_merged * B /
-sin(pi k), with B real on both sides of the caustic (``sc_bound_point``)
-and complex only where both legs are forbidden (``_sc_doubly``).
+The SC value is one prefactor times one real bracket, pref_merged * B /
+sin(pi k), with one bracket per branch (``sc_bound_point``): the point
+allowed, beyond the caustic, and both legs forbidden.
 
 Conventions used throughout (plain floats, or float arrays in the array
 kernels):
@@ -49,7 +49,6 @@ angle gamma(alpha) = 2 asin(sqrt(alpha/4a)), which is the numerically
 stable parametrization near both endpoints.
 """
 
-import cmath
 import math
 from types import SimpleNamespace
 
@@ -269,33 +268,32 @@ def _sc_tunnel(s, ap, am, a, k, ndim, mu, hbar, sk, cv, xp):
 
 
 def _sc_doubly(s, ap, am, a, k, ndim, mu, hbar, sk, cv, xp):
-    """Complex bracket where both legs are forbidden: both continued,
-    v -> i w, W -> pi a sk + i K, times the loop factor; its real part is
-    about half of Hostler's value.
-        [-i e^(-i pi k) (mu (w_+ + w_-)/2s)^p e^(-(K_+ - K_-)/hbar)
-         + e^(i pi k) (mu (w_+ - w_-)/2s)^p e^(-(K_+ + K_-)/hbar)] / (2 sqrt(w_+ w_-))
-    """
+    """Real bracket where both legs are forbidden, w = cv sqrt((alpha - 4a)/alpha):
+        [-2 sin(pi k) (mu (w_+ + w_-)/2s)^p e^(-(K_+ - K_-)/hbar)
+         + cos(pi k) (mu (w_+ - w_-)/2s)^p e^(-(K_+ + K_-)/hbar)] / (2 sqrt(w_+ w_-)),
+    at n = 3 Hostler's bracket with the decaying outer solution and the
+    inner one continued past its turning point,
+    M = |Q|^(-1/4) [sin(pi nu) e^K - cos(pi nu) e^(-K) / 2]."""
     p = (ndim - 1.0) / 2.0
     wp = cv * xp.sqrt((ap - 4.0 * a) / ap)
     wm = cv * xp.sqrt((am - 4.0 * a) / am)
     kp = _half_action_beyond(ap, a, sk, xp)
     km = _half_action_beyond(am, a, sk, xp)
-    phase = cmath.exp(1j * math.pi * k)
-    return (-1j * phase.conjugate() * (mu * (wp + wm) / (2.0 * s)) ** p * xp.exp((km - kp) / hbar)
-            + phase * (mu * (wp - wm) / (2.0 * s)) ** p * xp.exp(-(kp + km) / hbar)) \
-        / (2.0 * (wp * wm) ** 0.5)
+    return (-2.0 * math.sin(math.pi * k) * (mu * (wp + wm) / (2.0 * s)) ** p
+            * xp.exp((km - kp) / hbar)
+            + math.cos(math.pi * k) * (mu * (wp - wm) / (2.0 * s)) ** p
+            * xp.exp(-(kp + km) / hbar)) / (2.0 * xp.sqrt(wp * wm))
 
 
 def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
     """Semiclassical bound-state Green value at one point,
-    pref_merged * B / sin(pi k), p = (n - 1)/2, with a real bracket B on
-    each side of the caustic: ``_sc_allowed`` where the point is allowed
-    (alpha_+ < 4a), ``_sc_tunnel`` beyond it with the inner leg allowed.
-    Doubly forbidden points take the complex bracket of ``_sc_doubly``;
-    every other value is real (odd n) or imaginary (even n), its zero part
-    +0.0.  Besides the source and the focal line, the caustic band and the
-    inner leg's turning point alpha_- = 4a (within CAUSTIC_TOL * 4a) get
-    NaN, with STATUS_CAUSTIC.
+    pref_merged * B / sin(pi k), p = (n - 1)/2, with a real bracket B:
+    ``_sc_allowed`` where the point is allowed (alpha_+ < 4a),
+    ``_sc_tunnel`` beyond it with the inner leg allowed and ``_sc_doubly``
+    with both legs forbidden.  The value is real (odd n) or imaginary
+    (even n), its zero part +0.0.  Besides the source and the focal line,
+    the caustic band and the inner leg's turning point alpha_- = 4a (within
+    CAUSTIC_TOL * 4a) get NaN, with STATUS_CAUSTIC.
 
     Returns (value, region_code, status_code).
     """
@@ -345,14 +343,13 @@ def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk)
               | (np.abs(am - four_a) <= CAUSTIC_TOL * four_a))] = STATUS_CAUSTIC
     rest = status == STATUS_OK
     inside = ap < four_a
-    vals = np.full(ap.shape, complex(math.nan, math.nan))
+    br = np.full(ap.shape, math.nan)
     for bracket, ok in ((_sc_allowed, rest & inside),
                         (_sc_tunnel, rest & ~inside & (am < four_a)),
                         (_sc_doubly, rest & (am >= four_a))):
-        br = bracket(s[ok], ap[ok], am[ok], a, k, ndim, mu, hbar, sk, cv, _NUMPY)
-        vals[ok] = pref_merged * br / sinpk
+        br[ok] = bracket(s[ok], ap[ok], am[ok], a, k, ndim, mu, hbar, sk, cv, _NUMPY)
     # adding 0j makes the zero part +0.0, whatever the signs of the factors
-    return vals + 0j, region, status
+    return pref_merged * br / sinpk + 0j, region, status
 
 
 def sc_bound_field(points, source, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):

@@ -2,14 +2,13 @@
 
 Bound regime (E < 0): the four elementary paths plus all loop repetitions
 sum, in closed form, to a two-path interference formula times a cotangent
-loop factor whose poles are the exact bound-state energies.  Both sides of
-the caustic then take one prefactor and one real closed form,
-``pref_merged * B / sin(pi k)``: the merged interference bracket where the
-point is classically allowed, and beyond the caustic the outer action's
-positive-imaginary continuation, whose two paths and loop factor sum to a
-real bracket decaying like e^(-Im W_+/hbar) (``_kernels.sc_bound_point``).
-Doubly forbidden points keep a complex bracket.  Scattering (E > 0) is a
-bare two-path sum.
+loop factor whose poles are the exact bound-state energies.  Every point
+then takes one prefactor and one real closed form,
+``pref_merged * B / sin(pi k)`` (``_kernels.sc_bound_point``): the merged
+interference bracket where the point is classically allowed; beyond the
+caustic the outer action's positive-imaginary continuation, decaying like
+e^(-Im W_+/hbar), against the inner leg, itself continued past its turning
+point where it is forbidden too.  Scattering (E > 0) is a bare two-path sum.
 
 Global phase convention: fixed so that G -> -mu / (2 pi hbar^2 s) as
 s -> 0 in three dimensions (the free source singularity), which also
@@ -140,11 +139,11 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
     """Continuation of the bound Green function past the caustic.
 
     The outer action takes the positive-imaginary branch, so the value
-    decays exponentially with tunnel depth; the inner (allowed) leg is
-    unchanged, and 1/sin(pi k) still carries the bound-state poles.  Real
-    for odd n while the inner leg is allowed.
-    Raises OnCausticError where the inner leg reaches its own turning
-    point, alpha_minus = 4a.
+    decays exponentially with tunnel depth; an allowed inner leg is
+    unchanged, a forbidden one (alpha_minus > 4a) is continued past its
+    turning point, and 1/sin(pi k) still carries the bound-state poles.
+    Real for odd n.  Raises OnCausticError where the inner leg reaches its
+    own turning point, alpha_minus = 4a.
     """
     return _green_sc(r_vec, rp_vec, spec, params, FORBIDDEN_ONLY,
                      "green_sc_tunnel requires a point beyond the caustic")

@@ -173,17 +173,16 @@ def two_path_continuation(s, ap, am, spec, params):
     return pref * (t1 + t2), abs(pref) * (abs(t1) + abs(t2))
 
 
-def forbidden_points(rng, a, ndim, n_tunnel, n_doubly):
-    """(points, source) pairs beyond the caustic: tunnelling pairs for two
-    sources, the inner leg far from and near its turning point, and doubly
-    forbidden pairs for a third, in the plane of the first two axes."""
+def tunnel_points(rng, a, ndim, n):
+    """(points, source) pairs beyond the caustic with the inner leg allowed,
+    for two sources, the inner leg far from and near its turning point, in
+    the plane of the first two axes."""
     four_a = 4.0 * a
     out = []
-    for rp, n, lo in ((0.35 * a, n_tunnel // 2, -0.99), (1.9 * a, n_tunnel - n_tunnel // 2, -0.99),
-                      (2.5 * a, n_doubly, (four_a * (1.0 + 1e-6) - 2.5 * a) / (2.5 * a))):
-        v = rp * rng.uniform(lo, 0.99, n)
+    for rp, m in ((0.35 * a, n // 2), (1.9 * a, n - n // 2)):
+        v = rp * rng.uniform(-0.99, 0.99, m)
         R = elliptic_points(rp, rng.uniform(np.maximum(four_a * 1.001 - rp, v), 3.0 * four_a), v)
-        pts = np.zeros((n, ndim))
+        pts = np.zeros((m, ndim))
         pts[:, :2] = R[:, :2]
         source = np.zeros(ndim)
         source[0] = rp
@@ -226,9 +225,9 @@ def test_odd_n_forbidden_value_is_real(ndim):
 
 @pytest.mark.parametrize("ndim", [2, 3, 4, 5])
 def test_forbidden_forms_are_the_two_path_continuation(ndim):
-    # beyond the caustic both kernels give the elementary two-path
-    # continuation (both legs continued where alpha_- > 4a too), summed in
-    # closed form: pref_merged * B / sin(pi k), B real for a tunnelling pair
+    # beyond the caustic with the inner leg allowed, both kernels give the
+    # elementary two-path continuation summed in closed form:
+    # pref_merged * B / sin(pi k), B real
     params = cs.SystemParams(ndim=ndim)
     rng = np.random.default_rng(20261021 + ndim)
     worst = 0.0
@@ -237,72 +236,128 @@ def test_forbidden_forms_are_the_two_path_continuation(ndim):
         four_a = 4.0 * spec.a
         args = sc_constants(spec, params)
         pref = args[7] / args[8]
-        for R, rp_vec in forbidden_points(rng, spec.a, ndim, 200, 50):
+        for R, rp_vec in tunnel_points(rng, spec.a, ndim, 200):
             vals, _, status = K.sc_bound_field(R, rp_vec, *args)
             assert np.all(status == K.STATUS_OK)
             _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
-            assert np.all(ap > four_a)
+            assert np.all(ap > four_a) and np.all(am < four_a)
             for v, lengths in zip(vals, zip(s.tolist(), ap.tolist(), am.tolist())):
                 want, scale = two_path_continuation(*lengths, spec, params)
                 val = K.sc_bound_point(*lengths, *args)[0]
                 worst = max(worst, abs(val - want) / scale, abs(v - want) / scale)
-                if lengths[2] < four_a:
-                    bracket = val / pref
-                    assert bracket.imag == 0.0 and (v / pref).imag == 0.0
+                assert (val / pref).imag == 0.0 and (v / pref).imag == 0.0
     assert worst <= 1e-13
 
 
-def test_tunnel_form_is_hostlers_bracket():
-    # n = 3: G = g0/s (W'(x) M(y) - W(x) M'(y)), x, y = kappa alpha_+-, with
-    # the primitive WKB pair of Q = nu/z - 1/4: the decaying outer solution
-    # W = |Q|^(-1/4) e^(-K) / (2 sqrt(pi)), K = int_4nu^x sqrt(-Q), and the
-    # regular M = Q^(-1/4) sin(w(y) - pi/4), w = int_0^y sqrt(Q), each
-    # differentiated through its phase only
+def hostler_primitive(s, ap, am, nu):
+    """Hostler's n = 3 bracket g0/s (W'(x) M(y) - W(x) M'(y)), x, y =
+    alpha_+-/nu, in atomic units with the primitive WKB pair of
+    Q = nu/z - 1/4, each function differentiated through its phase or
+    exponent only, with w = int_0^z sqrt(Q) and K = int_4nu^z sqrt(-Q):
+      - W = pi^(-1/2) Q^(-1/4) sin(pi nu - w(x) + pi/4) inside the caustic,
+        W = pi^(-1/2) |Q|^(-1/4) e^(-K(x)) / 2 beyond it;
+      - M = Q^(-1/4) sin(w(y) - pi/4) inside, and continued past the turning
+        point, M = |Q|^(-1/4) [sin(pi nu) e^(K(y)) - cos(pi nu) e^(-K(y)) / 2].
+    Evaluated in mpmath.  Returns the value and a node-free scale, the sum
+    of the two products' amplitudes."""
+    with mp.workdps(30):
+        n = mp.mpf(nu)
+        x, y = mp.mpf(ap) / n, mp.mpf(am) / n
+        qx, qy = abs(n / x - 0.25), abs(n / y - 0.25)
+
+        def phase(z):
+            g = 2 * mp.asin(mp.sqrt(z / (4 * n)))
+            return n * (g + mp.sin(g))
+
+        def depth(z):
+            return mp.sqrt(z * (z - 4 * n)) / 2 - 2 * n * mp.acosh(mp.sqrt(z / (4 * n)))
+
+        if x < 4 * n:  # W and W' with the amplitudes of each
+            ph = mp.pi * n - phase(x) + mp.pi / 4
+            aw, adw = qx ** -0.25 / mp.sqrt(mp.pi), qx ** 0.25 / mp.sqrt(mp.pi)
+            w, dw = aw * mp.sin(ph), -adw * mp.cos(ph)
+        else:
+            w = aw = qx ** -0.25 * mp.exp(-depth(x)) / (2 * mp.sqrt(mp.pi))
+            dw, adw = -mp.sqrt(qx) * w, mp.sqrt(qx) * w
+        if y < 4 * n:  # M and M' with the amplitudes of each
+            ph = phase(y) - mp.pi / 4
+            am_, adm = qy ** -0.25, qy ** 0.25
+            m, dm = am_ * mp.sin(ph), adm * mp.cos(ph)
+        else:
+            e, sp, cp = mp.exp(depth(y)), mp.sin(mp.pi * n), mp.cos(mp.pi * n)
+            m, dm = (sp * e - cp / (2 * e)) * qy ** -0.25, (sp * e + cp / (2 * e)) * qy ** 0.25
+            am_ = (abs(sp) * e + abs(cp) / (2 * e)) * qy ** -0.25
+            adm = am_ * mp.sqrt(qy)
+        c = 1 / (2 * mp.sqrt(mp.pi) * mp.sin(mp.pi * n) * s)
+        return float(c * (dw * m - w * dm)), float(abs(c) * (adw * am_ + aw * adm))
+
+
+@pytest.mark.parametrize("nu", [5.3, 9.7, 29.2, 60.3])
+def test_sc_brackets_are_hostlers_bracket(nu):
+    # n = 3: each of the three SC branches is Hostler's bracket with the
+    # primitive pair: the oscillating W where the point is allowed, the
+    # decaying W beyond the caustic, and the continued M where the inner leg
+    # is forbidden too.  alpha_+ stays below 2 (4a): the rounding of K_+/hbar
+    # (a few ulp of a number of order nu) alone would pass the bound deeper
     params = cs.AU
-    rng = np.random.default_rng(20261022)
-    for nu in (5.3, 9.7, 29.2):
-        spec = cs.energy_from_nu(nu, params)
-        args = sc_constants(spec, params)
-        kappa = 1.0 / nu
-        g0 = 1.0 / (2.0 * math.sqrt(math.pi) * math.sin(math.pi * nu))
-        for R, rp_vec in forbidden_points(rng, spec.a, 3, 200, 0)[:2]:
-            vals, _, _ = K.sc_bound_field(R, rp_vec, *args)
-            _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
-            for v, s_, x, y in zip(vals, s.tolist(), kappa * ap, kappa * am):
-                qx, qy = 0.25 - nu / x, nu / y - 0.25
-                with mp.workdps(30):
-                    k_x = float(mp.sqrt(x * (x - 4 * nu)) / 2
-                                - 2 * nu * mp.acosh(mp.sqrt(x / (4 * nu))))
-                g = 2.0 * math.asin(math.sqrt(y / (4.0 * nu)))
-                phase = nu * (g + math.sin(g)) - 0.25 * math.pi
-                w = qx ** -0.25 * math.exp(-k_x) / (2.0 * math.sqrt(math.pi))
-                m, mp_ = qy ** -0.25 * math.sin(phase), qy ** 0.25 * math.cos(phase)
-                want = g0 / s_ * (-math.sqrt(qx) * w * m - w * mp_)
-                scale = abs(g0 / s_) * w * (math.sqrt(qx) + math.sqrt(qy)) * qy ** -0.25
-                assert abs(v.real - want) <= 1e-13 * scale and v.imag == 0.0
+    spec = cs.energy_from_nu(nu, params)
+    args = sc_constants(spec, params)
+    a = spec.a
+    four_a = 4.0 * a
+    rng = np.random.default_rng(20261023)
+    branches = set()
+    # (source, alpha_+ range, alpha_- from): allowed, tunnelling, doubly forbidden
+    for rp, ap_lo, ap_hi, am_lo in ((0.35 * a, 0.7 * a, 0.999 * four_a, 0.0035 * a),
+                                    (0.35 * a, 1.001 * four_a, 2.0 * four_a, 0.0035 * a),
+                                    (2.5 * a, 5.0 * a, 2.0 * four_a, 1.001 * four_a)):
+        rp_vec = np.array([rp, 0.0, 0.0])
+        R = elliptic_points(rp, rng.uniform(ap_lo - rp, ap_hi - rp, 100),
+                            rng.uniform(am_lo - rp, 0.99 * rp, 100))
+        vals, _, status = K.sc_bound_field(R, rp_vec, *args)
+        assert np.all(status == K.STATUS_OK)
+        _, _, s, ap, am = K.lambert_arrays(R, rp_vec)
+        for v, lengths in zip(vals, zip(s.tolist(), ap.tolist(), am.tolist())):
+            want, scale = hostler_primitive(*lengths, nu)
+            val = K.sc_bound_point(*lengths, *args)[0]
+            for got in (val, v):
+                assert abs(got.real - want) <= 1e-13 * scale
+                assert got.imag == 0.0 and not math.copysign(1.0, got.imag) < 0.0
+            branches.add("allowed" if lengths[1] < four_a else
+                         "tunnel" if lengths[2] < four_a else "doubly")
+    assert branches == {"allowed", "tunnel", "doubly"}
 
 
 @pytest.mark.parametrize("ndim", [3, 5])
 def test_odd_n_values_have_a_positive_zero_imaginary_part(ndim):
-    # allowed and tunnelling values of odd n are real whatever the signs of
-    # sin(pi k) and of the bracket: their imaginary part is +0.0, never
-    # -0.0, so a scan writes the same bytes for the same value
+    # allowed, tunnelling and doubly forbidden values of odd n are real
+    # whatever the signs of sin(pi k) and of the bracket: their imaginary
+    # part is +0.0, never -0.0, so a scan writes the same bytes for the same
+    # value
     params = cs.SystemParams(ndim=ndim)
     rng = np.random.default_rng(20261024 + ndim)
     for nu in (5.3, 6.3):
         spec = cs.energy_from_nu(nu, params)
         args = sc_constants(spec, params)
-        rp = 0.35 * spec.a
-        rp_vec = np.array([rp, 0.0, 0.0])
-        R = elliptic_points(rp, rng.uniform(rp, 3.0 * 4.0 * spec.a, 400),
-                            rng.uniform(-0.99 * rp, 0.99 * rp, 400))
-        vals, region, status = K.sc_bound_field(R, rp_vec, *args)
-        ok = status == K.STATUS_OK
-        assert set(region[ok].tolist()) == {K.REGION_ALLOWED, K.REGION_FORBIDDEN}
-        assert (vals.real[ok] > 0.0).any() and (vals.real[ok] < 0.0).any()
-        assert np.all(vals.imag[ok] == 0.0) and not np.any(np.signbit(vals.imag[ok]))
-        for v in scalar_map(K.sc_bound_point, R, rp_vec, *args)[0][ok]:
-            assert v.imag == 0.0 and not np.signbit(v.imag)
+        four_a = 4.0 * spec.a
+        branches, signs = set(), set()
+        # a source inside half the caustic, and one beyond it, whose inner
+        # leg passes 4a
+        for rp, v_lo in ((0.35 * spec.a, -0.99 * 0.35 * spec.a),
+                         (2.5 * spec.a, 1.001 * four_a - 2.5 * spec.a)):
+            rp_vec = np.array([rp, 0.0, 0.0])
+            R = elliptic_points(rp, rng.uniform(rp, 3.0 * four_a, 400),
+                                rng.uniform(v_lo, 0.99 * rp, 400))
+            vals, region, status = K.sc_bound_field(R, rp_vec, *args)
+            ok = status == K.STATUS_OK
+            am = K.lambert_arrays(R, rp_vec)[4][ok]
+            branches |= {"doubly" if m > four_a else r
+                         for r, m in zip(region[ok].tolist(), am.tolist())}
+            signs |= set(np.sign(vals.real[ok]).tolist())
+            assert np.all(vals.imag[ok] == 0.0) and not np.any(np.signbit(vals.imag[ok]))
+            for v in scalar_map(K.sc_bound_point, R, rp_vec, *args)[0][ok]:
+                assert v.imag == 0.0 and not np.signbit(v.imag)
+        assert branches == {K.REGION_ALLOWED, K.REGION_FORBIDDEN, "doubly"}
+        assert signs >= {-1.0, 1.0}
 
 
 def test_ua_field_matches_point_kernel():
