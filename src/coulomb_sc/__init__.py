@@ -26,22 +26,21 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
     "actions": ("BasicActions", "PathQuantity", "basic_actions", "four_paths",
-                "kepler_transfer_time", "loop_variant", "reduced_action_bound",
-                "reduced_action_bound_forbidden", "reduced_action_repulsive_forbidden",
-                "reduced_action_scatter_attractive", "reduced_action_scatter_repulsive",
-                "round_trip", "scatter_velocity", "travel_time_bound", "velocity"),
-    "geometry": ("LambertPair", "Region", "RegionClass", "action_via_anomalies",
-                 "anomaly_angles", "classify_region", "lambert_variables"),
+                "loop_variant", "reduced_action_bound", "reduced_action_bound_forbidden",
+                "reduced_action_repulsive_forbidden", "reduced_action_scatter_attractive",
+                "reduced_action_scatter_repulsive", "round_trip", "scatter_velocity",
+                "travel_time_bound", "velocity"),
+    "geometry": ("LambertPair", "Region", "RegionClass", "anomaly_angles",
+                 "classify_region", "lambert_variables"),
     "model": ("AU", "EnergySpec", "SystemParams", "energy_eigenvalue", "energy_from_nu",
               "quantization_action"),
-    "qm_oracle": ("RadialSolution", "green_qm", "qm_field", "radial_green", "solve_radial"),
+    "qm_oracle": ("RadialSolution", "green_qm", "qm_field", "solve_radial"),
     "semiclassical": ("FieldSample", "green_sc_bound", "green_sc_bound_product",
                       "green_sc_bound_sum", "green_sc_scatter_attractive", "green_sc_tunnel",
                       "loop_factor"),
     "uniform": ("UniformInputs", "airy_ai", "airy_ai_prime", "green_uniform",
                 "uniform_inputs"),
-    "vvpm": ("VvpmValue", "dimensional_factor", "morse_index", "vvpm_det",
-             "vvpm_det_numeric"),
+    "vvpm": ("VvpmValue", "morse_index", "vvpm_det"),
 }.items() for name in names}
 
 __all__ = sorted([*_EXPORTS, "errors"])

@@ -239,13 +239,3 @@ def reduced_action_bound_forbidden(alpha_plus: float, spec: EnergySpec,
     im = K.w_bound_forbidden_im(alpha_plus, spec.a, sk)
     return complex(re, im), complex(re, -im)
 
-
-def kepler_transfer_time(xi: float, xi_p: float, eps: float, spec: EnergySpec,
-                         params: SystemParams) -> float:
-    """Transfer time between eccentric anomalies xi' -> xi on an ellipse of
-    eccentricity eps: sqrt(mu a^3/Kc) (xi - eps sin xi - xi' + eps sin xi')."""
-    bound_regime(spec, params)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eccentricity must satisfy 0 <= eps < 1, got {eps}")
-    ts = math.sqrt(params.mu * spec.a**3 / params.Kc)
-    return ts * (xi - eps * math.sin(xi) - xi_p + eps * math.sin(xi_p))

@@ -3,10 +3,10 @@
 The entire fixed-energy Kepler/Coulomb problem depends on the endpoints
 only through alpha_plus = r + r' + s and alpha_minus = r + r' - s, where s
 is the chord length.  This module computes those, classifies the point
-against the caustic, and provides the anomaly-angle cross-check form of
-the reduced action.  Every per-point evaluator refuses through its two
-helpers: ``refuse_point`` (source point, focal line) and ``refuse_region``
-(a side of the caustic the form does not take).
+against the caustic, and gives the anomaly angles of an allowed pair.
+Every per-point evaluator refuses through its two helpers:
+``refuse_point`` (source point, focal line) and ``refuse_region`` (a side
+of the caustic the form does not take).
 """
 
 from __future__ import annotations
@@ -173,16 +173,3 @@ def anomaly_angles(pair: LambertPair, a: float) -> tuple[float, float]:
                   "no real anomaly angles: use the forbidden-region action continuation")
     return K.gamma_angle(pair.alpha_plus, a), K.gamma_angle(pair.alpha_minus, a)
 
-
-def action_via_anomalies(gamma: float, delta: float, a: float,
-                         params: SystemParams) -> float:
-    """Reduced action of the direct path in anomaly-angle form:
-
-    W = sqrt(mu a Kc) (gamma + sin gamma - delta - sin delta).
-
-    Equals W_+(alpha_plus) - W_-(alpha_minus) on the allowed side; used as
-    an independent cross-check of the one-dimensional closed forms.
-    """
-    return math.sqrt(params.mu * a * params.Kc) * (
-        gamma + math.sin(gamma) - delta - math.sin(delta)
-    )

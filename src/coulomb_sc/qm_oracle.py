@@ -32,10 +32,8 @@ value that is not a normal float -- underflowed, infinite or NaN -- comes
 out NaN, which the public functions report.  A numerical ODE path is used
 rather than closed-form confluent hypergeometric evaluation because the
 arguments of interest (alpha/nu up to about 100) make naive series
-evaluation unstable; independent Whittaker-function oracles exist in the
-test suite.
-``radial_green`` gives the radial component g_l of any channel, which the
-tests sum over l as an independent partial-wave check.
+evaluation unstable; independent Whittaker-function and partial-wave
+oracles exist in the test suite.
 """
 
 from __future__ import annotations
@@ -46,16 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import IllConditionedError, PoleError, RegionError, UnsupportedDimensionError
+from .errors import IllConditionedError, RegionError, UnsupportedDimensionError
 from .geometry import classify_region, lambert_variables
-from .model import POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole
+from .model import EnergySpec, SystemParams, bound_regime, check_pole
 from .semiclassical import FieldSample
 
 
 def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:
     """(r_max, h) giving ~1e-7 phase accuracy in the l = 0 channel that
-    qm_field uses (h comes from the l = 0 scales only; see radial_green)
-    and a deeply decayed inward-integration start for every radius up to r_need.
+    qm_field uses (h comes from the l = 0 scales only, so higher channels
+    lose accuracy) and a deeply decayed inward-integration start for every
+    radius up to r_need.
 
     r_max starts at max(1.3 r_turn, 1.2 r_need), r_turn = 2a the l = 0
     turning radius, and grows by factors of 1.2 until the decaying
@@ -196,35 +195,6 @@ class RadialSolution:
     u_irr: np.ndarray
     wronskian: float
 
-    def eval_reg(self, r):
-        """u_reg at a radius or an array of radii.  Below the mesh start
-        r_0 = j0 h, where the table begins, it is the origin series scaled
-        to u_reg(r_0); NaN where that product is not a normal float, as the
-        r^(l+1) law can take it below float64's range at large l."""
-        r = np.asarray(r, float)
-        u = interp_u(self.u_reg, r, self.h, self.j0, len(self.grid) - 1)
-        r0 = self.j0 * self.h
-        inner = r < r0
-        if np.any(inner):
-            e2, c1 = _ode_terms(self.E, self.params)
-            s0 = _series(self.l, e2, c1, r0)
-            series = np.array([self.u_reg[self.j0] * (x / r0) ** (self.l + 1)
-                               * _series(self.l, e2, c1, x) / s0 for x in r[inner].tolist()])
-            u = np.array(u, float)
-            u[inner] = np.where(_normal(series), series, np.nan)
-            u = u[()]  # a scalar again for a scalar r
-        return u
-
-    def eval_irr(self, r):
-        """u_irr at a radius or an array of radii, all inside its table."""
-        r = np.asarray(r, float)
-        if np.any(r < (self.j_service + 2) * self.h):
-            raise ValueError(
-                f"u_irr tabulated for r >= {(self.j_service + 2) * self.h:.6g} "
-                "only; rebuild the solution with a smaller service radius"
-            )
-        return interp_u(self.u_irr, r, self.h, self.j_service, len(self.grid) - 1)
-
     def derivative(self, u: np.ndarray, lo: int) -> np.ndarray:
         """u' on mesh indices lo .. n-1 (zero elsewhere) for u = u_reg or
         u_irr; lo must leave u[lo - 1] inside the tabulated range."""
@@ -274,39 +244,6 @@ def solve_radial(l: int, E: float, params: SystemParams,
     return RadialSolution(l=l, E=E, params=params, h=h, j0=j0, j_service=j_service,
                           grid=np.arange(n + 1) * h,
                           u_reg=u_reg, u_irr=u_irr, wronskian=wron)
-
-
-def radial_green(l: int, r_small: float, r_large: float, E: float,
-                 params: SystemParams, r_max: float | None = None,
-                 h: float | None = None) -> float:
-    """Radial Green component g_l(r_<, r_>; E) for E < 0, n = 3 only, as in
-    qm_field.  The default mesh is sized for l = 0 (relative error 7e-9
-    there, 1e-3 at l = 40 and nu = 5.3): high l needs an explicit r_max and h."""
-    if params.ndim != 3:
-        raise UnsupportedDimensionError("the radial Green function is implemented for n = 3")
-    if not 0.0 < r_small <= r_large:
-        raise ValueError("need 0 < r_small <= r_large")
-    spec = EnergySpec.from_energy(E, params)
-    bound_regime(spec, params)
-    nu = spec.k + 1.0
-    nearest = round(nu)
-    if nearest >= l + 1 and abs(nu - nearest) < POLE_GUARD:
-        raise PoleError(
-            f"E within the guard band of the l = {l} channel eigenvalue nu = {nearest}",
-            k=int(nearest - 1), energy=spec.E,
-        )
-    if r_max is None or h is None:
-        auto_rmax, auto_h = default_mesh(spec, params, r_large)
-        r_max = auto_rmax if r_max is None else r_max
-        h = auto_h if h is None else h
-    sol = solve_radial(l, E, params, r_max, h, r_service=0.95 * r_large)
-    g2mu = 2.0 * params.mu / params.hbar**2
-    g = g2mu * sol.eval_reg(r_small) * sol.eval_irr(r_large) / sol.wronskian
-    if not math.isfinite(g):
-        raise IllConditionedError(
-            f"g_{l}({r_small}, {r_large}) lost to underflow: the channel's solutions "
-            "span more than float64's range")
-    return g
 
 
 def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:

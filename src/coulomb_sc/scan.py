@@ -462,7 +462,10 @@ def eigenvalue_table(kmax: int, params: SystemParams) -> list[tuple[int, float, 
 def load_json_config(path: str) -> dict:
     import json
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path!r} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
     return data

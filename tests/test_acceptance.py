@@ -23,6 +23,7 @@ import coulomb_sc as cs
 from coulomb_sc.errors import PoleError
 
 from conftest import random_allowed_pair
+from oracles import vvpm_det_numeric
 
 
 def report(num, ok, detail):
@@ -155,8 +156,8 @@ def test_criterion_4_vvpm_finite_difference(au, rng):
                 continue
             path_id = 1 + done % 2
             closed = cs.vvpm_det(path_id, pair, spec, par).D
-            numeric, m = cs.vvpm_det_numeric(path_action(path_id, par), r_vec,
-                                             rp_vec, spec.E, par, return_matrix=True)
+            numeric, m = vvpm_det_numeric(path_action(path_id, par), r_vec,
+                                          rp_vec, spec.E, par, return_matrix=True)
             worst = max(worst, abs(numeric - closed) / abs(closed))
             block = m[:ndim, :ndim]
             hadamard = np.prod(np.linalg.norm(block, axis=1))

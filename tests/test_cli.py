@@ -271,6 +271,18 @@ def test_config_errors_exit_two(capsys, tmp_path):
         assert code == 0 and out.count("\n") > 1
 
 
+@pytest.mark.parametrize("content", [b'{"nu": 5.3,', b"\xff\xfe{}", b"[5.3]"],
+                         ids=["truncated", "not_utf8", "not_an_object"])
+def test_malformed_config_file_exits_two(capsys, tmp_path, content):
+    # a file that is not a UTF-8 JSON object is the configuration's fault,
+    # named as such, not a numerical failure (exit 3)
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(["scan", "--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and repr(str(path)) in err
+
+
 def test_lmax_retired_exits_two(capsys, tmp_path):
     # the exact reference has no partial-wave truncation left to set
     code, _, _ = run_cli(["cut", "--nu", "5.3", "--source", "20,0,0",

@@ -14,7 +14,9 @@ from scipy.special import eval_legendre
 import coulomb_sc as cs
 from coulomb_sc.cli import main
 from coulomb_sc.errors import IllConditionedError, PoleError
-from coulomb_sc.qm_oracle import default_mesh, qm_field, radial_green, solve_radial
+from coulomb_sc.qm_oracle import default_mesh, qm_field, solve_radial
+
+from oracles import eval_irr, eval_reg, radial_green
 
 
 def legendre_p(l, x):
@@ -44,7 +46,7 @@ def partial_wave_green(pts, rp, spec, params, l_max):
     for l in range(l_max + 1):
         sol = solve_radial(l, spec.E, params, r_max, h,
                            r_service=0.95 * float(np.min(r_large)))
-        g = sol.eval_reg(r_small) * sol.eval_irr(r_large)
+        g = eval_reg(sol, r_small) * eval_irr(sol, r_large)
         terms.append((2 * l + 1) / (4 * math.pi * r_small * r_large)
                      * legendre_p(l, cos_th) * g2mu * g / sol.wronskian)
     terms = np.array(terms)
@@ -159,7 +161,7 @@ def test_regular_solution_origin_behavior(au):
     for l in (0, 1, 2):
         sol = solve_radial(l, spec.E, au, r_max, h)
         r1, r2 = 2 * h, 4 * h
-        ratio = sol.eval_reg(r2) / sol.eval_reg(r1)
+        ratio = eval_reg(sol, r2) / eval_reg(sol, r1)
         assert ratio == pytest.approx((r2 / r1) ** (l + 1), rel=0.08)
 
 
@@ -266,19 +268,17 @@ def test_radial_green_below_the_mesh_start(au):
     assert mine[0.5] / mine[1.2] == pytest.approx(ref[0.5] / ref[1.2], rel=1e-9)
 
 
-def test_radial_green_underflow_below_the_mesh_start_is_refused(au):
+def test_radial_green_below_the_mesh_start_at_high_l(au):
     # l = 170 at nu = 1.4: below r_0 = 1.215 Bohr the r^(l+1) law takes
-    # u_reg(r_0) ~ 8e-243 under float64's range, while the true g_l at
-    # r_< = 0.26 is about -4e-184; refused, not a silent -0.0
+    # u_reg(r_0) (x/r_0)^(l+1) ~ 8e-243 1e-115 under float64's range, while
+    # the true g_l at r_< = 0.26 is about -4e-184; summed in logs, the
+    # product keeps it, to the default mesh's error at l = 170, which the
+    # table holds just above r_0 too
     E = cs.energy_from_nu(1.4, au).E
-    for rs in (0.26, 0.30):
-        assert whittaker_radial_green(170, rs, 3.0, E, au) < -1e-200  # normal in float64
-        with pytest.raises(IllConditionedError, match="underflow"):
-            radial_green(170, rs, 3.0, E, au)
-    # just above r_0 the table holds the value, to the default mesh's 1.7%
-    # error at l = 170
-    assert radial_green(170, 1.22, 3.0, E, au) == pytest.approx(
-        whittaker_radial_green(170, 1.22, 3.0, E, au), rel=2e-2, abs=0.0)
+    for rs in (0.26, 0.30, 1.22):
+        ref = whittaker_radial_green(170, rs, 3.0, E, au)
+        assert ref < -1e-200  # normal in float64
+        assert radial_green(170, rs, 3.0, E, au) == pytest.approx(ref, rel=2e-2, abs=0.0)
 
 
 def test_green_qm_pole_guard(au):

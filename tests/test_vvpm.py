@@ -11,6 +11,7 @@ from coulomb_sc import _kernels as K
 from coulomb_sc.errors import FocalLineError, OnCausticError, RegionError
 
 from conftest import random_allowed_pair
+from oracles import dimensional_factor, vvpm_det_numeric
 
 
 def path_action(path_id, params):
@@ -28,13 +29,13 @@ def path_action(path_id, params):
 
 
 def test_dimensional_factor_values(au):
-    assert cs.dimensional_factor(1.0, 1.0, 1.0, "difference", au) == pytest.approx(-1.0)
-    assert cs.dimensional_factor(1.0, 1.0, 1.0, "sum", au) == 0.0
-    assert cs.dimensional_factor(2.0, 1.0, 2.0, "sum", au) == pytest.approx(-0.25)
+    assert dimensional_factor(1.0, 1.0, 1.0, "difference", au) == pytest.approx(-1.0)
+    assert dimensional_factor(1.0, 1.0, 1.0, "sum", au) == 0.0
+    assert dimensional_factor(2.0, 1.0, 2.0, "sum", au) == pytest.approx(-0.25)
     with pytest.raises(RegionError):
-        cs.dimensional_factor(1.0, 1.0, 0.0, "sum", au)
+        dimensional_factor(1.0, 1.0, 0.0, "sum", au)
     with pytest.raises(ValueError):
-        cs.dimensional_factor(1.0, 1.0, 1.0, "product", au)
+        dimensional_factor(1.0, 1.0, 1.0, "product", au)
 
 
 def test_morse_indices(au):
@@ -125,8 +126,8 @@ def test_numeric_determinant_matches_closed_form(au, rng, ndim, path_id):
         if pair.s < 0.05 * spec.a:  # keep the stencil off the coincidence pole
             continue
         closed = cs.vvpm_det(path_id, pair, spec, par).D
-        numeric = cs.vvpm_det_numeric(path_action(path_id, par), r_vec, rp_vec,
-                                      spec.E, par)
+        numeric = vvpm_det_numeric(path_action(path_id, par), r_vec, rp_vec,
+                                   spec.E, par)
         assert numeric == pytest.approx(closed, rel=1e-5), (r_vec, rp_vec, spec.E)
         checked += 1
 
@@ -143,8 +144,8 @@ def test_numeric_magnitude_for_reflected_paths(au, rng):
     pair = cs.lambert_variables(r_vec, rp_vec)
     for path_id in (3, 4):
         closed = cs.vvpm_det(path_id, pair, spec, au).D
-        numeric = cs.vvpm_det_numeric(path_action(path_id, au), r_vec, rp_vec,
-                                      spec.E, au)
+        numeric = vvpm_det_numeric(path_action(path_id, au), r_vec, rp_vec,
+                                   spec.E, au)
         assert abs(numeric) == pytest.approx(abs(closed), rel=1e-5)
 
 
@@ -155,8 +156,8 @@ def test_position_block_is_singular(au, rng):
         r_vec, rp_vec, spec = random_allowed_pair(rng, au, a_range=(2.0, 10.0),
                                                   ap_frac=(0.2, 0.8),
                                                   am_frac=(0.2, 0.8))
-        _, m = cs.vvpm_det_numeric(path_action(1, au), r_vec, rp_vec, spec.E, au,
-                                   return_matrix=True)
+        _, m = vvpm_det_numeric(path_action(1, au), r_vec, rp_vec, spec.E, au,
+                                return_matrix=True)
         block = m[:3, :3]
         hadamard = np.prod(np.linalg.norm(block, axis=1))
         assert abs(np.linalg.det(block)) < 1e-5 * hadamard
@@ -165,5 +166,5 @@ def test_position_block_is_singular(au, rng):
 def test_step_underflow_guard(au, rng):
     r_vec, rp_vec, spec = random_allowed_pair(rng, au)
     with pytest.raises(cs.errors.IllConditionedError):
-        cs.vvpm_det_numeric(path_action(1, au), r_vec, rp_vec, spec.E, au,
-                            rel_step=1e-30)
+        vvpm_det_numeric(path_action(1, au), r_vec, rp_vec, spec.E, au,
+                         rel_step=1e-30)
