@@ -238,4 +238,3 @@ def reduced_action_bound_forbidden(alpha_plus: float, spec: EnergySpec,
     re = math.pi * spec.a * sk
     im = K.w_bound_forbidden_im(alpha_plus, spec.a, sk)
     return complex(re, im), complex(re, -im)
-

@@ -172,4 +172,3 @@ def anomaly_angles(pair: LambertPair, a: float) -> tuple[float, float]:
     refuse_region(K.caustic_region(pair.alpha_plus, 4.0 * a), ALLOWED_SIDE,
                   "no real anomaly angles: use the forbidden-region action continuation")
     return K.gamma_angle(pair.alpha_plus, a), K.gamma_angle(pair.alpha_minus, a)
-

@@ -87,4 +87,3 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     f = -params.mu * ((vp + vm) if path_id % 2 else (vp - vm)) / (2.0 * pair.s)
     d = f ** (params.ndim - 1) / (vp * vm)
     return VvpmValue(path_id, -d if path_id in (2, 3) else d, f)
-
