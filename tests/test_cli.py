@@ -1,16 +1,19 @@
 """Command-line wiring: CSV formats, determinism, exit codes, JSON config."""
 
+import gc
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coulomb_sc as cs
 from coulomb_sc.cli import main
-from coulomb_sc.scan import eigenvalue_table, fmt
+from coulomb_sc.scan import ScanConfig, eigenvalue_table, fmt, run_cut, run_scan
 
 
 def run_cli(args, capsys):
@@ -344,3 +347,77 @@ def test_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "coulomb-sc" in proc.stdout
+
+
+def run_module(args, unbuffered=False, **kw):
+    """``python -m coulomb_sc.cli`` in a fresh interpreter that imports the
+    package from where this one does."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cs.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "coulomb_sc.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kw)
+
+
+@pytest.mark.parametrize("args", [
+    ["eigenvalues", "--kmax", "2"],
+    ["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
+     "--grid=y:-40:40:3", "--method", "all"],
+    ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"],
+    ["tof", "--nu", "9.7", "--source", "50,0,0", "--r", "80,30,0"],
+    ["scan", "--nu", "9.7", "--method", "xyz"],
+], ids=["eigenvalues", "scan", "cut", "tof", "refused"])
+def test_main_leaves_the_collector_as_it_finds_it(args, capsys):
+    # only the process entry (`run`) turns the collector off and freezes the heap
+    before = gc.isenabled(), gc.get_freeze_count()
+    run_cli(args, capsys)
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("args, cfg", [
+    (["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
+      "--grid=y:-40:40:3", "--method", "all"],
+     ScanConfig(method="all", nu=9.7, source=(50.0, 0.0, 0.0),
+                grids=[("x", -40.0, 100.0, 4), ("y", -40.0, 40.0, 3)])),
+    (["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"],
+     ScanConfig(nu=5.3, source=(20.0, 0.0, 0.0), grids=[("x", -15.0, 40.0, 12)],
+                fixes={"y": 10.0})),
+], ids=["scan", "cut"])
+def test_module_entry_writes_the_library_bytes(args, cfg):
+    # the process entry runs without the cyclic collector: same CSV bytes
+    proc = run_module(args)
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    want = run_scan(cfg) if args[0] == "scan" else run_cut(cfg)
+    assert out == bytes(want)
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["scan", "--nu", "9.7", "--grid=x:0:1:2", "--grid=y:0:1:2", "--method", "xyz"],
+     2, b"usage: coulomb-sc scan"),
+    (["tof", "--nu", "2", "--source", "50,0,0", "--r", "80,30,0"],
+     3, b"numerical failure: endpoint pair lies beyond the caustic"),
+    (["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:40:120:3",
+      "--grid=y:10:60:3", "--out", "/nonexistent-dir/x.csv"], 4, b"i/o error: "),
+], ids=["config", "numeric", "io"])
+def test_module_entry_exit_codes(args, code, prefix):
+    proc = run_module(args)
+    _, err = proc.communicate()
+    assert proc.returncode == code
+    assert err.startswith(prefix), err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_stdout_closed_early_exits_four(unbuffered):
+    # 3 600 rows, well over a pipe's 64 KiB: the reader leaves after 10 bytes
+    proc = run_module(["scan", "--nu", "9.7", "--source", "50,0,0",
+                       "--grid=x:-40:100:60", "--grid=y:-40:40:60"], unbuffered=unbuffered)
+    assert proc.stdout.read(10) == b"x,y,re,im,"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith(b"i/o error: "), err

@@ -24,7 +24,7 @@ TINY_SCAN = ["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
 TINY_CUT = ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"]
 
 PROBE = """
-import json, sys
+import gc, json, sys
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "coulomb_sc")
 import coulomb_sc
@@ -32,6 +32,7 @@ stages = {"package": loaded()}
 import coulomb_sc.cli as cli
 stages["cli"] = loaded()
 stages["numpy"] = "numpy" in sys.modules
+stages["collector_on"] = gc.isenabled()
 for method in ("sc", "ua"):
     code = cli.main(sys.argv[2:] + ["--method", method, "--out", sys.argv[1]])
     stages[method] = [code, loaded()]
@@ -65,6 +66,11 @@ def test_cli_import_loads_what_an_sc_scan_runs_and_no_more(stages):
     assert stages["numpy"]
 
 
+def test_cli_import_leaves_the_collector_on(stages):
+    # only the process entry (`run`, `python -m coulomb_sc.cli`) turns it off
+    assert stages["collector_on"]
+
+
 def test_sc_scan_loads_no_further_module(stages):
     assert stages["sc"] == [0, stages["cli"]]
 
@@ -73,6 +79,37 @@ def test_ua_scan_loads_uniform_but_not_the_exact_reference(stages):
     code, modules = stages["ua"]
     assert code == 0
     assert "coulomb_sc.uniform" in modules and "coulomb_sc.qm_oracle" not in modules
+
+
+# with the collector off, the cyclic garbage each command leaves behind
+CYCLES = """
+import gc, json, sys
+gc.disable()
+import coulomb_sc.cli as cli
+found = {}
+for name, args in json.loads(sys.argv[1]).items():
+    gc.collect()
+    cli.main(args)
+    found[name] = gc.collect()
+print(json.dumps(found))
+"""
+
+
+def test_commands_leave_no_more_cycles_than_eigenvalues(tmp_path):
+    # the process entry runs a command without the cyclic collector: what a
+    # command leaves to collect is its argparse parser, which eigenvalues
+    # builds too (278 objects on Python 3.11)
+    commands = {
+        "eigenvalues": ["eigenvalues", "--kmax", "3"],
+        "scan": TINY_SCAN + ["--method", "all", "--out", str(tmp_path / "scan.csv")],
+        "cut": TINY_CUT + ["--out", str(tmp_path / "cut.csv")],
+        "tof": ["tof", "--nu", "9.7", "--source", "50,0,0", "--r", "80,30,0", "--loops", "1"],
+    }
+    proc = run_python(["-c", CYCLES, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert found["eigenvalues"] > 0
+    assert all(found[name] <= found["eigenvalues"] for name in commands), found
 
 
 # numerical cross-checks that no evaluator or command calls: they live in
