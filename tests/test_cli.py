@@ -349,7 +349,12 @@ def test_entry_point_runs():
     assert "coulomb-sc" in proc.stdout
 
 
-def run_module(args, unbuffered=False, **kw):
+SCAN_ALL = ["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
+            "--grid=y:-40:40:3", "--method", "all"]
+CUT = ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"]
+
+
+def run_module(args, unbuffered=False):
     """``python -m coulomb_sc.cli`` in a fresh interpreter that imports the
     package from where this one does."""
     env = dict(os.environ)
@@ -359,14 +364,13 @@ def run_module(args, unbuffered=False, **kw):
     src = str(Path(cs.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, "-m", "coulomb_sc.cli", *args], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kw)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 @pytest.mark.parametrize("args", [
     ["eigenvalues", "--kmax", "2"],
-    ["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
-     "--grid=y:-40:40:3", "--method", "all"],
-    ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"],
+    SCAN_ALL,
+    CUT,
     ["tof", "--nu", "9.7", "--source", "50,0,0", "--r", "80,30,0"],
     ["scan", "--nu", "9.7", "--method", "xyz"],
 ], ids=["eigenvalues", "scan", "cut", "tof", "refused"])
@@ -378,11 +382,10 @@ def test_main_leaves_the_collector_as_it_finds_it(args, capsys):
 
 
 @pytest.mark.parametrize("args, cfg", [
-    (["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
-      "--grid=y:-40:40:3", "--method", "all"],
+    (SCAN_ALL,
      ScanConfig(method="all", nu=9.7, source=(50.0, 0.0, 0.0),
                 grids=[("x", -40.0, 100.0, 4), ("y", -40.0, 40.0, 3)])),
-    (["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"],
+    (CUT,
      ScanConfig(nu=5.3, source=(20.0, 0.0, 0.0), grids=[("x", -15.0, 40.0, 12)],
                 fixes={"y": 10.0})),
 ], ids=["scan", "cut"])
