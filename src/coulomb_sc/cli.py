@@ -8,12 +8,14 @@ cut          1-D method-comparison cut -> CSV (x,G_qm,G_sc,G_ua,dev_sc,dev_ua)
 tof          reduced actions, travel times and Morse indices of the four
              elementary paths for one endpoint pair
 
-Common flags: --nu | --energy (one of), --ndim, --source x,y[,z],
---grid ax:lo:hi:count (repeatable), --cut ax:lo:hi:count, --fix ax:val,
---method {sc,ua,qm,all}, --exclude-radius, --out, --config file.json.
-Defaults: atomic units, ndim=3, method=sc.  A JSON config file mirrors the
-flags; explicit flags override it.  Without --out, scan and cut write the
-CSV to stdout.
+scan and cut take --nu | --energy (one of), --ndim, --source x,y[,z],
+--fix ax:val (repeatable), --out and --config file.json; scan adds --grid
+ax:lo:hi:count (twice) and --method {sc,ua,qm,all}, cut adds --cut
+ax:lo:hi:count and --exclude-radius.  Each command's parser declares what
+it reads: it refuses any other flag, and the config file may hold only its
+options (dashes as underscores); explicit flags override the file.
+Defaults: atomic units, ndim=3, method=sc, exclusion radius 5 Bohr.
+Without --out, scan and cut write the CSV to stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O.
 """
@@ -87,14 +89,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--ndim", type=int, default=None, help="spatial dimension (default 3)")
     p.add_argument("--source", type=str, default=None,
                    help="source point coordinates, e.g. 1232,0,0 (Bohr)")
-    p.add_argument("--method", choices=["sc", "ua", "qm", "all"], default=None,
-                   help="default sc")
-    p.add_argument("--exclude-radius", type=float, default=None,
-                   help="source exclusion radius for comparison columns "
-                        "(Bohr, default 5)")
+    p.add_argument("--fix", action="append", help="fixed coordinate ax:val")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file mirroring the flags; flags override it")
+                   help="JSON file holding any of this command's other options "
+                        "(dashes as underscores); flags override it")
 
 
 def _is_number(v) -> bool:
@@ -105,7 +104,8 @@ def _is_list_of(v, check) -> bool:
     return isinstance(v, list) and all(check(x) for x in v)
 
 
-# what each --config key may hold (JSON null only where the flag's default is None)
+# the JSON type of each --config key (null only where the flag's default is
+# None); which keys a command takes is its parser's options
 _CONFIG_TYPES = {
     "nu": ("a number or null", lambda v: v is None or _is_number(v)),
     "energy": ("a number or null", lambda v: v is None or _is_number(v)),
@@ -121,51 +121,35 @@ _CONFIG_TYPES = {
 
 
 def _scan_config(args, want_grids: int) -> ScanConfig:
-    cfg = ScanConfig()
-    if args.config:
-        data = load_json_config(args.config)
-        unknown = [key for key in data if key not in _CONFIG_TYPES]
-        if unknown:
-            raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
-                              f"the keys are {', '.join(_CONFIG_TYPES)}")
-        for key, (what, check) in _CONFIG_TYPES.items():
-            if key in data and not check(data[key]):
-                raise ConfigError(f"config key {key!r} must be {what}, got {data[key]!r}")
-        for key in ("method", "nu", "energy", "ndim", "exclude_radius", "out"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        if "source" in data:
-            cfg.source = tuple(float(v) for v in data["source"])
-        for spec_text in data.get("grid", []):
-            cfg.grids.append(_parse_axis_spec(spec_text))
-        if "cut" in data:
-            cfg.grids.append(_parse_axis_spec(data["cut"]))
-        for fix_text in data.get("fix", []):
-            ax, val = _parse_fix(fix_text)
-            cfg.fixes[ax] = val
-
-    if args.nu is not None and args.energy is not None:
-        raise ConfigError("--nu and --energy are mutually exclusive")
-    if args.nu is not None:
-        cfg.nu, cfg.energy = args.nu, None
-    if args.energy is not None:
-        cfg.energy, cfg.nu = args.energy, None
-    for key in ("ndim", "method", "exclude_radius"):
-        if getattr(args, key) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if args.source is not None:
-        cfg.source = _parse_vector(args.source)
-    if args.out is not None:
-        cfg.out = args.out
-    grid_args = getattr(args, "grid", None) or []
-    cut_arg = getattr(args, "cut", None)
-    if grid_args:
-        cfg.grids = [_parse_axis_spec(g) for g in grid_args]
-    if cut_arg:
-        cfg.grids = [_parse_axis_spec(cut_arg)]
-    for fix_text in getattr(args, "fix", None) or []:
-        ax, val = _parse_fix(fix_text)
-        cfg.fixes[ax] = val
+    """The --config file's settings, each replaced by its flag where one is
+    given: --nu/--energy replace both energy keys, --grid/--cut the swept
+    axes, and --fix entries replace the file's per axis."""
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "func", "config")}
+    settings = load_json_config(args.config) if args.config else {}
+    unknown = [key for key in settings if key not in options]
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                          f"{args.command} reads {', '.join(options)}")
+    for key, value in settings.items():
+        what, check = _CONFIG_TYPES[key]
+        if not check(value):
+            raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    if "source" in settings:
+        settings["source"] = tuple(float(v) for v in settings["source"])
+    fixes = settings.pop("fix", [])
+    given = {key: value for key, value in options.items() if value is not None}
+    if "nu" in given or "energy" in given:
+        settings["nu"], settings["energy"] = args.nu, args.energy
+    if "source" in given:
+        given["source"] = _parse_vector(given["source"])
+    fixes += given.pop("fix", [])
+    settings.update(given)
+    axes = settings.pop("grid", [])
+    if "cut" in settings:
+        axes = [settings.pop("cut")]
+    cfg = ScanConfig(**settings, grids=[_parse_axis_spec(text) for text in axes],
+                     fixes=dict(_parse_fix(text) for text in fixes))
     cfg.validate(want_grids)
     return cfg
 
@@ -228,8 +212,6 @@ def cmd_cut(args) -> int:
 def cmd_tof(args) -> int:
     from .actions import four_paths, loop_variant
     params = _params(args.ndim)
-    if (args.nu is None) == (args.energy is None):
-        raise ConfigError("exactly one of --nu / --energy must be given")
     if args.loops < 0:
         raise ConfigError(f"--loops must be >= 0, got {args.loops}")
     spec = bound_energy_spec(args.nu, args.energy, params)
@@ -271,13 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--grid", action="append",
                    help="swept axis ax:lo:hi:count (give twice)")
-    p.add_argument("--fix", action="append", help="fixed coordinate ax:val")
+    p.add_argument("--method", choices=["sc", "ua", "qm", "all"], default=None,
+                   help="default sc")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("cut", help="1-D comparison cut to CSV")
     _add_common(p)
     p.add_argument("--cut", type=str, help="swept axis ax:lo:hi:count")
-    p.add_argument("--fix", action="append", help="fixed coordinate ax:val")
+    p.add_argument("--exclude-radius", type=float, default=None,
+                   help="source exclusion radius for comparison columns "
+                        "(Bohr, default 5)")
     p.set_defaults(func=cmd_cut)
 
     p = sub.add_parser("tof", help="four elementary paths for one endpoint pair")

@@ -254,8 +254,6 @@ class ScanConfig:
     def validate(self, want_grids: int):
         if self.method not in ("sc", "ua", "qm", "all"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if (self.nu is None) == (self.energy is None):
-            raise ConfigError("exactly one of nu / energy must be given")
         if not isinstance(self.ndim, int) or self.ndim != 3:
             # the SC kernels take any n, but their values are right at n = 3
             # only (at n = 2 they are imaginary where the exact G is real);
@@ -310,9 +308,12 @@ class ScanConfig:
 
 def bound_energy_spec(nu: float | None, energy: float | None,
                       params: SystemParams) -> EnergySpec:
-    """EnergySpec from nu or, when nu is None, from the energy.  Scans, cuts
-    and tof evaluate the bound regime only: what ``bound_regime`` refuses,
-    and an energy that is not finite and nonzero, is a ConfigError."""
+    """EnergySpec from nu or from the energy, exactly one of which is not
+    None.  Scans, cuts and tof evaluate the bound regime only: what
+    ``bound_regime`` refuses, and an energy that is not finite and nonzero,
+    is a ConfigError."""
+    if (nu is None) == (energy is None):
+        raise ConfigError("exactly one of nu / energy must be given")
     try:
         spec = energy_from_nu(nu, params) if nu is not None \
             else EnergySpec.from_energy(energy, params)

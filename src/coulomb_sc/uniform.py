@@ -299,8 +299,8 @@ def _langer_amplitude(t, z, nu, d, z_out, c, sigma, xp):
 
 
 def _turning_point(z, nu, outer):
-    """(t, d, z_out, z_turn, c, sigma, norm, ts) of the Airy form about z_out
-    (outer) or z_in; ts is the half-width of the interpolation window."""
+    """(t, d, z_out, z_turn, c, sigma, norm) of the Airy form about z_out
+    (outer) or z_in."""
     d = math.sqrt(4.0 * nu * nu - 1.0)
     z_out = 2.0 * nu + d
     if outer:
@@ -309,17 +309,43 @@ def _turning_point(z, nu, outer):
     else:
         z_turn, c, sigma, norm = 1.0 / z_out, z_out, -1.0, _SQRT_PI
         t = z - z_turn
-    return t, d, z_out, z_turn, c, sigma, norm, 1e-5 * z_turn
+    return t, d, z_out, z_turn, c, sigma, norm
 
 
-def _near_turning_point(t, z, nu, d, z_out, z_turn, c, sigma, ts, xp):
-    """(zeta, f, f') for |t| < ts: zeta at the true phase, f and f' (0/0
-    at the turning point) interpolated linearly between t = -ts and ts."""
-    zeta = xp.copysign((1.5 * xp.abs(xp.phase(t, z, d, c, sigma))) ** (2.0 / 3.0), t)
-    _, f1, fp1 = _langer_amplitude(ts, z_turn - sigma * ts, nu, d, z_out, c, sigma, _MATH)
-    _, f2, fp2 = _langer_amplitude(-ts, z_turn + sigma * ts, nu, d, z_out, c, sigma, _MATH)
-    w = 0.5 * (t + ts) / ts
-    return zeta, f2 + w * (f1 - f2), fp2 + w * (fp1 - fp2)
+# Within TP_WINDOW z_turn of a turning point (zeta, f, f') are summed from
+# their Taylor series in u = t / z_turn, whose first neglected term there is
+# below 1e-19.  The closed forms cancel terms of order 1/t, in the phase and
+# again in f', and lose digits like (z_turn / t)^2: up to 1e-8 of f' just
+# outside the window, 2e-10 at 1e-3.  The window is kept that narrow so
+# that every value outside it keeps the bits of the closed forms.
+TP_WINDOW = 2e-4
+TP_TERMS = 6
+
+
+def _series_pow(a, p):
+    """The Taylor coefficients of a(u)^p, as many as of a(u), a[0] > 0
+    (J. C. P. Miller's recurrence)."""
+    y = [a[0] ** p]
+    for n in range(1, len(a)):
+        y.append(sum(((p + 1.0) * k - n) * a[k] * y[n - k] for k in range(1, n + 1))
+                 / (n * a[0]))
+    return y
+
+
+def _near_turning_point(t, z_turn, c, sigma):
+    """(zeta, f, f') for |t| < TP_WINDOW z_turn.  With Q_L = t q(u),
+    (2/3) zeta^(3/2) = int_0^t sqrt(Q_L) gives zeta = t g(u),
+    g = (3/2 sum_k s_k u^k / (k + 3/2))^(2/3) for sqrt(q) = sum_k s_k u^k,
+    and f = (zeta / Q_L)^(1/4) = (g / q)^(1/4); g and f are analytic in u,
+    and f' = -sigma df/dt."""
+    # q(u) = sigma (z - c) / (4 z^2) at z = z_turn (1 - sigma u)
+    a, b = sigma * (z_turn - c), 4.0 * z_turn * z_turn
+    q = [(a * (k + 1) - sigma * k * z_turn) * sigma ** k / b for k in range(TP_TERMS)]
+    g = _series_pow([1.5 * v / (k + 1.5) for k, v in enumerate(_series_pow(q, 0.5))], 2.0 / 3.0)
+    f = _series_pow(np.convolve(g, _series_pow(q, -1.0))[:TP_TERMS], 0.25)[::-1]
+    u = t / z_turn
+    return (t * np.polyval(g[::-1], u), np.polyval(f, u),
+            -sigma / z_turn * np.polyval(np.polyder(f), u))
 
 
 def _airy_form(zeta, f, fp, sigma, norm, xp):
@@ -328,21 +354,24 @@ def _airy_form(zeta, f, fp, sigma, norm, xp):
     return norm * f * ai, norm * (fp * ai + sigma * aip / f)
 
 
+def _amplitude(z, nu, outer):
+    """(zeta, f, f', sigma, norm) at z for the Airy form about z_out or z_in."""
+    t, d, z_out, z_turn, c, sigma, norm = _turning_point(z, nu, outer)
+    if abs(t) < TP_WINDOW * z_turn:
+        return (*_near_turning_point(t, z_turn, c, sigma), sigma, norm)
+    return (*_langer_amplitude(t, z, nu, d, z_out, c, sigma, _MATH), sigma, norm)
+
+
 def langer_airy(z, nu, outer):
     """Langer-uniform Airy solution f Ai(-zeta) and its z-derivative,
     about z_out (outer=True; decays beyond it) or about z_in (times
     sqrt(pi), so that it tends to Q_L^(-1/4) sin(xi + pi/4) inside).
 
-    Within a relative 1e-5 of the turning point the amplitude and its
-    derivative (0/0 there) are interpolated linearly between the two
-    sides; the Airy factor is always evaluated at the true zeta.
+    Within TP_WINDOW of the turning point, where the closed forms of zeta
+    and f' cancel (f' is 0/0 there), all three come from their Taylor
+    series in the distance to it.
     """
-    t, d, z_out, z_turn, c, sigma, norm, ts = _turning_point(z, nu, outer)
-    if abs(t) >= ts:
-        zeta, f, fp = _langer_amplitude(t, z, nu, d, z_out, c, sigma, _MATH)
-    else:
-        zeta, f, fp = _near_turning_point(t, z, nu, d, z_out, z_turn, c, sigma, ts, _MATH)
-    return _airy_form(zeta, f, fp, sigma, norm, _MATH)
+    return _airy_form(*_amplitude(z, nu, outer), _MATH)
 
 
 # the regular solution is the primitive Langer form from XI_B radians of
@@ -496,19 +525,24 @@ def langer_phase_array(t, z, d, c, sigma):
     return out
 
 
-def langer_airy_array(z, nu, outer):
-    """langer_airy over an array z."""
-    t, d, z_out, z_turn, c, sigma, norm, ts = _turning_point(z, nu, outer)
+def _amplitude_array(z, nu, outer):
+    """_amplitude over an array z."""
+    t, d, z_out, z_turn, c, sigma, norm = _turning_point(z, nu, outer)
     zeta = np.empty_like(z)
     f = np.empty_like(z)
     fp = np.empty_like(z)
-    far = np.abs(t) >= ts
+    near = np.abs(t) < TP_WINDOW * z_turn
+    if near.any():  # the series' coefficients cost about 40 us
+        zeta[near], f[near], fp[near] = _near_turning_point(t[near], z_turn, c, sigma)
+    far = ~near
     zeta[far], f[far], fp[far] = _langer_amplitude(t[far], z[far], nu, d, z_out, c, sigma,
                                                    _NUMPY)
-    near = ~far
-    zeta[near], f[near], fp[near] = _near_turning_point(t[near], z[near], nu, d, z_out,
-                                                        z_turn, c, sigma, ts, _NUMPY)
-    return _airy_form(zeta, f, fp, sigma, norm, _NUMPY)
+    return zeta, f, fp, sigma, norm
+
+
+def langer_airy_array(z, nu, outer):
+    """langer_airy over an array z."""
+    return _airy_form(*_amplitude_array(z, nu, outer), _NUMPY)
 
 
 def langer_regular_array(z, nu):

@@ -231,6 +231,33 @@ def test_loop_variant(au, rng):
     assert v.loops == 3
 
 
+R, RP = [80.0, 30.0, 0.0], [50.0, 0.0, 0.0]  # an allowed pair at nu = 9.7
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda au, spec: cs.morse_index(1, 1), ValueError, "ndim must be >= 2"),
+    (lambda au, spec: cs.morse_index(1, 3, loops=-1), ValueError, "loops must be nonnegative"),
+    (lambda au, spec: cs.vvpm_det(5, cs.lambert_variables(R, RP), spec, au),
+     ValueError, "path_id must be in 1..4, got 5"),
+    (lambda au, spec: cs.loop_variant(cs.four_paths(cs.lambert_variables(R, RP), spec, au)[0],
+                                      -1, spec, au),
+     ValueError, "loop count must be nonnegative"),
+    (lambda au, spec: cs.scatter_velocity(0.0, cs.EnergySpec.from_energy(0.5, au), au),
+     RegionError, "alpha must be positive"),
+    (lambda au, spec: cs.reduced_action_scatter_attractive(
+        -1.0, cs.EnergySpec.from_energy(0.5, au), au),
+     RegionError, "alpha must be nonnegative"),
+    (lambda au, spec: cs.green_sc_bound_sum(R, RP, spec, au, 3, eta=-1.0),
+     ValueError, "eta must be nonnegative"),
+    (lambda au, spec: cs.quantization_action(-1, au),
+     ValueError, "k must be a nonnegative integer, got -1"),
+], ids=["morse_ndim", "morse_loops", "vvpm_path", "loop_variant", "scatter_velocity",
+        "scatter_action", "bound_sum_eta", "quantization_k"])
+def test_argument_errors_name_the_argument(au, call, error, match):
+    with pytest.raises(error, match=match):
+        call(au, cs.energy_from_nu(9.7, au))
+
+
 def test_scatter_attractive_vs_quadrature(au, rng):
     for _ in range(100):
         a = math.exp(rng.uniform(math.log(0.2), math.log(50.0)))

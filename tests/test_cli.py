@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import coulomb_sc as cs
-from coulomb_sc.cli import main
+from coulomb_sc.cli import _scan_config, build_parser, main
 from coulomb_sc.scan import ScanConfig, eigenvalue_table, fmt, run_cut, run_scan
 
 
@@ -229,11 +229,31 @@ def test_config_errors_exit_two(capsys, tmp_path):
          "--grid=y:20:21:2", "--method", "sc"],                             # ndim 2, SC
         ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut", "x:-15:40:12",
          "--fix", "y:10", "--exclude-radius", "1000"],                      # all excluded
+        ["tof", "--r", "80,30,0"],                                          # neither, tof
+        ["tof", "--nu", "9.7", "--r", "80,30"],                             # r not 3-D
+        ["scan", "--nu", "9.7", "--grid", "x:1:0:5", "--grid", "y:0:1:5"],  # hi < lo
+        ["scan", "--nu", "9.7", "--grid", "x:1:1:5", "--grid", "y:0:1:5"],  # hi = lo
+        ["scan", "--nu", "9.7", "--grid", "x:0:inf:5", "--grid", "y:0:1:5"],  # infinite range
+        ["cut", "--nu", "9.7", "--cut", "x:nan:1:5"],                       # NaN range
+        ["scan", "--nu", "9.7", "--source", "50,0",
+         "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # source not 3-D
+        ["eigenvalues", "--kmax", "-1"],                                    # negative kmax
+        # unparsable text, named in the message
+        (["scan", "--nu", "9.7", "--grid", "x:0:1", "--grid", "y:0:1:5"], "'x:0:1'"),
+        (["scan", "--nu", "9.7", "--grid", "x:0:one:5", "--grid", "y:0:1:5"], "'x:0:one:5'"),
+        (["cut", "--nu", "9.7", "--cut", "x:0:1:2.5"], "'x:0:1:2.5'"),
+        (["cut", "--nu", "9.7", "--cut", "x:0:1:5", "--fix", "y"], "'y'"),
+        (["cut", "--nu", "9.7", "--cut", "x:0:1:5", "--fix", "y:1:2"], "'y:1:2'"),
+        (["cut", "--nu", "9.7", "--cut", "x:0:1:5", "--fix", "y:ten"], "'y:ten'"),
+        (["scan", "--nu", "9.7", "--source", "50,zero,0",
+          "--grid", "x:0:1:5", "--grid", "y:0:1:5"], "'50,zero,0'"),
+        (["tof", "--nu", "9.7", "--r", "80,,0"], "'80,,0'"),
     ]
     for args in bad:
+        args, named = (args, "") if isinstance(args, list) else args
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
-        assert "config error" in err and out == "", args
+        assert "config error" in err and named in err and out == "", args
 
     # --config values of the wrong JSON type
     scan_cfg = {"nu": 5.3, "source": [20, 0, 0], "grid": ["x:10:40:3", "y:5:25:3"]}
@@ -261,12 +281,24 @@ def test_config_errors_exit_two(capsys, tmp_path):
         code, out, err = run_cli([cmd, "--config", str(path)], capsys)
         assert code == 2, (key, value)
         assert f"config error: config key {key!r} must be" in err and out == "", (key, value)
-    # a misspelled key is refused by name, not dropped in favour of the default
-    path = tmp_path / "typo.json"
-    path.write_text(json.dumps({**cut_cfg, "cut": "x:-40:60:25", "exclude_radus": 1000}))
-    code, out, err = run_cli(["cut", "--config", str(path)], capsys)
-    assert code == 2 and out == ""
-    assert "config error: unknown config key(s) 'exclude_radus'" in err
+    # a key the command does not read, misspelled or another command's, is
+    # refused by name, not dropped in favour of the default or of the flags
+    grids = ["--grid", "x:10:40:3", "--grid", "y:5:25:3"]
+    unread = [
+        ("cut", {**cut_cfg, "cut": "x:-40:60:25", "exclude_radus": 1000}, "exclude_radus", []),
+        ("scan", {**scan_cfg, "exclude_radius": 1000}, "exclude_radius", []),
+        ("scan", {**scan_cfg, "cut": "x:10:40:3"}, "cut", []),
+        ("scan", {**scan_cfg, "cut": "x:10:40:3"}, "cut", grids),
+        ("cut", {**cut_cfg, "method": "ua"}, "method", []),
+        ("cut", {**cut_cfg, "grid": ["y:5:25:3"]}, "grid", []),
+        ("scan", {**scan_cfg, "config": "other.json"}, "config", []),
+    ]
+    for cmd, data, key, flags in unread:
+        path = tmp_path / "unread.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli([cmd, "--config", str(path), *flags], capsys)
+        assert code == 2 and out == "", key
+        assert f"config error: unknown config key(s) {key!r}" in err, key
     for cmd, base in (("scan", scan_cfg), ("cut", cut_cfg)):  # integers are numbers
         path = tmp_path / "good.json"
         path.write_text(json.dumps(base))
@@ -342,6 +374,20 @@ def test_json_config_with_flag_override(tmp_path, capsys):
     assert np.isfinite(dev_ua).sum() >= 8  # the file's 30-Bohr exclusion leaves two
 
 
+def test_config_file_and_flags_merge(tmp_path):
+    # a given flag replaces the file's value; --nu/--energy replace both
+    # energy keys, --cut the swept axis, and --fix entries the file's per axis
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"nu": 5.3, "source": [20, 0, 0], "cut": "x:-15:40:12",
+                                "fix": ["y:10", "z:1"], "exclude_radius": 30.0,
+                                "out": "a.csv"}))
+    args = build_parser().parse_args(["cut", "--config", str(path), "--energy", "-0.03",
+                                      "--cut", "x:0:1:5", "--fix", "z:2", "--ndim", "3"])
+    assert _scan_config(args, want_grids=1) == ScanConfig(
+        energy=-0.03, source=(20.0, 0.0, 0.0), grids=[("x", 0.0, 1.0, 5)],
+        fixes={"y": 10.0, "z": 2.0}, exclude_radius=30.0, out="a.csv")
+
+
 def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "coulomb_sc.cli", "--version"],
                           capture_output=True, text=True)
@@ -379,6 +425,19 @@ def test_main_leaves_the_collector_as_it_finds_it(args, capsys):
     before = gc.isenabled(), gc.get_freeze_count()
     run_cli(args, capsys)
     assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("args", [
+    CUT + ["--method", "sc"],
+    SCAN_ALL[:-2] + ["--exclude-radius", "5"],
+    CUT + ["--grid", "y:5:25:3"],
+    SCAN_ALL + ["--cut", "x:-15:40:12"],
+], ids=["cut_method", "scan_exclude_radius", "cut_grid", "scan_cut"])
+def test_another_commands_flag_exits_two(args, capsys):
+    # each command's parser declares the flags it reads and refuses the rest
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(args[-2:])}" in err
 
 
 @pytest.mark.parametrize("args, cfg", [

@@ -13,7 +13,7 @@ from scipy.special import eval_legendre
 
 import coulomb_sc as cs
 from coulomb_sc.cli import main
-from coulomb_sc.errors import IllConditionedError, PoleError
+from coulomb_sc.errors import IllConditionedError, PoleError, RegionError
 from coulomb_sc.qm_oracle import default_mesh, qm_field, solve_radial
 
 from oracles import eval_irr, eval_reg, radial_green
@@ -220,6 +220,15 @@ def test_green_qm_near_source_free_limit(au):
         r = rp + np.array([0.0, s, 0.0])
         g = cs.green_qm(r, rp, spec, au).value
         assert g.real == pytest.approx(-au.mu / (2 * math.pi * s), rel=tol)
+
+
+@pytest.mark.parametrize("r, reason", [([0.0, 0.0, 0.0], "at the force center"),
+                                       ([50.0, 0.0, 0.0], "at the source")],
+                         ids=["force_centre", "source"])
+def test_green_qm_refuses_the_force_centre_and_the_source(au, r, reason):
+    spec = cs.energy_from_nu(9.7, au)
+    with pytest.raises(RegionError, match=reason):
+        cs.green_qm(r, [50.0, 0.0, 0.0], spec, au)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])

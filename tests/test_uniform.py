@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
@@ -234,3 +235,51 @@ def test_unsupported_points_name_their_reason(au):
     with pytest.raises(RegionError, match="within 0.1% of its turning point z_out") as err:
         cs.green_uniform(r, rp, spec, au)
     assert "doubly forbidden" not in str(err.value)
+
+
+# --- Langer amplitude next to the turning points ---------------------------
+
+def langer_amplitude_mp(z, nu, outer):
+    """(f, f') of the closed forms at the float z, in mpmath: the phase
+    integral sqrt(R) + nu asin((z - 2 nu)/D) - asin((2 nu z - 1)/(z D))/2
+    from the turning point (imaginary beyond it) gives (2/3) |zeta|^(3/2),
+    f = (zeta / Q_L)^(1/4) and f' = f/4 (-sigma / (f^2 zeta) - Q_L'/Q_L).
+    They cancel about 2 log10(z / t) digits at a distance t from the turning
+    point, 32 at the float nearest to it, so 120 working digits keep more
+    than 40."""
+    with mp.workdps(120):
+        z, nu = mp.mpf(z), mp.mpf(nu)
+        d = mp.sqrt(4 * nu * nu - 1)
+        z_out = 2 * nu + d
+        z_in = 1 / z_out
+        z_turn, sigma = (z_out, 1) if outer else (z_in, -1)
+
+        def phase(x):
+            return (mp.sqrt(mp.mpc((z_out - x) * (x - z_in) / 4))
+                    + nu * mp.asin(mp.mpc((x - 2 * nu) / d))
+                    - mp.asin(mp.mpc((2 * nu * x - 1) / (x * d))) / 2)
+
+        t = sigma * (z_turn - z)  # positive on the allowed side
+        zeta = mp.sign(t) * (mp.mpf(3) / 2 * abs(phase(z) - phase(z_turn))) ** (mp.mpf(2) / 3)
+        q = (z_out - z) * (z - z_in) / (4 * z * z)
+        qp = (1 - 2 * nu * z) / (2 * z ** 3)
+        f = (zeta / q) ** (mp.mpf(1) / 4)
+        return float(f), float(f / 4 * (-sigma / (f * f * zeta) - qp / q))
+
+
+@pytest.mark.parametrize("nu", [5.3, 29.2])
+@pytest.mark.parametrize("outer", [True, False], ids=["z_out", "z_in"])
+def test_langer_amplitude_next_to_the_turning_points(nu, outer):
+    # f and f' to 1e-9 relative on both sides of each turning point, scalar
+    # and array: the closed forms evaluated in floats lost about 7 digits
+    # of f' there (the bound was fixed before any value was looked at)
+    z_out = 2.0 * nu + math.sqrt(4.0 * nu * nu - 1.0)
+    z_turn = z_out if outer else 1.0 / z_out
+    for delta in (0.0, 2e-5, -2e-5, 1e-4, -1e-4, 1e-3, -1e-3):
+        z = z_turn * (1.0 + delta)
+        want = langer_amplitude_mp(z, nu, outer)
+        scalar = U._amplitude(z, nu, outer)[1:3]
+        array = [v[0] for v in U._amplitude_array(np.array([z]), nu, outer)[1:3]]
+        for got in (scalar, array):
+            for g, w in zip(got, want):
+                assert abs(g / w - 1.0) <= 1e-9, (delta, got, want)
