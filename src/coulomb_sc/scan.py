@@ -239,7 +239,7 @@ def _write(text: bytes, path: str | None):
 
 @dataclass
 class ScanConfig:
-    """Everything a scan or cut needs; mirrors the CLI flags."""
+    """Everything a scan or cut needs: the options of both commands."""
 
     method: str = "sc"  # sc | ua | qm | all
     nu: float | None = None
