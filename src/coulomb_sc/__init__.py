@@ -35,11 +35,9 @@ _EXPORTS = {name: module for module, names in {
     "model": ("AU", "EnergySpec", "SystemParams", "energy_eigenvalue", "energy_from_nu",
               "quantization_action"),
     "qm_oracle": ("RadialSolution", "green_qm", "qm_field", "solve_radial"),
-    "semiclassical": ("FieldSample", "green_sc_bound", "green_sc_bound_product",
-                      "green_sc_bound_sum", "green_sc_scatter_attractive", "green_sc_tunnel",
-                      "loop_factor"),
-    "uniform": ("UniformInputs", "airy_ai", "airy_ai_prime", "green_uniform",
-                "uniform_inputs"),
+    "semiclassical": ("FieldSample", "green_sc_bound", "green_sc_scatter_attractive",
+                      "green_sc_tunnel", "loop_factor"),
+    "uniform": ("UniformInputs", "green_uniform", "uniform_inputs"),
     "vvpm": ("VvpmValue", "morse_index", "vvpm_det"),
 }.items() for name in names}
 

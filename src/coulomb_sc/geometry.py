@@ -4,14 +4,16 @@ The entire fixed-energy Kepler/Coulomb problem depends on the endpoints
 only through alpha_plus = r + r' + s and alpha_minus = r + r' - s, where s
 is the chord length.  This module computes those, classifies the point
 against the caustic, and gives the anomaly angles of an allowed pair.
-Every per-point evaluator refuses through its two helpers:
-``refuse_point`` (source point, focal line) and ``refuse_region`` (a side
-of the caustic the form does not take).
+Every per-point evaluator refuses through its helpers: ``refuse_point``
+(source point, focal line), ``refuse_region`` (a side of the caustic the
+form does not take) and ``refuse_overflow`` (a value that overflows).
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 import math
 from typing import NamedTuple
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import (DimensionMismatchError, FocalLineError, ForbiddenRegionError,
-                     OnCausticError, RegionError)
+                     IllConditionedError, OnCausticError, RegionError)
 from .model import EnergySpec, SystemParams, check_bound_interaction
 
 
@@ -103,6 +105,28 @@ def refuse_point(status: int):
         raise RegionError("coincident endpoints: Green function source singularity")
     if status == K.STATUS_FOCAL:
         raise FocalLineError("endpoints collinear through the force center (alpha_minus = 0)")
+
+
+def refuse_overflow(field: str):
+    """Decorator of a per-point API whose value, the result's ``field``,
+    grows without bound as the endpoints close in (s -> 0).  Where it
+    overflows, raising OverflowError or coming out not finite, the call
+    raises IllConditionedError instead."""
+    def decorate(api):
+        @functools.wraps(api)
+        def refusing(*args, **kwargs):
+            try:
+                out = api(*args, **kwargs)
+            except OverflowError as exc:
+                raise IllConditionedError(f"{api.__name__}: {field} overflows "
+                                          "(endpoints a tiny distance apart)") from exc
+            value = getattr(out, field)
+            if not cmath.isfinite(value):
+                raise IllConditionedError(f"{api.__name__}: {field} = {value} is not finite "
+                                          "(endpoints a tiny distance apart)")
+            return out
+        return refusing
+    return decorate
 
 
 #: the REGION_* codes a form takes: finite at the caustic on its allowed

@@ -25,6 +25,7 @@ value at a time.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -289,6 +290,16 @@ class ScanConfig:
             )
         if not all(math.isfinite(v) for v in self.source):
             raise ConfigError(f"source {self.source} has a non-finite component")
+        # lambert_arrays' sums of squares overflow first at a corner of the
+        # grid, and then every point comes out NaN with status OK
+        ends = {ax: (lo, hi) for ax, lo, hi, _ in self.grids}
+        corners = itertools.product(*(ends.get(ax, (self.fixes.get(ax, 0.0),))
+                                      for ax in AXIS_NAMES[: self.ndim]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lengths = K.lambert_arrays(np.array(list(corners)), self.source)
+        if not all(np.isfinite(v).all() for v in lengths):
+            raise ConfigError(f"the grid's corners and the source {self.source} are too far "
+                              "out: their squared lengths overflow")
         if not (math.isfinite(self.exclude_radius) and self.exclude_radius >= 0.0):
             raise ConfigError(f"exclude radius must be finite and >= 0, "
                               f"got {self.exclude_radius}")

@@ -14,8 +14,9 @@ Global phase convention: fixed so that G -> -mu / (2 pi hbar^2 s) as
 s -> 0 in three dimensions (the free source singularity), which also
 matches the exact reference.  All evaluators are pure; grid
 scans evaluate the same formulas array-wise (``_kernels.sc_bound_field``).
-The explicit loop sums and the scattering form import ``actions`` and
-``vvpm`` when called, so that an SC scan loads neither.
+A value that overflows (endpoints a tiny distance apart) raises
+IllConditionedError (``geometry.refuse_overflow``).  The scattering form
+imports ``actions`` when called, so that an SC scan does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from . import _kernels as K
-from .errors import IllConditionedError, OnCausticError, PoleError
+from .errors import OnCausticError, PoleError
 from .geometry import (
     ALLOWED_ONLY,
     FORBIDDEN_ONLY,
@@ -34,7 +35,7 @@ from .geometry import (
     bound_class,
     classify_region,
     endpoint_lists,
-    lambert_variables,
+    refuse_overflow,
     refuse_point,
     refuse_region,
 )
@@ -85,12 +86,6 @@ def _merged_prefactor(ndim: int, hbar: float) -> complex:
     return -(1j ** (ndim - 1)) / (hbar * (2.0 * math.pi * hbar) ** ((ndim - 1) / 2.0))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _elementary_prefactor(ndim: int, hbar: float) -> complex:
-    """(1/i hbar) * (-1) / (-2 pi i hbar)^((n-1)/2), principal branch."""
-    return -1.0 / (1j * hbar * (-2j * math.pi * hbar) ** ((ndim - 1) / 2.0))
-
-
 def sc_constants(spec: EnergySpec, params: SystemParams) -> tuple:
     """(a, k, ndim, mu, hbar, sk, cv, merged prefactor, sin(pi k)): the
     energy-dependent arguments of the bound SC kernels after the three
@@ -106,25 +101,19 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
               accepts: tuple, hint: str) -> FieldSample:
     """Bound SC value at one endpoint pair, which must lie in a caustic
     region the form ``accepts`` (``refuse_region``); region and status
-    are the kernel's.  A value that overflows (endpoints a tiny distance
-    apart) raises IllConditionedError."""
+    are the kernel's."""
     x, xp, pair = endpoint_lists(r_vec, rp_vec, params)
     args = sc_constants(spec, params)
-    try:
-        val, region, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus,
-                                               *args)
-    except OverflowError as exc:
-        raise IllConditionedError(f"SC amplitude overflows at s = {pair.s}") from exc
+    val, region, status = K.sc_bound_point(pair.s, pair.alpha_plus, pair.alpha_minus, *args)
     refuse_point(status)
     refuse_region(region, accepts, hint)
     if status == K.STATUS_CAUSTIC:
         raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
-    if not cmath.isfinite(val):
-        raise IllConditionedError(f"SC value {val} is not finite at s = {pair.s}")
     return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val,
                        bound_class(region, pair, 4.0 * spec.a))
 
 
+@refuse_overflow("value")
 def green_sc_bound(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
     """Semiclassical bound-state Green function at one endpoint pair
     (classically allowed region).
@@ -135,6 +124,7 @@ def green_sc_bound(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fie
                      "use green_uniform on the caustic, green_sc_tunnel beyond it")
 
 
+@refuse_overflow("value")
 def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
     """Continuation of the bound Green function past the caustic.
 
@@ -149,73 +139,9 @@ def green_sc_tunnel(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fi
                      "green_sc_tunnel requires a point beyond the caustic")
 
 
-# --- explicit loop summation (diagnostic / factorization check) -------------
-
-def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
-    """Amplitudes, actions (with the complex round trip) and Morse indices
-    of the four elementary paths, recomputing the determinant per path."""
-    from .actions import four_paths
-    from .vvpm import PATH_IDS, vvpm_det
-    pair = lambert_variables(r_vec, rp_vec, params)
-    bound_regime(spec, params)
-    check_pole(spec)
-    region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, 4.0 * spec.a)
-    refuse_point(status)
-    refuse_region(region, ALLOWED_ONLY, "explicit loop sum implemented for the allowed region")
-    paths = four_paths(pair, spec, params)
-    w2pi_c = 2.0 * math.pi * params.hbar * (k_c + (params.ndim - 1) / 2.0)
-    w1 = paths[0].W
-    w2 = paths[1].W
-    ws = (w1, w2, w2pi_c - w1, w2pi_c - w2)
-    amps = tuple(math.sqrt(abs(vvpm_det(i, pair, spec, params).D)) for i in PATH_IDS)
-    morse = tuple(p.morse for p in paths)
-    return amps, ws, morse, w2pi_c
-
-
-def green_sc_bound_sum(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
-                       j_max: int, eta: float) -> complex:
-    """Truncated explicit four-path x loop double sum, evaluated at the
-    damped quantum number k + i eta (every term computed independently).
-
-    Converges to the closed product form as j_max grows; the damping makes
-    the loop series geometric with ratio |exp(2 pi i (k + i eta))| < 1.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    k_c = spec.k + 1j * eta
-    amps, ws, morse, w2pi_c = _four_path_terms(r_vec, rp_vec, spec, params, k_c)
-    hbar = params.hbar
-    m2pi = 2 * (params.ndim - 1)
-    total = 0.0j
-    for j in range(j_max + 1):
-        for i in range(4):
-            w = ws[i] + j * w2pi_c
-            m = morse[i] + j * m2pi
-            total += amps[i] * cmath.exp(1j * w / hbar - 0.5j * math.pi * m)
-    return _elementary_prefactor(params.ndim, hbar) * total
-
-
-def green_sc_bound_product(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
-                           j_max: int | None, eta: float) -> complex:
-    """Factorized form of the same sum: elementary four-path Green function
-    times the closed-form loop factor (truncated geometric sum when j_max
-    is given, the full cotangent form when j_max is None)."""
-    k_c = spec.k + 1j * eta
-    amps, ws, morse, _ = _four_path_terms(r_vec, rp_vec, spec, params, k_c)
-    hbar = params.hbar
-    elem = 0.0j
-    for i in range(4):
-        elem += amps[i] * cmath.exp(1j * ws[i] / hbar - 0.5j * math.pi * morse[i])
-    q = cmath.exp(2j * math.pi * k_c)
-    if j_max is None:
-        p = 1.0 / (1.0 - q)
-    else:
-        p = (1.0 - q ** (j_max + 1)) / (1.0 - q)
-    return _elementary_prefactor(params.ndim, hbar) * elem * p
-
-
 # --- scattering (E > 0) ------------------------------------------------------
 
+@refuse_overflow("value")
 def green_sc_scatter_attractive(r_vec, rp_vec, spec: EnergySpec,
                                 params: SystemParams) -> FieldSample:
     """Two-hyperbola scattering Green function for E > 0, attractive case

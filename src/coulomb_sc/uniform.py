@@ -39,24 +39,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels as K
-from .errors import IllConditionedError, RegionError, UnsupportedDimensionError
-from .geometry import bound_class, endpoint_lists, lambert_variables, refuse_point
+from .errors import RegionError, UnsupportedDimensionError
+from .geometry import (bound_class, endpoint_lists, lambert_variables, refuse_overflow,
+                       refuse_point)
 from .model import EnergySpec, SystemParams, bound_regime, check_pole
 from .semiclassical import FieldSample
-
-
-def airy_ai(x: float) -> float:
-    """Airy function of the first kind (real argument).
-
-    Maclaurin series for |x| <= 7, large-argument expansions beyond;
-    absolute error below 1e-10 everywhere on the real line.
-    """
-    return airy_ai_both(float(x))[0]
-
-
-def airy_ai_prime(x: float) -> float:
-    """Derivative of the Airy function of the first kind."""
-    return airy_ai_both(float(x))[1]
 
 
 class UniformInputs(NamedTuple):
@@ -112,6 +99,7 @@ def ua_constants(spec: EnergySpec, params: SystemParams):
     return 4.0 * spec.a, nu, sk / params.hbar, g0
 
 
+@refuse_overflow("value")
 def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> FieldSample:
     """Langer-uniform bound-state Green function (n = 3).
 
@@ -130,8 +118,6 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
             "the inner leg is at or past its turning point (doubly forbidden)" if am > 4.0 * a
             else "the inner leg is within 0.1% of its turning point z_out" if am > 2.0 * a
             else "both legs lie inside the inner turning point z_in"))
-    if not math.isfinite(val.real):
-        raise IllConditionedError(f"UA value {val.real} is not finite at s = {pair.s}")
     return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val,
                        bound_class(region, pair, 4.0 * spec.a))
 

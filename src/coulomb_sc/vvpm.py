@@ -18,7 +18,8 @@ import math
 from typing import NamedTuple
 
 from . import _kernels as K
-from .geometry import ALLOWED_ONLY, LambertPair, refuse_point, refuse_region
+from .geometry import (ALLOWED_ONLY, LambertPair, refuse_overflow, refuse_point,
+                       refuse_region)
 from .model import EnergySpec, SystemParams, bound_regime
 
 PATH_IDS = (1, 2, 3, 4)
@@ -65,12 +66,16 @@ def _morse_bases(ndim: int) -> tuple[int, int, int, int]:
     return 0, ndim - 2, ndim - 1, 1
 
 
+@refuse_overflow("D")
 def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
              params: SystemParams) -> VvpmValue:
     """Closed-form determinant for one elementary path (bound allowed regime).
 
     D1 =  (1/v+v-) [-mu(v+ + v-)/2s]^(n-1) = -D3
     D2 = -(1/v+v-) [-mu(v+ - v-)/2s]^(n-1) = -D4
+
+    A determinant that overflows (endpoints a tiny distance apart) raises
+    IllConditionedError.
     """
     if path_id not in PATH_IDS:
         raise ValueError(f"path_id must be in 1..4, got {path_id}")
@@ -80,8 +85,9 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     refuse_region(region, ALLOWED_ONLY, "no finite real determinant: use green_uniform")
     refuse_point(status)
 
-    # the velocities K.v_bound and the transverse factor
-    # F = -mu (v+ +- v-)/(2s), written out: the guards above cover theirs
+    # the velocities (K.v_bound, written out; it checks nothing itself) and
+    # the transverse factor F = -mu (v+ +- v-)/(2s): the refusals above keep
+    # 0 < alpha_- <= alpha_+ < 4a and s > 0, so both square roots are real
     vp = cv * math.sqrt((four_a - pair.alpha_plus) / pair.alpha_plus)
     vm = cv * math.sqrt((four_a - pair.alpha_minus) / pair.alpha_minus)
     f = -params.mu * ((vp + vm) if path_id % 2 else (vp - vm)) / (2.0 * pair.s)

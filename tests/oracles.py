@@ -12,21 +12,31 @@ route to a quantity the package computes in closed form:
   time;
 - ``radial_green``: one radial channel g_l of the exact reference, which
   the tests sum over l as a partial-wave check of Hostler's one-channel
-  form (L. Hostler, J. Math. Phys. 5, 591 (1964)).
+  form (L. Hostler, J. Math. Phys. 5, 591 (1964));
+- ``green_sc_bound_sum`` and ``green_sc_bound_product``: the four
+  elementary paths and their loop repetitions summed term by term, and the
+  same sum factorized into the elementary four-path Green function times
+  the loop factor, from ``four_paths`` and ``vvpm_det``: the paper's
+  factorization (criterion 10) behind the closed form the package
+  evaluates (``green_sc_bound``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable
 
 import numpy as np
 
+from coulomb_sc.actions import four_paths
 from coulomb_sc.errors import (IllConditionedError, PoleError, RegionError,
                                UnsupportedDimensionError)
-from coulomb_sc.model import POLE_GUARD, EnergySpec, SystemParams, bound_regime
+from coulomb_sc.geometry import lambert_variables
+from coulomb_sc.model import POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole
 from coulomb_sc.qm_oracle import (RadialSolution, _normal, _ode_terms, _series, default_mesh,
                                   interp_u, solve_radial)
+from coulomb_sc.vvpm import vvpm_det
 
 
 # --- VVPM determinant ------------------------------------------------------
@@ -223,3 +233,70 @@ def radial_green(l: int, r_small: float, r_large: float, E: float,
             f"g_{l}({r_small}, {r_large}) lost to underflow: the channel's solutions "
             "span more than float64's range")
     return g
+
+
+# --- explicit four-path x loop sum ------------------------------------------
+
+def _elementary_prefactor(ndim: int, hbar: float) -> complex:
+    """(1/i hbar) * (-1) / (-2 pi i hbar)^((n-1)/2), principal branch."""
+    return -1.0 / (1j * hbar * (-2j * math.pi * hbar) ** ((ndim - 1) / 2.0))
+
+
+def _four_path_terms(r_vec, rp_vec, spec, params, k_c: complex):
+    """Amplitudes sqrt|D|, actions (the reflected paths with the complex
+    round trip 2 pi hbar (k_c + (n-1)/2)) and Morse indices of the four
+    elementary paths.  ``four_paths`` and ``vvpm_det`` refuse what the
+    closed form refuses: the regime, the caustic and beyond, the source
+    point and the focal line; ``check_pole`` the poles."""
+    pair = lambert_variables(r_vec, rp_vec, params)
+    paths = four_paths(pair, spec, params)
+    check_pole(spec)
+    amps = tuple(math.sqrt(abs(vvpm_det(p.path_id, pair, spec, params).D)) for p in paths)
+    w2pi_c = 2.0 * math.pi * params.hbar * (k_c + (params.ndim - 1) / 2.0)
+    w1 = paths[0].W
+    w2 = paths[1].W
+    ws = (w1, w2, w2pi_c - w1, w2pi_c - w2)
+    morse = tuple(p.morse for p in paths)
+    return amps, ws, morse, w2pi_c
+
+
+def green_sc_bound_sum(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
+                       j_max: int, eta: float) -> complex:
+    """Truncated explicit four-path x loop double sum, evaluated at the
+    damped quantum number k + i eta (every term computed independently).
+
+    Converges to the closed product form as j_max grows; the damping makes
+    the loop series geometric with ratio |exp(2 pi i (k + i eta))| < 1.
+    """
+    if eta < 0.0:
+        raise ValueError("eta must be nonnegative")
+    k_c = spec.k + 1j * eta
+    amps, ws, morse, w2pi_c = _four_path_terms(r_vec, rp_vec, spec, params, k_c)
+    hbar = params.hbar
+    m2pi = 2 * (params.ndim - 1)
+    total = 0.0j
+    for j in range(j_max + 1):
+        for i in range(4):
+            w = ws[i] + j * w2pi_c
+            m = morse[i] + j * m2pi
+            total += amps[i] * cmath.exp(1j * w / hbar - 0.5j * math.pi * m)
+    return _elementary_prefactor(params.ndim, hbar) * total
+
+
+def green_sc_bound_product(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
+                           j_max: int | None, eta: float) -> complex:
+    """Factorized form of the same sum: elementary four-path Green function
+    times the closed-form loop factor (truncated geometric sum when j_max
+    is given, the full cotangent form when j_max is None)."""
+    k_c = spec.k + 1j * eta
+    amps, ws, morse, _ = _four_path_terms(r_vec, rp_vec, spec, params, k_c)
+    hbar = params.hbar
+    elem = 0.0j
+    for i in range(4):
+        elem += amps[i] * cmath.exp(1j * ws[i] / hbar - 0.5j * math.pi * morse[i])
+    q = cmath.exp(2j * math.pi * k_c)
+    if j_max is None:
+        p = 1.0 / (1.0 - q)
+    else:
+        p = (1.0 - q ** (j_max + 1)) / (1.0 - q)
+    return _elementary_prefactor(params.ndim, hbar) * elem * p

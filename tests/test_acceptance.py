@@ -23,7 +23,7 @@ import coulomb_sc as cs
 from coulomb_sc.errors import PoleError
 
 from conftest import random_allowed_pair
-from oracles import vvpm_det_numeric
+from oracles import green_sc_bound_product, green_sc_bound_sum, vvpm_det_numeric
 
 
 def report(num, ok, detail):
@@ -341,8 +341,8 @@ def test_criterion_10_loop_sum_factorization(au, rng):
         r_vec, rp_vec, spec = random_allowed_pair(rng, au, a_range=(1.0, 100.0),
                                                   ap_frac=(0.1, 0.9),
                                                   am_frac=(0.1, 0.9))
-        s = cs.green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
-        p = cs.green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
+        s = green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
+        p = green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
         worst = max(worst, abs(s - p) / abs(p))
     ok = worst < 1e-6
     assert report(10, ok, f"eta-damped explicit double sum vs closed product "

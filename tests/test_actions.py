@@ -13,7 +13,7 @@ import coulomb_sc as cs
 from coulomb_sc.errors import ForbiddenRegionError, RegionError
 
 from conftest import random_allowed_pair
-from oracles import kepler_transfer_time
+from oracles import green_sc_bound_sum, kepler_transfer_time
 
 
 def quad_bound(alpha, a):
@@ -247,7 +247,7 @@ R, RP = [80.0, 30.0, 0.0], [50.0, 0.0, 0.0]  # an allowed pair at nu = 9.7
     (lambda au, spec: cs.reduced_action_scatter_attractive(
         -1.0, cs.EnergySpec.from_energy(0.5, au), au),
      RegionError, "alpha must be nonnegative"),
-    (lambda au, spec: cs.green_sc_bound_sum(R, RP, spec, au, 3, eta=-1.0),
+    (lambda au, spec: green_sc_bound_sum(R, RP, spec, au, 3, eta=-1.0),
      ValueError, "eta must be nonnegative"),
     (lambda au, spec: cs.quantization_action(-1, au),
      ValueError, "k must be a nonnegative integer, got -1"),

@@ -15,6 +15,8 @@ import coulomb_sc as cs
 from coulomb_sc import _kernels as K
 from coulomb_sc.errors import ForbiddenRegionError, OnCausticError, RegionError
 
+from oracles import green_sc_bound_product, green_sc_bound_sum
+
 VALUE = "value"
 NU = 9.7
 SOURCE = np.array([50.0, 0.0, 0.0])
@@ -52,9 +54,9 @@ BOUND_CALLS = {
         cs.reduced_action_bound_forbidden(pair.alpha_plus, sp, par),
     "vvpm_det": lambda r, pair, sp, par: [cs.vvpm_det(i, pair, sp, par) for i in (1, 2, 3, 4)],
     "green_sc_bound": lambda r, pair, sp, par: cs.green_sc_bound(r, SOURCE, sp, par),
-    "green_sc_bound_sum": lambda r, pair, sp, par: cs.green_sc_bound_sum(
+    "green_sc_bound_sum": lambda r, pair, sp, par: green_sc_bound_sum(
         r, SOURCE, sp, par, 3, 0.1),
-    "green_sc_bound_product": lambda r, pair, sp, par: cs.green_sc_bound_product(
+    "green_sc_bound_product": lambda r, pair, sp, par: green_sc_bound_product(
         r, SOURCE, sp, par, None, 0.1),
     "green_sc_tunnel": lambda r, pair, sp, par: cs.green_sc_tunnel(r, SOURCE, sp, par),
 }

@@ -238,6 +238,18 @@ def test_config_errors_exit_two(capsys, tmp_path):
         ["scan", "--nu", "9.7", "--source", "50,0",
          "--grid", "x:0:1:5", "--grid", "y:0:1:5"],                         # source not 3-D
         ["eigenvalues", "--kmax", "-1"],                                    # negative kmax
+        # squared lengths that overflow: every point would be NaN with status OK
+        ["scan", "--nu", "5.3", "--grid=x:1e200:2e200:2", "--grid=y:1:2:2"],   # |x|^2
+        ["scan", "--nu", "5.3", "--source", "1e200,0,0",
+         "--grid=x:1:2:2", "--grid=y:1:2:2"],                               # |x'|^2
+        ["scan", "--nu", "5.3", "--source=-1e154,0,0",
+         "--grid=x:0:1e154:2", "--grid=y:1:2:2"],                           # |x - x'|^2 only
+        ["scan", "--nu", "5.3", "--method", "all",
+         "--grid=x:1e200:2e200:2", "--grid=y:1:2:2"],                       # every method
+        ["scan", "--nu", "5.3", "--method", "qm",
+         "--grid=x:1e200:2e200:2", "--grid=y:1:2:2"],                       # exact reference
+        ["cut", "--nu", "5.3", "--cut=x:1e200:2e200:3"],                    # cut
+        ["cut", "--nu", "5.3", "--cut=x:0:1:3", "--fix=y:1e200"],           # fixed axis
         # unparsable text, named in the message
         (["scan", "--nu", "9.7", "--grid", "x:0:1", "--grid", "y:0:1:5"], "'x:0:1'"),
         (["scan", "--nu", "9.7", "--grid", "x:0:one:5", "--grid", "y:0:1:5"], "'x:0:one:5'"),

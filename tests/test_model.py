@@ -6,7 +6,8 @@ import pytest
 import coulomb_sc as cs
 from coulomb_sc.errors import UnsupportedDimensionError
 
-from oracles import kepler_transfer_time, radial_green
+from oracles import (green_sc_bound_product, green_sc_bound_sum, kepler_transfer_time,
+                     radial_green)
 
 
 def test_eigenvalue_ground_states(au):
@@ -159,9 +160,9 @@ BOUND_ONLY = {
     "vvpm_det": lambda sp, par: cs.vvpm_det(1, _PAIR, sp, par),
     "green_sc_bound": lambda sp, par: cs.green_sc_bound(_R, _RP, sp, par),
     "green_sc_tunnel": lambda sp, par: cs.green_sc_tunnel(_R_TUNNEL, _RP_TUNNEL, sp, par),
-    "green_sc_bound_sum": lambda sp, par: cs.green_sc_bound_sum(_R, _RP, sp, par, 3, 0.1),
+    "green_sc_bound_sum": lambda sp, par: green_sc_bound_sum(_R, _RP, sp, par, 3, 0.1),
     "green_sc_bound_product":
-        lambda sp, par: cs.green_sc_bound_product(_R, _RP, sp, par, None, 0.1),
+        lambda sp, par: green_sc_bound_product(_R, _RP, sp, par, None, 0.1),
     "green_uniform": lambda sp, par: cs.green_uniform(_R, _RP, sp, par),
     "uniform_inputs": lambda sp, par: cs.uniform_inputs(_R, _RP, sp, par),
     "green_qm": lambda sp, par: cs.green_qm(_R, _RP, sp, par),

@@ -19,6 +19,7 @@ from coulomb_sc.semiclassical import sc_constants
 from coulomb_sc.uniform import ua_constants
 
 from conftest import random_allowed_pair
+from oracles import green_sc_bound_product, green_sc_bound_sum
 
 
 def test_loop_factor_special_values(au):
@@ -141,8 +142,8 @@ def test_loop_sum_matches_truncated_product(au, rng):
         r_vec, rp_vec, spec = random_allowed_pair(rng, au, a_range=(5.0, 80.0),
                                                   ap_frac=(0.1, 0.9),
                                                   am_frac=(0.1, 0.9))
-        s = cs.green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
-        p = cs.green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
+        s = green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
+        p = green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=200, eta=1e-3)
         assert s == pytest.approx(p, rel=1e-10)
 
 
@@ -151,20 +152,20 @@ def test_loop_sum_converges_to_closed_form(au, rng):
     # analytically continued to k + i eta
     r_vec, rp_vec, spec = random_allowed_pair(rng, au, a_range=(10.0, 40.0))
     eta = 5e-3
-    s = cs.green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=1500, eta=eta)
-    p_inf = cs.green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=None, eta=eta)
+    s = green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=1500, eta=eta)
+    p_inf = green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=None, eta=eta)
     assert s == pytest.approx(p_inf, rel=1e-10)
     # j_max = 0 reduces to the bare elementary four-path sum
-    s0 = cs.green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=0, eta=0.0)
-    p0 = cs.green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=0, eta=0.0)
+    s0 = green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=0, eta=0.0)
+    p0 = green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=0, eta=0.0)
     assert s0 == pytest.approx(p0, rel=1e-12)
 
 
 def test_loop_sum_doubling_self_consistency(au, rng):
     r_vec, rp_vec, spec = random_allowed_pair(rng, au, a_range=(10.0, 40.0))
     eta = 8e-3
-    s1 = cs.green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=400, eta=eta)
-    s2 = cs.green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=800, eta=eta)
+    s1 = green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=400, eta=eta)
+    s2 = green_sc_bound_sum(r_vec, rp_vec, spec, au, j_max=800, eta=eta)
     assert abs(s2 - s1) < 1e-8 * abs(s2)
 
 
@@ -172,7 +173,7 @@ def test_product_at_zero_eta_equals_bound(au, rng):
     for _ in range(10):
         r_vec, rp_vec, spec = random_allowed_pair(rng, au)
         g = cs.green_sc_bound(r_vec, rp_vec, spec, au).value
-        p = cs.green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=None, eta=0.0)
+        p = green_sc_bound_product(r_vec, rp_vec, spec, au, j_max=None, eta=0.0)
         assert g == pytest.approx(p, rel=1e-12)
 
 
@@ -377,10 +378,26 @@ def test_one_region_decision_per_call(au, monkeypatch):
         assert len(calls) == 1, (fn.__name__, r)
 
 
+def vvpm_det_1(r, rp, spec, params):
+    """Path 1's determinant, whose F = -mu (v+ + v-)/(2s) has no cancellation."""
+    return cs.vvpm_det(1, cs.lambert_variables(r, rp, params), spec, params)
+
+
+def scatter_attractive(r, rp, spec, params):
+    """The scattering SC at E = 0.35, in place of the bound energy."""
+    return cs.green_sc_scatter_attractive(r, rp, cs.EnergySpec.from_energy(0.35, params),
+                                          params)
+
+
 @pytest.mark.parametrize("api, ndim, s", [
     (cs.green_sc_bound, 3, 1e-310),   # the amplitude overflows to inf, then NaN
     (cs.green_uniform, 3, 1e-310),    # 1/s overflows to -inf
     (cs.green_sc_bound, 5, 1e-160),   # ``** p`` raises OverflowError
+    (vvpm_det_1, 3, 1e-310),          # F = -inf, D = inf
+    (vvpm_det_1, 3, 1e-200),          # ``F ** 2`` raises OverflowError
+    (vvpm_det_1, 5, 1e-160),          # ``F ** 4`` raises OverflowError
+    (scatter_attractive, 3, 1e-310),  # inf times a phase: NaN
+    (scatter_attractive, 5, 1e-160),  # ``** p`` raises OverflowError
 ])
 def test_near_coincident_endpoints_are_ill_conditioned(api, ndim, s):
     # endpoints a tiny distance apart: no value may come out with status OK

@@ -114,16 +114,17 @@ def test_commands_leave_no_more_cycles_than_eigenvalues(tmp_path):
 
 # numerical cross-checks that no evaluator or command calls: they live in
 # tests/oracles.py, not in the package
-ORACLES = ("action_via_anomalies", "dimensional_factor", "kepler_transfer_time",
-           "radial_green", "vvpm_det_numeric")
+ORACLES = ("action_via_anomalies", "dimensional_factor", "green_sc_bound_product",
+           "green_sc_bound_sum", "kepler_transfer_time", "radial_green", "vvpm_det_numeric")
 
 
 def test_every_public_name_resolves():
-    assert len(cs.__all__) == 46
+    assert len(cs.__all__) == 42
     for name in cs.__all__:
         assert getattr(cs, name) is not None, name
     assert set(cs.__all__) <= set(dir(cs))
-    for name in ("no_such_name", *ORACLES):
+    # the scalar Airy wrappers are gone: uniform.airy_ai_both gives both
+    for name in ("no_such_name", *ORACLES, "airy_ai", "airy_ai_prime"):
         with pytest.raises(AttributeError, match=name):
             getattr(cs, name)
 
