@@ -23,12 +23,14 @@ per-point APIs on plain floats without NumPy (``sc_bound_point``;
 over blocks of ``FIELD_BLOCK`` points (``sc_bound_field``,
 ``uniform.ua_field``).  Each call site names its form, and only the
 branch dispatch differs (``if``, or one mask per branch), so both forms
-evaluate the same expressions in the same order.  Two forms are left only
-where the control flow depends on the data: the region rule, the Lambert
-reduction (``geometry.lambert_variables``, ``lambert_arrays``) and the
-series (``_odd_tail``/``_odd_tail_array``; the Airy series in
-``uniform``), whose array loops run until every element's scalar stopping
-rule has fired, each element's sums frozen at its own stop.
+evaluate the same expressions in the same order.  So do the series
+(``_odd_series``; the Airy series in ``uniform``): a series loops until
+every element meets the scalar stopping rule (``xp.any``/``xp.all``,
+``bool`` on a float), and no element is frozen at its own stop, because
+each term added after it is below half an ulp of the element's sums.
+The caustic band (``_on_caustic``) takes a float or an array alike.  Two
+forms are left only where the control flow depends on the data: the
+region rule and the Lambert reduction.
 
 The SC value is one prefactor times one real bracket, pref_merged * B /
 sin(pi k), with one bracket per branch (``sc_bound_point``): the point
@@ -127,52 +129,49 @@ def w_bound_forbidden_im(alpha, a, sk):
     return _half_action_beyond(alpha, a, sk, _MATH)
 
 
+def _odd_series(x, sign, xp):
+    """The Maclaurin series of _odd_tail, until every element's last term is
+    below 1e-17 of its sum (a NaN element stops at once); a term past an
+    element's own stop is below half an ulp of its sum and leaves its bits."""
+    x2 = x * x
+    term = x * x2 / 6.0
+    total = term
+    k = 1
+    while xp.any(abs(term) > 1e-17 * total):
+        term = term * (sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))
+        total = total + term
+        k += 1
+    return total
+
+
 def _odd_tail(x, sign):
     """x - sin(x) (sign = -1) or sinh(x) - x (sign = +1), x >= 0, without
     cancellation for small x."""
     if x > 0.5:
         return x - math.sin(x) if sign < 0.0 else math.sinh(x) - x
-    x2 = x * x
-    term = x * x2 / 6.0
-    total = term
-    k = 1
-    while abs(term) > 1e-17 * total:
-        term *= sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0))
-        total += term
-        k += 1
-    return total
+    return _odd_series(x, sign, _MATH)
 
 
 def _odd_tail_array(x, sign):
-    """_odd_tail over an array.  An element's sum freezes where the scalar
-    loop stops."""
+    """_odd_tail over an array."""
     out = np.empty_like(x)
     big = x > 0.5
     xb = x[big]
     out[big] = xb - np.sin(xb) if sign < 0.0 else np.sinh(xb) - xb
-    xs = x[~big]
-    x2 = xs * xs
-    term = xs * x2 / 6.0
-    total = term
-    k = 1
-    run = np.abs(term) > 1e-17 * total
-    while run.any():
-        term = term * (sign * x2 / ((2.0 * k + 2.0) * (2.0 * k + 3.0)))
-        total = np.where(run, total + term, total)
-        run &= np.abs(term) > 1e-17 * total
-        k += 1
-    out[~big] = total
+    out[~big] = _odd_series(x[~big], sign, _NUMPY)
     return out
 
 
 #: the backends of the shared bodies: _MATH for scalar kernels, _NUMPY for array ones
+#: (the series and the caustic band call the builtin abs, which takes arrays too)
 _MATH = SimpleNamespace(sqrt=math.sqrt, asin=math.asin, asinh=math.asinh, sin=math.sin,
                         cos=math.cos, exp=math.exp, hypot=math.hypot, atan2=math.atan2,
-                        copysign=math.copysign, abs=abs, minimum=min, odd_tail=_odd_tail)
+                        copysign=math.copysign, abs=abs, minimum=min, odd_tail=_odd_tail,
+                        any=bool, all=bool)
 _NUMPY = SimpleNamespace(sqrt=np.sqrt, asin=np.arcsin, asinh=np.arcsinh, sin=np.sin,
                          cos=np.cos, exp=np.exp, hypot=np.hypot, atan2=np.arctan2,
                          copysign=np.copysign, abs=np.abs, minimum=np.minimum,
-                         odd_tail=_odd_tail_array)
+                         odd_tail=_odd_tail_array, any=np.any, all=np.all)
 
 
 # ==========================================================================
@@ -203,10 +202,15 @@ def lambert_arrays(points, source):
     return r, rp, s, r + rp + s, r + rp - s
 
 
+def _on_caustic(alpha, four_a):
+    """alpha within CAUSTIC_TOL * 4a of the caustic alpha = 4a (float or array)."""
+    return abs(alpha - four_a) <= CAUSTIC_TOL * four_a
+
+
 def caustic_region(alpha, four_a):
     """REGION_* code of one alpha against the caustic alpha = 4a: on it
     within CAUSTIC_TOL * 4a, else allowed below and forbidden above."""
-    if abs(alpha - four_a) <= CAUSTIC_TOL * four_a:
+    if _on_caustic(alpha, four_a):
         return REGION_CAUSTIC
     return REGION_ALLOWED if alpha < four_a else REGION_FORBIDDEN
 
@@ -224,7 +228,7 @@ def region_status(s, ap, am, four_a):
 def region_status_array(s, ap, am, four_a):
     """region_status over arrays: int8 (region, status)."""
     region = np.where(ap < four_a, REGION_ALLOWED, REGION_FORBIDDEN).astype(np.int8)
-    region[np.abs(ap - four_a) <= CAUSTIC_TOL * four_a] = REGION_CAUSTIC
+    region[_on_caustic(ap, four_a)] = REGION_CAUSTIC
     status = np.where(am <= FOCAL_TOL * ap, STATUS_FOCAL, STATUS_OK).astype(np.int8)
     status[s <= 0.0] = STATUS_SOURCE
     return region, status
@@ -339,8 +343,7 @@ def _sc_bound_block(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk)
     region, status = region_status_array(s, ap, am, four_a)
     # on the caustic, or the inner leg at its own turning point (v_minus = 0)
     status[(status == STATUS_OK)
-           & ((region == REGION_CAUSTIC)
-              | (np.abs(am - four_a) <= CAUSTIC_TOL * four_a))] = STATUS_CAUSTIC
+           & ((region == REGION_CAUSTIC) | _on_caustic(am, four_a))] = STATUS_CAUSTIC
     rest = status == STATUS_OK
     inside = ap < four_a
     br = np.full(ap.shape, math.nan)

@@ -16,12 +16,12 @@ between the turning points is exactly pi (nu - 1/2), so the Wronskian is
 -sin(pi nu)/sqrt(pi) and the loop poles come out with no gamma function.
 All phase integrals are elementary closed forms.  The kernels below, the
 Airy function and the Langer solutions, live here with their one user.
-As in ``_kernels``, each straight-line formula has one body over a
-backend ``xp``, called with ``_MATH`` by the scalar kernel (``ua_point``)
-and with ``_NUMPY`` by the array kernel (``ua_field``, for the grid
-scans); only the branch dispatch (``if`` or masks) and the Airy series,
-which stop per element, have two forms.  Both kernels share the Lambert
-reduction, the region rule and ``_map_blocks`` of ``_kernels``.
+As in ``_kernels``, each formula, the Airy series among them, has one
+body over a backend ``xp``, called with ``_MATH`` by the scalar kernel
+(``ua_point``) and with ``_NUMPY`` by the array kernel (``ua_field``, for
+the grid scans); only the branch dispatch (``if`` or masks) has two
+forms.  Both kernels share the Lambert reduction, the region rule and
+``_map_blocks`` of ``_kernels``.
 
 The result is finite and smooth across the caustic, reduces to the
 primitive semiclassical value deep in the allowed region and to the
@@ -155,27 +155,36 @@ def airy_ai_both(x):
     """(Ai(x), Ai'(x)) by Maclaurin series for |x| <= 7 and large-argument
     expansions beyond; absolute error stays below 1e-10 on the real line."""
     if x > 7.0:
-        xi = 2.0 / 3.0 * x * math.sqrt(x)
-        m = 1.0
-        su = 1.0
-        sv = 1.0
-        prev = 1.0
-        for k in range(1, len(_AIRY_U)):
-            m = -m / xi
-            tu = _AIRY_U[k] * m
-            if abs(tu) > prev:
-                break
-            prev = abs(tu)
-            su += tu
-            sv += _AIRY_V[k] * m
-            if abs(tu) < 1e-18:
-                break
-        pre = math.exp(-xi) / (2.0 * _SQRT_PI)
-        q = x ** 0.25
-        return pre * su / q, -pre * sv * q
+        return _airy_decaying(x, _MATH)
     if x < -7.0:
         return _airy_oscillating(x, _MATH)
-    # Maclaurin: two independent solutions of y'' = x y and their derivatives
+    return _airy_maclaurin(x, _MATH)
+
+
+def _airy_decaying(x, xp):
+    """(Ai(x), Ai'(x)) for x > 7: the large-argument expansion, until every
+    element's last term is below 1e-18.  Its terms shrink at every k: their
+    ratio (6k - 5)(6k - 1)/(72 k xi) is at most 12.003/xi, xi > 12.34."""
+    xi = 2.0 / 3.0 * x * xp.sqrt(x)
+    m = 1.0
+    su = 1.0
+    sv = 1.0
+    for k in range(1, len(_AIRY_U)):
+        m = -m / xi
+        tu = _AIRY_U[k] * m
+        su = su + tu
+        sv = sv + _AIRY_V[k] * m
+        if xp.all(abs(tu) < 1e-18):
+            break
+    pre = xp.exp(-xi) / (2.0 * _SQRT_PI)
+    q = x ** 0.25
+    return pre * su / q, -pre * sv * q
+
+
+def _airy_maclaurin(x, xp):
+    """(Ai(x), Ai'(x)) for |x| <= 7 (and NaN, which runs every term): two
+    independent solutions of y'' = x y and their derivatives, until every
+    element's last terms are below 1e-20 of its sums."""
     x2 = x * x
     tf = 1.0
     f = 1.0
@@ -186,17 +195,15 @@ def airy_ai_both(x):
     for d1, d2, d3, d4 in _MACLAURIN:
         tfx = tf * x2
         tgx = tg * x2
-        fp += tfx / d1
+        fp = fp + tfx / d1
         tf = tfx * x / d2
-        f += tf
-        gp += tgx / d3
+        f = f + tf
+        gp = gp + tgx / d3
         tg = tgx * x / d4
-        g += tg
-        if abs(tf) + abs(tg) < 1e-20 * (1.0 + abs(f) + abs(g)):
+        g = g + tg
+        if xp.all(abs(tf) + abs(tg) < 1e-20 * (1.0 + abs(f) + abs(g))):
             break
-    ai = _AI0 * f + _AIP0 * g
-    aip = _AI0 * fp + _AIP0 * gp
-    return ai, aip
+    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
 
 
 def _airy_oscillating(x, xp):
@@ -435,58 +442,9 @@ def ua_point(s, ap, am, four_a, nu, kappa, g0):
 
 
 # ==========================================================================
-# array kernels: the series and the masked dispatch over blocks of points,
-# calling the bodies above with the NumPy backend
+# array kernels: the masked dispatch over blocks of points, calling the
+# bodies above with the NumPy backend
 # ==========================================================================
-
-def _airy_decaying(x):
-    """airy_ai_both for x > 7.  An element freezes where the scalar loop
-    breaks, so a divergent term is never added."""
-    xi = 2.0 / 3.0 * x * np.sqrt(x)
-    su = np.ones_like(x)
-    sv = np.ones_like(x)
-    m = np.ones_like(x)
-    prev = np.ones_like(x)
-    run = np.ones(x.shape, dtype=bool)
-    for k in range(1, len(_AIRY_U)):
-        m = -m / xi
-        tu = _AIRY_U[k] * m
-        run &= ~(np.abs(tu) > prev)
-        prev = np.abs(tu)
-        su = np.where(run, su + tu, su)
-        sv = np.where(run, sv + _AIRY_V[k] * m, sv)
-        run &= ~(prev < 1e-18)
-        if not run.any():
-            break
-    pre = np.exp(-xi) / (2.0 * _SQRT_PI)
-    q = x ** 0.25
-    return pre * su / q, -pre * sv * q
-
-
-def _airy_maclaurin(x):
-    """airy_ai_both for |x| <= 7 (and NaN).  A converged element's terms
-    are zeroed, which freezes its sums where the scalar loop breaks."""
-    x2 = x * x
-    tf = np.ones_like(x)
-    f = np.ones_like(x)
-    fp = np.zeros_like(x)
-    tg = x
-    g = x
-    gp = np.ones_like(x)
-    for d1, d2, d3, d4 in _MACLAURIN:
-        fp = fp + tf * x2 / d1
-        tf = tf * x2 * x / d2
-        f = f + tf
-        gp = gp + tg * x2 / d3
-        tg = tg * x2 * x / d4
-        g = g + tg
-        done = np.abs(tf) + np.abs(tg) < 1e-20 * (1.0 + np.abs(f) + np.abs(g))
-        if done.all():
-            break
-        tf[done] = 0.0
-        tg[done] = 0.0
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
-
 
 def airy_ai_both_array(x):
     """airy_ai_both over a float array: (Ai(x), Ai'(x))."""
@@ -495,9 +453,9 @@ def airy_ai_both_array(x):
     big = x > 7.0
     neg = x < -7.0
     mid = ~(big | neg)
-    ai[big], aip[big] = _airy_decaying(x[big])
+    ai[big], aip[big] = _airy_decaying(x[big], _NUMPY)
     ai[neg], aip[neg] = _airy_oscillating(x[neg], _NUMPY)
-    ai[mid], aip[mid] = _airy_maclaurin(x[mid])
+    ai[mid], aip[mid] = _airy_maclaurin(x[mid], _NUMPY)
     return ai, aip
 
 

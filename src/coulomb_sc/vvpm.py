@@ -74,22 +74,26 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     D1 =  (1/v+v-) [-mu(v+ + v-)/2s]^(n-1) = -D3
     D2 = -(1/v+v-) [-mu(v+ - v-)/2s]^(n-1) = -D4
 
-    A determinant that overflows (endpoints a tiny distance apart) raises
-    IllConditionedError.
+    Paths 2 and 4 take -mu(v+ - v-)/2s = 4a mu cv^2/(alpha+ alpha- (v+ + v-)),
+    free of s and of the difference, so it keeps its digits as s -> 0.  A
+    determinant that overflows (paths 1 and 3, endpoints a tiny distance
+    apart) raises IllConditionedError.
     """
     if path_id not in PATH_IDS:
         raise ValueError(f"path_id must be in 1..4, got {path_id}")
     _, cv, _ = bound_regime(spec, params)
     four_a = 4.0 * spec.a
-    region, status = K.region_status(pair.s, pair.alpha_plus, pair.alpha_minus, four_a)
+    ap, am = pair.alpha_plus, pair.alpha_minus
+    region, status = K.region_status(pair.s, ap, am, four_a)
     refuse_region(region, ALLOWED_ONLY, "no finite real determinant: use green_uniform")
     refuse_point(status)
 
     # the velocities (K.v_bound, written out; it checks nothing itself) and
-    # the transverse factor F = -mu (v+ +- v-)/(2s): the refusals above keep
-    # 0 < alpha_- <= alpha_+ < 4a and s > 0, so both square roots are real
-    vp = cv * math.sqrt((four_a - pair.alpha_plus) / pair.alpha_plus)
-    vm = cv * math.sqrt((four_a - pair.alpha_minus) / pair.alpha_minus)
-    f = -params.mu * ((vp + vm) if path_id % 2 else (vp - vm)) / (2.0 * pair.s)
+    # the transverse factor F: the refusals above keep 0 < alpha_- <= alpha_+
+    # < 4a and s > 0, so both square roots are real
+    vp = cv * math.sqrt((four_a - ap) / ap)
+    vm = cv * math.sqrt((four_a - am) / am)
+    f = (-params.mu * (vp + vm) / (2.0 * pair.s) if path_id % 2
+         else four_a * params.mu * cv * cv / (ap * am * (vp + vm)))
     d = f ** (params.ndim - 1) / (vp * vm)
     return VvpmValue(path_id, -d if path_id in (2, 3) else d, f)

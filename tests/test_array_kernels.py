@@ -369,14 +369,17 @@ def test_ua_field_matches_point_kernel():
     z_out = 2.0 * nu + d
     z_in = 1.0 / z_out
     rng = np.random.default_rng(20261019)
-    # relative offsets from each turning point: inside the 1e-5 window where
-    # the amplitude is interpolated, and well outside it.  In between, the
-    # closed forms of zeta and f' cancel terms of order 1/t and amplify
-    # rounding by about (z/t)^2 (4e-7 relative in f' at 2e-5 from z_in), so
+    # relative offsets from each turning point: across the TP_WINDOW = 2e-4
+    # window where the amplitude is summed from its Taylor series, and well
+    # outside it.  Just outside the window the closed forms of zeta and f'
+    # cancel terms of order 1/t and amplify rounding by about (z/t)^2, so
     # one-ulp differences between NumPy's and libm's asinh/exp/pow there
     # exceed the comparison's tolerance in both directions.
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 3e-6, -3e-6, 9e-6, -9e-6,
                         1e-2, -1e-2])
+    # farther into the window, with the other leg at a fixed place (alpha =
+    # rp, or 3.5 rp), so that the random points are those drawn without them
+    window = np.array([5e-5, -5e-5, 1.5e-4, -1.5e-4])
     ok_x, ok_y = [], []
     reached = set()
     for rp in (20.0, 60.0, 0.05):
@@ -387,9 +390,11 @@ def test_ua_field_matches_point_kernel():
         am_in = z_in * (1.0 + offsets) / kappa     # y at the inner turning point
         if ap_out[0] > 2.0 * rp:
             parts.append(elliptic_points(rp, ap_out - rp, rng.uniform(-rp, rp, offsets.size)))
+            parts.append(elliptic_points(rp, z_out * (1.0 + window) / kappa - rp, 0.0))
         if am_in[0] < 2.0 * rp:
             parts.append(elliptic_points(rp, rng.uniform(rp, 4.0 * rp, offsets.size),
                                          am_in - rp))
+            parts.append(elliptic_points(rp, 2.5 * rp, z_in * (1.0 + window) / kappa - rp))
             am = np.geomspace(am_in[0], min(2.0 * rp, 40.0 * am_in[0]), 60)
             parts.append(elliptic_points(rp, rng.uniform(rp, 4.0 * rp, am.size), am - rp))
         R = np.concatenate(parts)
@@ -403,9 +408,10 @@ def test_ua_field_matches_point_kernel():
         reached |= set(ref[2].tolist())
     assert reached >= {K.STATUS_OK, K.STATUS_SOURCE, K.STATUS_FOCAL, K.STATUS_UNSUPPORTED}
     x, y = np.concatenate(ok_x), np.concatenate(ok_y)
-    # the interpolated amplitude within 1e-5 of each turning point, both sides
+    # the amplitude's Taylor series within TP_WINDOW of each turning point,
+    # both sides
     for z, z_turn in ((x, z_out), (y, z_in)):
-        near = z[np.abs(z - z_turn) < 1e-5 * z_turn]
+        near = z[np.abs(z - z_turn) < U.TP_WINDOW * z_turn]
         assert (near < z_turn).sum() >= 3 and (near > z_turn).sum() >= 3
     # the regular solution's blend of its Airy and primitive forms
     xi = np.array([U.langer_phase(v - z_in, v, d, z_out, -1.0) for v in y[y > z_in]])
@@ -434,6 +440,10 @@ def test_airy_array_matches_scalar():
     ok = ~np.isnan(x)
     np.testing.assert_allclose(ai[ok], ref[ok, 0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(aip[ok], ref[ok, 1], rtol=1e-12, atol=1e-14)
+    # the Maclaurin series adds the same terms in the same order: equal to the bit
+    mid = np.abs(x) <= 7.0
+    np.testing.assert_array_equal(ai[mid], ref[mid, 0])
+    np.testing.assert_array_equal(aip[mid], ref[mid, 1])
     assert [v.shape for v in U.airy_ai_both_array(np.zeros(0))] == [(0,), (0,)]
 
 

@@ -3,6 +3,7 @@ determinant of the full (n+1) x (n+1) second-derivative matrix."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -95,6 +96,26 @@ def test_focal_line_is_the_region_rule(au):
         cs.vvpm_det(1, pair, spec, au)
     with pytest.raises(FocalLineError):
         cs.green_sc_bound(r_vec, rp_vec, spec, au)
+
+
+@pytest.mark.parametrize("ndim", [3, 5])
+@pytest.mark.parametrize("s", [1e-6, 1e-10, 1e-14])
+def test_paths_2_and_4_keep_their_digits_as_the_endpoints_close_in(ndim, s):
+    # -mu (v+ - v-)/2s subtracts two velocities whose alphas differ by 2s;
+    # the reference evaluates that closed form at 50 digits
+    par = cs.SystemParams(ndim=ndim)
+    spec = cs.energy_from_nu(9.7, par)
+    pad = [0.0] * (ndim - 3)
+    pair = cs.lambert_variables([0.0, 0.0, 30.0] + pad, [s, 0.0, 30.0] + pad, par)
+    with mp.workdps(50):
+        a, ss = mp.mpf(spec.a), mp.mpf(s)
+        cv = mp.sqrt(2 * abs(mp.mpf(spec.E)) / par.mu)
+        rsum = 30 + mp.sqrt(ss * ss + 900)
+        vp, vm = (cv * mp.sqrt((4 * a - al) / al) for al in (rsum + ss, rsum - ss))
+        d2 = -(-par.mu * (vp - vm) / (2 * ss)) ** (ndim - 1) / (vp * vm)
+        for path_id, ref in ((2, d2), (4, -d2)):
+            got = cs.vvpm_det(path_id, pair, spec, par).D
+            assert abs(got - ref) <= 1e-12 * abs(ref), (path_id, got, float(ref))
 
 
 def test_bound_regime_only(au):
