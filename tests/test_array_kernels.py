@@ -377,8 +377,10 @@ def test_ua_field_matches_point_kernel():
     # exceed the comparison's tolerance in both directions.
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 3e-6, -3e-6, 9e-6, -9e-6,
                         1e-2, -1e-2])
-    # farther into the window, with the other leg at a fixed place (alpha =
-    # rp, or 3.5 rp), so that the random points are those drawn without them
+    # farther into the window, with the other leg at a fixed alpha (rp, or
+    # 3.5 rp): drawing it from rng would move every later random point, and
+    # the cloud's points deep beyond z_out already sit close to TOL, where
+    # Ai(-zeta) for -zeta near 7 carries the Maclaurin series' cancellation
     window = np.array([5e-5, -5e-5, 1.5e-4, -1.5e-4])
     ok_x, ok_y = [], []
     reached = set()
