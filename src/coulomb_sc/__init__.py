@@ -30,13 +30,13 @@ _EXPORTS = {name: module for module, names in {
                 "reduced_action_repulsive_forbidden", "reduced_action_scatter_attractive",
                 "reduced_action_scatter_repulsive", "round_trip", "scatter_velocity",
                 "travel_time_bound", "velocity"),
-    "geometry": ("LambertPair", "Region", "RegionClass", "anomaly_angles",
+    "geometry": ("FieldSample", "LambertPair", "Region", "RegionClass", "anomaly_angles",
                  "classify_region", "lambert_variables"),
     "model": ("AU", "EnergySpec", "SystemParams", "energy_eigenvalue", "energy_from_nu",
               "quantization_action"),
     "qm_oracle": ("RadialSolution", "green_qm", "qm_field", "solve_radial"),
-    "semiclassical": ("FieldSample", "green_sc_bound", "green_sc_scatter_attractive",
-                      "green_sc_tunnel", "loop_factor"),
+    "semiclassical": ("green_sc_bound", "green_sc_scatter_attractive", "green_sc_tunnel",
+                      "loop_factor"),
     "uniform": ("UniformInputs", "green_uniform", "uniform_inputs"),
     "vvpm": ("VvpmValue", "morse_index", "vvpm_det"),
 }.items() for name in names}

@@ -319,8 +319,9 @@ def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
 # array drivers: the scalar kernels' dispatch over blocks of points
 # ==========================================================================
 
-#: points per block of the array drivers (bounds the temporaries)
-FIELD_BLOCK = 4096
+#: points per block of the array drivers: it bounds the temporaries, and a
+#: block of the UA kernel issues several hundred NumPy calls whatever its size
+FIELD_BLOCK = 16384
 
 
 def _map_blocks(block_kernel, points, source, *args):

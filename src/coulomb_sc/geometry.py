@@ -3,7 +3,8 @@
 The entire fixed-energy Kepler/Coulomb problem depends on the endpoints
 only through alpha_plus = r + r' + s and alpha_minus = r + r' - s, where s
 is the chord length.  This module computes those, classifies the point
-against the caustic, and gives the anomaly angles of an allowed pair.
+against the caustic, and gives the anomaly angles of an allowed pair; the
+record every per-point evaluator returns, ``FieldSample``, lives here too.
 Every per-point evaluator refuses through its helpers: ``refuse_point``
 (source point, focal line), ``refuse_region`` (a side of the caustic the
 form does not take) and ``refuse_overflow`` (a value that overflows).
@@ -60,6 +61,17 @@ class RegionClass(NamedTuple):
 
     tag: Region
     margin: float
+
+
+class FieldSample(NamedTuple):
+    """One Green-function value tagged with its provenance."""
+
+    r: tuple
+    rp: tuple
+    E: float
+    method: str  # 'SC' | 'UA' | 'QM'
+    value: complex
+    region: RegionClass
 
 
 def endpoint_lists(r_vec, rp_vec, params: SystemParams | None = None):

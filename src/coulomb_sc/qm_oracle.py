@@ -45,9 +45,8 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import IllConditionedError, RegionError, UnsupportedDimensionError
-from .geometry import classify_region, lambert_variables
+from .geometry import FieldSample, classify_region, lambert_variables
 from .model import EnergySpec, SystemParams, bound_regime, check_pole
-from .semiclassical import FieldSample
 
 
 def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:

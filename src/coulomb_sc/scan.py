@@ -4,8 +4,9 @@ Grid points are evaluated by the array kernels (``_kernels.sc_bound_field``,
 ``uniform.ua_field``: NumPy over blocks of points, each point its own
 slot), which reduce every block to its Lambert lengths (s, alpha_+,
 alpha_-) with ``_kernels.lambert_arrays``; the exact reference takes the
-same reduction.  ``uniform`` and ``qm_oracle`` are imported by the first
-UA or exact evaluation, so a scan compiles only the methods it runs.
+same reduction.  ``semiclassical``, ``uniform`` and ``qm_oracle`` are
+imported by the first SC, UA or exact evaluation, so a scan compiles only
+the methods it runs.
 All three methods label a point by the one region/status rule of
 ``_kernels`` (caustic band ``CAUSTIC_TOL``, focal line ``FOCAL_TOL``).
 Output rows are assembled in deterministic grid order.  Per-point failures
@@ -14,13 +15,13 @@ never abort a scan: they become NaN rows with a reason column.
 CSV format: header line, comma-separated, UTF-8, LF line endings, floats
 in scientific notation with 17 significant digits, byte-identical to
 formatting every value with ``fmt``.  The writer builds each block of
-``CSV_BLOCK`` rows as a NUL-padded uint8 matrix, the fields side by side,
-and keeps its non-NUL bytes; so every text field must be NUL-free ASCII.
-Float fields come from ``_e16``, an exact ``%.16e`` over arrays: values
-with 1e-11 <= |v| < 1e17 (the fast range) get their 17 digits in uint64
-integer arithmetic, zeros and NaN are constant rows, and everything else
-(subnormals, +-inf, tinier or larger values) falls back to ``fmt``, one
-value at a time.
+``CSV_BLOCK`` rows in one NUL-padded uint8 matrix, each field written in
+place into its own columns, and keeps the matrix's non-NUL bytes; so every
+text field must be NUL-free ASCII.  Float fields come from ``_e16``, an
+exact ``%.16e`` over arrays: values with 1e-11 <= |v| < 1e17 (the fast
+range) get their 17 digits in uint64 integer arithmetic, zeros and NaN are
+constant rows, and everything else (subnormals, +-inf, tinier or larger
+values) falls back to ``fmt``, one value at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .errors import ConfigError, PoleError
 from .geometry import REGIONS
 from .model import (EnergySpec, SystemParams, bound_regime, check_pole, energy_eigenvalue,
                     energy_from_nu, quantization_action)
-from .semiclassical import sc_constants
 
 AXIS_NAMES = ("x", "y", "z", "x4", "x5", "x6")
 
@@ -68,7 +68,8 @@ _DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, 
                                + np.uint8(ord("0")))
 _QUADS = _DIGITS.view(np.uint32).ravel()
 _PAIRS = np.ascontiguousarray(_DIGITS[:100, 2:]).view(np.uint16).ravel()
-_WIDTH = 23  # "-d.dddddddddddddddde+dd"
+_WIDTH = 23  # "-d.dddddddddddddddde+dd", the fast range's rows
+_FIELD = 24  # "-d.dddddddddddddddde-ddd", the widest float field fmt writes
 _ZERO = np.frombuffer(b"\0" + b"0.0000000000000000e+00", np.uint8)
 _NAN = np.frombuffer(b"nan".ljust(_WIDTH, b"\0"), np.uint8)
 
@@ -101,10 +102,10 @@ def _put(rows, col, table, i):
     rows[:, col:col + table.itemsize].view(table.dtype)[:, 0] = table[i]
 
 
-def _digit_rows(d, exp, neg) -> np.ndarray:
+def _digit_rows(d, exp, neg, rows) -> np.ndarray:
     """Rows "-d.dddddddddddddddde+dd" for 17-digit integers d, decimal
-    exponents |exp| < 100 and signs neg (NUL in place of a plus sign)."""
-    rows = np.empty((len(d), _WIDTH), np.uint8)
+    exponents |exp| < 100 and signs neg (NUL in place of a plus sign),
+    written into the first _WIDTH columns of the uint8 matrix rows."""
     d = d.astype(np.int64)
     top = d // 10 ** 8
     low = d - top * 10 ** 8
@@ -122,8 +123,9 @@ def _digit_rows(d, exp, neg) -> np.ndarray:
     return rows
 
 
-def _e16(values) -> np.ndarray:
-    """``fmt`` of every value, as the NUL-padded rows of a uint8 matrix.
+def _e16(values, out=None) -> np.ndarray:
+    """``fmt`` of every value, as the NUL-padded rows of a uint8 matrix of
+    _FIELD columns: ``out``, whose bytes must be NUL, or a new one.
 
     Values with 1e-11 <= |v| < 1e17 take k = 16 - floor(log10 |v|) in
     [0, 27] and the 17 digits round-half-even(m 5**k / 2**s) in integer
@@ -132,8 +134,9 @@ def _e16(values) -> np.ndarray:
     value (subnormals, +-inf, tiny or huge ones) goes through ``fmt``.
     """
     x = np.asarray(values, dtype=np.float64)  # native byte order, any stride
+    if out is None:
+        out = np.zeros((x.size, _FIELD), np.uint8)
     ax = np.abs(x)
-    out = np.zeros((x.size, _WIDTH), np.uint8)
     fast = (ax >= 1e-11) & (ax < 1e17)
     if fast.any():
         idx = np.flatnonzero(fast)
@@ -152,21 +155,22 @@ def _e16(values) -> np.ndarray:
         carry = d == _E17  # rounded up to 10**17: the next exponent
         d[carry] = _E16
         k[carry] -= 1
-        out[idx] = _digit_rows(d, 16 - k, x[idx] < 0.0)
+        if idx.size == x.size:  # every row fast: straight into out
+            _digit_rows(d, 16 - k, x < 0.0, out)
+        else:
+            out[idx, :_WIDTH] = _digit_rows(d, 16 - k, x[idx] < 0.0,
+                                            np.empty((idx.size, _WIDTH), np.uint8))
     zero = ax == 0.0
     if zero.any():
-        out[zero] = _ZERO
+        out[zero, :_WIDTH] = _ZERO
         out[zero & np.signbit(x), 0] = ord("-")
     nan = np.isnan(x)
     if nan.any():
-        out[nan] = _NAN
+        out[nan, :_WIDTH] = _NAN
     rest = ~(fast | zero | nan)
     if rest.any():
-        slow = [fmt(v).encode("ascii") for v in x[rest].tolist()]
-        width = max(len(b) for b in slow)
-        if width > _WIDTH:
-            out = np.pad(out, ((0, 0), (0, width - _WIDTH)))
-        for i, b in zip(np.flatnonzero(rest).tolist(), slow):
+        for i, v in zip(np.flatnonzero(rest).tolist(), x[rest].tolist()):
+            b = fmt(v).encode("ascii")
             out[i, :len(b)] = np.frombuffer(b, np.uint8)
     return out
 
@@ -176,31 +180,37 @@ def _as_text(mat) -> np.ndarray:
     return np.ascontiguousarray(mat).view(f"S{mat.shape[1]}").ravel()
 
 
-def _text_rows(col) -> np.ndarray:
-    """A column of ASCII strings or bytes as NUL-padded uint8 rows."""
+def _as_bytes(col) -> np.ndarray:
+    """A column of ASCII strings or bytes as a fixed-width bytes array."""
     b = np.asarray(col)
-    if b.dtype.kind != "S":
-        b = b.astype("S")  # raises on non-ASCII text
-    b = np.ascontiguousarray(b)
-    return b.view(np.uint8).reshape(b.size, b.dtype.itemsize)
+    return b if b.dtype.kind == "S" else b.astype("S")  # raises on non-ASCII text
 
 
 _SLOT = re.compile(r"(%s|%\.16e)")
 
 
-def _block(pieces, columns, i: int, rows: int) -> np.ndarray:
-    """Rows i..i+rows-1 of the CSV body as ASCII bytes (a uint8 array):
-    a NUL-padded uint8 matrix with the fields side by side, less its NULs."""
-    fields = []
-    for j, piece in enumerate(pieces):
-        if j % 2 == 0:  # literal text
-            lit = np.frombuffer(piece.encode("ascii"), np.uint8)
-            fields.append(np.broadcast_to(lit, (rows, lit.size)))
-            continue
-        col = columns[j // 2]
-        block = col[0][col[1][i:i + rows]] if isinstance(col, tuple) else col[i:i + rows]
-        fields.append(_e16(block) if piece == "%.16e" else _text_rows(block))
-    mat = np.concatenate(fields, axis=1)
+def _block(literals, fields, i: int, rows: int) -> np.ndarray:
+    """Rows i..i+rows-1 of the CSV body as ASCII bytes (a uint8 array): one
+    NUL-padded uint8 matrix, into whose columns each literal and each field
+    is written in turn, less its NULs.  ``fields`` holds (None, values) for
+    a float field and (table, index) for a text field (index None: the
+    table itself)."""
+    width = sum(lit.size for lit in literals) + sum(
+        _FIELD if table is None else table.itemsize for table, _ in fields)
+    mat = np.zeros((rows, width), np.uint8)
+    col = 0
+    for j, lit in enumerate(literals):
+        mat[:, col:col + lit.size] = lit
+        col += lit.size
+        if j == len(fields):
+            break
+        table, values = fields[j]
+        if table is None:
+            _e16(values[i:i + rows], mat[:, col:col + _FIELD])
+            col += _FIELD
+        else:
+            _put(mat, col, table, slice(i, i + rows) if values is None else values[i:i + rows])
+            col += table.itemsize
     return mat[mat != 0]
 
 
@@ -226,9 +236,14 @@ def csv_text(header: str, row: str, columns, n: int) -> CsvBytes:
     pieces = _SLOT.split(row)  # literal, slot, literal, ..., literal
     if len(pieces) // 2 != len(columns):
         raise ValueError(f"{len(pieces) // 2} slots in the row, {len(columns)} columns")
+    literals = [np.frombuffer(piece.encode("ascii"), np.uint8) for piece in pieces[0::2]]
+    fields = [(None, col) if slot == "%.16e"
+              else (_as_bytes(col[0]), col[1]) if isinstance(col, tuple)
+              else (_as_bytes(col), None)
+              for slot, col in zip(pieces[1::2], columns)]
     text = CsvBytes(header.encode("ascii") + b"\n")
     for i in range(0, n, CSV_BLOCK):
-        text += _block(pieces, columns, i, min(CSV_BLOCK, n - i)).data
+        text += _block(literals, fields, i, min(CSV_BLOCK, n - i)).data
     return text
 
 
@@ -355,6 +370,7 @@ def build_points(config: ScanConfig, params: SystemParams):
 
 def eval_sc(points, source, spec: EnergySpec, params: SystemParams):
     """Bound semiclassical field over points: (values, region, status)."""
+    from .semiclassical import sc_constants
     return K.sc_bound_field(points, source, *sc_constants(spec, params))
 
 

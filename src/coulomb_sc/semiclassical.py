@@ -24,14 +24,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import NamedTuple
 
 from . import _kernels as K
 from .errors import OnCausticError, PoleError
 from .geometry import (
     ALLOWED_ONLY,
     FORBIDDEN_ONLY,
-    RegionClass,
+    FieldSample,  # re-exported: coulomb_sc.semiclassical.FieldSample
     bound_class,
     classify_region,
     endpoint_lists,
@@ -41,17 +40,6 @@ from .geometry import (
 )
 from .model import (POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole,
                     scattering_regime)
-
-
-class FieldSample(NamedTuple):
-    """One Green-function value tagged with its provenance."""
-
-    r: tuple
-    rp: tuple
-    E: float
-    method: str  # 'SC' | 'UA' | 'QM'
-    value: complex
-    region: RegionClass
 
 
 def loop_factor(w_2pi: float, ndim: int, hbar: float) -> complex:

@@ -16,12 +16,15 @@ between the turning points is exactly pi (nu - 1/2), so the Wronskian is
 -sin(pi nu)/sqrt(pi) and the loop poles come out with no gamma function.
 All phase integrals are elementary closed forms.  The kernels below, the
 Airy function and the Langer solutions, live here with their one user.
-As in ``_kernels``, each formula, the Airy series among them, has one
-body over a backend ``xp``, called with ``_MATH`` by the scalar kernel
-(``ua_point``) and with ``_NUMPY`` by the array kernel (``ua_field``, for
-the grid scans); only the branch dispatch (``if`` or masks) has two
-forms.  Both kernels share the Lambert reduction, the region rule and
-``_map_blocks`` of ``_kernels``.
+Ai and Ai' come from Taylor steps about tabulated nodes for |x| <= 7 (the
+table is written by ``tools/airy_nodes.py`` from mpmath) and from the
+large-argument expansions beyond.  As in ``_kernels``, each formula, the
+Airy series among them, has one body over a backend ``xp``, called with
+``_MATH`` by the scalar kernel (``ua_point``) and with ``_NUMPY`` by the
+array kernel (``ua_field``, for the grid scans); only the branch dispatch
+(``if`` or masks) and the node lookup have two forms.  Both kernels share
+the Lambert reduction, the region rule and ``_map_blocks`` of
+``_kernels``.
 
 The result is finite and smooth across the caustic, reduces to the
 primitive semiclassical value deep in the allowed region and to the
@@ -40,10 +43,9 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import RegionError, UnsupportedDimensionError
-from .geometry import (bound_class, endpoint_lists, lambert_variables, refuse_overflow,
-                       refuse_point)
+from .geometry import (FieldSample, bound_class, endpoint_lists, lambert_variables,
+                       refuse_overflow, refuse_point)
 from .model import EnergySpec, SystemParams, bound_regime, check_pole
-from .semiclassical import FieldSample
 
 
 class UniformInputs(NamedTuple):
@@ -127,8 +129,133 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
 # ==========================================================================
 
 _SQRT_PI = math.sqrt(math.pi)
-_AI0 = 0.3550280538878172392600631860041831763980  # Ai(0)  = 3^(-2/3)/Gamma(2/3)
-_AIP0 = -0.2588194037928067984051835601892039634793  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
+
+# airy-nodes: begin (tools/airy_nodes.py)
+_AIRY_NODE_TEXT = """
+0x1.79683b0571a28p-3 -0x1.8ac195288a6bdp-1
+0x1.467cdc28bcbefp-4 -0x1.c5f7a333d271cp-1
+-0x1.117cfaf866d7dp-5 -0x1.d03b837256366p-1
+-0x1.24ea2ef1f1854p-3 -0x1.aa38e3edcc271p-1
+-0x1.e7773026e4abdp-3 -0x1.59935f836551ap-1
+-0x1.3c7da034360e6p-2 -0x1.cfef8bf6c4f15p-2
+-0x1.6600b39fd3304p-2 -0x1.87583b9af1c1bp-3
+-0x1.6cd85495fbba3p-2 0x1.5886cd0610577p-4
+-0x1.510b6eb1815d2p-2 0x1.623ce99198c5bp-2
+-0x1.15e0cf3642c46p-2 0x1.2425257151b29p-1
+-0x1.82bfa57a7c26cp-3 0x1.7a73ecc8b9b11p-1
+-0x1.6e62767ba3f46p-4 0x1.ad8c078a561e2p-1
+0x1.2355309057e0ap-6 0x1.ba780ec73ea42p-1
+0x1.f9faba17a99b9p-4 0x1.a1c6ac4f4b15cp-1
+0x1.c08806801325dp-3 0x1.6733c101c4b90p-1
+0x1.2fcb4ba9d25bbp-2 0x1.11115d8e8292bp-1
+0x1.672de4d9e1d32p-2 0x1.4f0ba25cb5a72p-2
+0x1.82b305261b62cp-2 0x1.9daaaf48c6e4cp-4
+0x1.80f453c3d9834p-2 -0x1.044ccc5fedad9p-3
+0x1.62cf48d3533acp-2 -0x1.5c3ff1e44d63fp-2
+0x1.2b2a1940487e5p-2 -0x1.0bf62c807eea1p-1
+0x1.bd2bc84ddb2e6p-3 -0x1.54c8e3b10e78bp-1
+0x1.05b30e2b75dfep-3 -0x1.84beb2bf68f2dp-1
+0x1.e70f52ac100a7p-6 -0x1.9a0868ba79377p-1
+-0x1.1fcec060d9f19p-4 -0x1.94cd44c4fb752p-1
+-0x1.53ceef9db8ad2p-3 -0x1.76f3e496825aap-1
+-0x1.01a6c2aad1263p-2 -0x1.43d1019aa26d4p-1
+-0x1.4a66d34ab26c2p-2 -0x1.ff8bab913842ep-2
+-0x1.808bf043b852cp-2 -0x1.5fafa2aad827cp-2
+-0x1.a1c5895c03d6ep-2 -0x1.652953faa38bbp-3
+-0x1.ad11d0561308fp-2 -0x1.41a17b6ee4670p-9
+-0x1.a2abc8185991ep-2 0x1.4e2ea991f03b0p-3
+-0x1.83e7e4ea6959ap-2 0x1.42223f628d022p-2
+-0x1.5303f4ad2a8cdp-2 0x1.c82b2df04c92cp-2
+-0x1.12ef2f87eb4e5p-2 0x1.1a48fbebff8b1p-1
+-0x1.8e1e32a7f8722p-3 0x1.424855a09fb3ap-1
+-0x1.cc155ec43247dp-4 0x1.5b9295e8ef584p-1
+-0x1.a79e7b7d85877p-6 0x1.66715d49a6da3p-1
+0x1.f89dc01d9726ap-5 0x1.63d92a0bf2328p-1
+0x1.2ce565d5ac292p-3 0x1.554463ed081b7p-1
+0x1.d1bafc57f31d0p-3 0x1.3c8c724515c8fp-1
+0x1.340cc9c597f3cp-2 0x1.1bc399aed6313p-1
+0x1.76413dddfbbe9p-2 0x1.ea23a339f5d7cp-2
+0x1.ae44f896dc6f5p-2 0x1.952c53ad8dc8bp-2
+0x1.db661389897f8p-2 0x1.3c9b8221ef635p-2
+0x1.fd6ba6bc60d02p-2 0x1.c8030d384f066p-3
+0x1.0a43669c08ddap-1 0x1.1cd5bf011b8a1p-3
+0x1.10a09175548bep-1 0x1.f28c6e0bde37dp-5
+0x1.1235093d83da5p-1 -0x1.4cf103bcc6624p-7
+0x1.0f820d34d57c7p-1 -0x1.29c33bd5f1467p-4
+0x1.09197caa1560cp-1 -0x1.020755035f8bbp-3
+0x1.ff2b76a706320p-2 -0x1.5ba6af6acad25p-3
+0x1.e72543cd05e5dp-2 -0x1.a1f5921e923f0p-3
+0x1.cb4f3d446ca76p-2 -0x1.d5d21253e1c23p-3
+0x1.acc625315f862p-2 -0x1.f89ae5465c577p-3
+0x1.8c8dcb589e17cp-2 -0x1.0604c8628843ap-2
+0x1.6b8c7962715b8p-2 -0x1.0907f42b70f8bp-2
+0x1.4a8865aeea263p-2 -0x1.065cefe5793afp-2
+0x1.2a26e236cddd1p-2 -0x1.fe1446cddea9cp-3
+0x1.0aecf6ef606b4p-2 -0x1.e8189dc54ded9p-3
+0x1.da822d7438440p-3 -0x1.cc9de4b290e91p-3
+0x1.a2db43a6d812dp-3 -0x1.ad4e09616d464p-3
+0x1.6f47df7821461p-3 -0x1.8b9f7189a67bfp-3
+0x1.3fff4743b17f3p-3 -0x1.68d205b349913p-3
+0x1.151430bbaf656p-3 -0x1.45ef17fce4faep-3
+0x1.dcf6edb2e514dp-4 -0x1.23cb8378f00f0p-3
+0x1.9824e0cf4ad0ap-4 -0x1.030b6ad9cd6c7p-3
+0x1.5b497807c8e99p-4 -0x1.c84e19d419c58p-4
+0x1.25e2ccf277dc1p-4 -0x1.8ee0710605791p-4
+0x1.eebd77555121fp-5 -0x1.5a2ffcc81d029p-4
+0x1.9e44ba0726f86p-5 -0x1.2a68a7e0003bdp-4
+0x1.5920403bab2a4p-5 -0x1.ff15b5262f249p-5
+0x1.1e1935c04b623p-5 -0x1.b2ea9b1bfccdcp-5
+0x1.d808c3948cd77p-6 -0x1.6fdb9333103dap-5
+0x1.838ed439d41eep-6 -0x1.35517671bdc20p-5
+0x1.3cb8aefe48420p-6 -0x1.029f2a35b101fp-5
+0x1.01a74da795df8p-6 -0x1.ae182ce295c41p-6
+0x1.a154b925ec79ep-7 -0x1.63b8ec384631ep-6
+0x1.5080603dd42b5p-7 -0x1.24af70a194640p-6
+0x1.0e28b29fc3657p-7 -0x1.df34c00193b21p-7
+0x1.aff4f7fbd1f1bp-8 -0x1.865d4aaccf1e1p-7
+0x1.57e4236b91c5cp-8 -0x1.3c7715813a281p-7
+0x1.10a8d885744bcp-8 -0x1.feb39bcb22d41p-8
+0x1.ae9f9e1569bf3p-9 -0x1.9a2f281b2cc1cp-8
+0x1.52b3f78f3be24p-9 -0x1.47f82253f7ef5p-8
+0x1.095cf102b4db3p-9 -0x1.0513d92bc25ecp-8
+0x1.9e34d16a4bef0p-10 -0x1.9ddc9d341f712p-9
+0x1.420a9391998c3p-10 -0x1.46a32d4f476bfp-9
+0x1.f2e4bcf7c4970p-11 -0x1.00b915a6c6845p-9
+0x1.810185bba7d59p-11 -0x1.91e556a2d209ap-10
+0x1.2808ad03b7838p-11 -0x1.3950dbdc09f1ep-10
+0x1.c59b7f835ae63p-12 -0x1.e6961e4609e11p-11
+0x1.5a4ae56c7e071p-12 -0x1.785e6b71c4ddfp-11
+0x1.077046d3bc35dp-12 -0x1.22004156d348ap-11
+0x1.8f6d37a3790eap-13 -0x1.bd37bb7204cf5p-12
+0x1.2dc4b38f1a88dp-13 -0x1.547bd2fb0271dp-12
+0x1.c66df1a2952d5p-14 -0x1.036ea91e217e0p-12
+0x1.5503827f9224dp-14 -0x1.89eb5e9ccf601p-13
+0x1.fe1cba007c5adp-15 -0x1.29fe777b49f0bp-13
+0x1.7c47b4e6f649bp-15 -0x1.c14463ef1fcf4p-14
+0x1.1a92a8107b6ebp-15 -0x1.517ce89672d6ap-14
+0x1.a29789a1af92bp-16 -0x1.f94c1c501127ap-15
+0x1.350ea6647cc50p-16 -0x1.78fd3fcc0d042p-15
+0x1.c6ef12c25ab7cp-17 -0x1.1851833eaecbfp-15
+0x1.4dca0b3cc0f9dp-17 -0x1.9f7db9ccfd7a0p-16
+0x1.e84c01e433764p-18 -0x1.32e9c9102ba56p-16
+0x1.641202c0a3caap-18 -0x1.c3f2cdb61ee61p-17
+0x1.02dcf2ad07195p-18 -0x1.4bb18429da75fp-17
+0x1.7741c92b83c35p-19 -0x1.e553a2f48a090p-18
+0x1.0f2f00daac6a8p-19 -0x1.61f1ca9992f1ap-18
+0x1.86cab0a601b37p-20 -0x1.015372b187171p-18
+0x1.18c0fbab97e57p-20 -0x1.75031b24cb513p-19
+0x1.923b08f80599ap-21 -0x1.0d878a129feacp-19
+"""
+# airy-nodes: end
+#: (Ai(x0), Ai'(x0)) at the nodes x0 = -7 + k/8, k = 0..112, as floats for
+#: the scalar kernel and as a (2, 113) array for the array kernel
+_AIRY_NODES = [tuple(map(float.fromhex, row.split()))
+               for row in _AIRY_NODE_TEXT.strip().split("\n")]
+_AIRY_NODE_ARRAY = np.array(_AIRY_NODES).T
+#: the highest power of x - x0 in the Taylor steps.  At |x - x0| = 1/16 the
+#: first neglected terms, a_12 h^12 and 12 a_12 h^11, are below 4e-19 of Ai
+#: and 8e-17 of Ai' (relative for x >= 0, absolute for x < 0)
+AIRY_ORDER = 11
 
 
 def _airy_asymptotic_coeffs(m=26):
@@ -144,21 +271,18 @@ def _airy_asymptotic_coeffs(m=26):
 
 
 _AIRY_U, _AIRY_V = _airy_asymptotic_coeffs()
-#: denominators of Maclaurin term k = 1..79, (3k - 1, 3k (3k - 1), 3k,
-#: (3k + 1) 3k): exact integer-valued floats, so reading them from the table
-#: gives the bits of computing them in the loop
-_MACLAURIN = [(3.0 * k - 1.0, (3.0 * k) * (3.0 * k - 1.0), 3.0 * k, (3.0 * k + 1.0) * (3.0 * k))
-              for k in range(1, 80)]
 
 
 def airy_ai_both(x):
-    """(Ai(x), Ai'(x)) by Maclaurin series for |x| <= 7 and large-argument
-    expansions beyond; absolute error stays below 1e-10 on the real line."""
+    """(Ai(x), Ai'(x)) by Taylor steps from tabulated nodes for |x| <= 7
+    and large-argument expansions beyond; absolute error stays below 1e-10
+    on the real line, and below 1e-15 (1e-14 relative for x >= 0) on
+    [-7, 7]."""
     if x > 7.0:
         return _airy_decaying(x, _MATH)
     if x < -7.0:
         return _airy_oscillating(x, _MATH)
-    return _airy_maclaurin(x, _MATH)
+    return _airy_taylor(x, _MATH)
 
 
 def _airy_decaying(x, xp):
@@ -181,29 +305,38 @@ def _airy_decaying(x, xp):
     return pre * su / q, -pre * sv * q
 
 
-def _airy_maclaurin(x, xp):
-    """(Ai(x), Ai'(x)) for |x| <= 7 (and NaN, which runs every term): two
-    independent solutions of y'' = x y and their derivatives, until every
-    element's last terms are below 1e-20 of its sums."""
-    x2 = x * x
-    tf = 1.0
-    f = 1.0
-    fp = 0.0
-    tg = x
-    g = x
-    gp = 1.0
-    for d1, d2, d3, d4 in _MACLAURIN:
-        tfx = tf * x2
-        tgx = tg * x2
-        fp = fp + tfx / d1
-        tf = tfx * x / d2
-        f = f + tf
-        gp = gp + tgx / d3
-        tg = tgx * x / d4
-        g = g + tg
-        if xp.all(abs(tf) + abs(tg) < 1e-20 * (1.0 + abs(f) + abs(g))):
-            break
-    return _AI0 * f + _AIP0 * g, _AI0 * fp + _AIP0 * gp
+def _airy_node(x):
+    """(x0, Ai(x0), Ai'(x0)) at the node nearest x, |x| <= 7 (the first
+    node for NaN)."""
+    k = int((x + 7.0) * 8.0 + 0.5) if x == x else 0
+    return (k * 0.125 - 7.0, *_AIRY_NODES[k])
+
+
+def _airy_node_array(x):
+    """_airy_node over an array (the last node for NaN: fmin takes the
+    bound over a NaN, so the cast to an index sees none)."""
+    k = np.fmin((x + 7.0) * 8.0 + 0.5, 112.0).astype(np.intp)
+    ai, aip = _AIRY_NODE_ARRAY[:, k]
+    return k * 0.125 - 7.0, ai, aip
+
+
+def _airy_taylor(x, xp):
+    """(Ai(x), Ai'(x)) for |x| <= 7 (and NaN, which gives NaN): the Taylor
+    series about the nearest node x0, |x - x0| <= 1/16 (DLMF 3.7(ii)).
+    Ai'' = x Ai gives its coefficients from a_0, a_1 = Ai(x0), Ai'(x0) by
+    a_k = (x0 a_(k-2) + a_(k-3)) / (k (k - 1)); Horner's rule sums
+    a_0..a_AIRY_ORDER, and the derivative alongside."""
+    x0, a0, a1 = xp.airy_node(x)
+    a = [a0, a1, x0 * a0 / 2.0]
+    for k in range(3, AIRY_ORDER + 1):
+        a.append((x0 * a[k - 2] + a[k - 3]) / (k * (k - 1.0)))
+    h = x - x0
+    ai = a[AIRY_ORDER]
+    aip = 0.0
+    for k in range(AIRY_ORDER - 1, -1, -1):
+        aip = aip * h + ai
+        ai = ai * h + a[k]
+    return ai, aip
 
 
 def _airy_oscillating(x, xp):
@@ -305,40 +438,44 @@ def _turning_point(z, nu, outer):
     return t, d, z_out, z_turn, c, sigma, norm
 
 
-# Within TP_WINDOW z_turn of a turning point (zeta, f, f') are summed from
-# their Taylor series in u = t / z_turn, whose first neglected term there is
-# below 1e-19.  The closed forms cancel terms of order 1/t, in the phase and
-# again in f', and lose digits like (z_turn / t)^2: up to 1e-8 of f' just
-# outside the window, 2e-10 at 1e-3.  The window is kept that narrow so
-# that every value outside it keeps the bits of the closed forms.
-TP_WINDOW = 2e-4
-TP_TERMS = 6
+# Within TP_WINDOW z_turn of a turning point (zeta, f, f') come from the
+# polynomial of _near_turning_point in u = t / z_turn.  Outside it the closed
+# forms cancel terms of order 1/t, in the phase and again in f', and lose
+# about 5e-16 (z_turn / t)^2 of f': at most 5e-14 at the window's edge.  The
+# series converges out to about the other turning point or z = 0, |u| ~ 1;
+# at |u| = TP_WINDOW its first neglected term is below 2e-17 of P and of P'
+# for nu >= 0.6.
+TP_WINDOW = 0.1
+TP_TERMS = 20
 
 
-def _series_pow(a, p):
-    """The Taylor coefficients of a(u)^p, as many as of a(u), a[0] > 0
-    (J. C. P. Miller's recurrence)."""
-    y = [a[0] ** p]
-    for n in range(1, len(a)):
-        y.append(sum(((p + 1.0) * k - n) * a[k] * y[n - k] for k in range(1, n + 1))
-                 / (n * a[0]))
-    return y
-
-
-def _near_turning_point(t, z_turn, c, sigma):
-    """(zeta, f, f') for |t| < TP_WINDOW z_turn.  With Q_L = t q(u),
-    (2/3) zeta^(3/2) = int_0^t sqrt(Q_L) gives zeta = t g(u),
-    g = (3/2 sum_k s_k u^k / (k + 3/2))^(2/3) for sqrt(q) = sum_k s_k u^k,
-    and f = (zeta / Q_L)^(1/4) = (g / q)^(1/4); g and f are analytic in u,
-    and f' = -sigma df/dt."""
-    # q(u) = sigma (z - c) / (4 z^2) at z = z_turn (1 - sigma u)
-    a, b = sigma * (z_turn - c), 4.0 * z_turn * z_turn
-    q = [(a * (k + 1) - sigma * k * z_turn) * sigma ** k / b for k in range(TP_TERMS)]
-    g = _series_pow([1.5 * v / (k + 1.5) for k, v in enumerate(_series_pow(q, 0.5))], 2.0 / 3.0)
-    f = _series_pow(np.convolve(g, _series_pow(q, -1.0))[:TP_TERMS], 0.25)[::-1]
+def _near_turning_point(t, z, d, z_turn, c, sigma):
+    """(zeta, f, f') for |t| < TP_WINDOW z_turn.  With u = t / z_turn,
+    Q_L = t q, q = sigma (z - c) / (4 z^2) = q0 (1 - alpha u) / (1 - sigma u)^2,
+    alpha = z_turn / 2d and q0 = d / (2 z_turn^2), (2/3) zeta^(3/2) =
+    int_0^t sqrt(Q_L) gives zeta = t q0^(1/3) P(u)^(2/3) with the series
+    P = 3/2 sum_k S_k u^k / (k + 3/2), sqrt(q / q0) = sum_k S_k u^k; then
+    f = (zeta / Q_L)^(1/4) and f'/f = -sigma P' / (6 z_turn P) - (1/(z - c)
+    - 2/z) / 4.  Only P and P' are summed; q is evaluated as it stands, and
+    nothing cancels."""
+    alpha = z_turn / (2.0 * d)
+    # S_k: the binomial coefficients b_k of (1 - alpha u)^(1/2) times the
+    # geometric series of 1 / (1 - sigma u)
+    b = s = 1.0
+    coef = [1.0]
+    for k in range(1, TP_TERMS):
+        b *= alpha * (k - 1.5) / k
+        s = sigma * s + b
+        coef.append(1.5 * s / (k + 1.5))
     u = t / z_turn
-    return (t * np.polyval(g[::-1], u), np.polyval(f, u),
-            -sigma / z_turn * np.polyval(np.polyder(f), u))
+    p = coef[-1]
+    pp = 0.0
+    for k in range(TP_TERMS - 2, -1, -1):
+        pp = pp * u + p
+        p = p * u + coef[k]
+    g = (d / (2.0 * z_turn * z_turn)) ** (1.0 / 3.0) * p ** (2.0 / 3.0)
+    f = (g * 4.0 * z * z / (sigma * (z - c))) ** 0.25
+    return t * g, f, f * (-sigma * pp / (6.0 * z_turn * p) - 0.25 * (1.0 / (z - c) - 2.0 / z))
 
 
 def _airy_form(zeta, f, fp, sigma, norm, xp):
@@ -351,7 +488,7 @@ def _amplitude(z, nu, outer):
     """(zeta, f, f', sigma, norm) at z for the Airy form about z_out or z_in."""
     t, d, z_out, z_turn, c, sigma, norm = _turning_point(z, nu, outer)
     if abs(t) < TP_WINDOW * z_turn:
-        return (*_near_turning_point(t, z_turn, c, sigma), sigma, norm)
+        return (*_near_turning_point(t, z, d, z_turn, c, sigma), sigma, norm)
     return (*_langer_amplitude(t, z, nu, d, z_out, c, sigma, _MATH), sigma, norm)
 
 
@@ -360,9 +497,9 @@ def langer_airy(z, nu, outer):
     about z_out (outer=True; decays beyond it) or about z_in (times
     sqrt(pi), so that it tends to Q_L^(-1/4) sin(xi + pi/4) inside).
 
-    Within TP_WINDOW of the turning point, where the closed forms of zeta
-    and f' cancel (f' is 0/0 there), all three come from their Taylor
-    series in the distance to it.
+    Within TP_WINDOW z_turn of the turning point, where the closed forms
+    of zeta and f' cancel (f' is 0/0 there), all three come from a series
+    in the distance to it (``_near_turning_point``).
     """
     return _airy_form(*_amplitude(z, nu, outer), _MATH)
 
@@ -455,7 +592,7 @@ def airy_ai_both_array(x):
     mid = ~(big | neg)
     ai[big], aip[big] = _airy_decaying(x[big], _NUMPY)
     ai[neg], aip[neg] = _airy_oscillating(x[neg], _NUMPY)
-    ai[mid], aip[mid] = _airy_maclaurin(x[mid], _NUMPY)
+    ai[mid], aip[mid] = _airy_taylor(x[mid], _NUMPY)
     return ai, aip
 
 
@@ -476,8 +613,8 @@ def _amplitude_array(z, nu, outer):
     f = np.empty_like(z)
     fp = np.empty_like(z)
     near = np.abs(t) < TP_WINDOW * z_turn
-    if near.any():  # the series' coefficients cost about 40 us
-        zeta[near], f[near], fp[near] = _near_turning_point(t[near], z_turn, c, sigma)
+    if near.any():
+        zeta[near], f[near], fp[near] = _near_turning_point(t[near], z[near], d, z_turn, c, sigma)
     far = ~near
     zeta[far], f[far], fp[far] = _langer_amplitude(t[far], z[far], nu, d, z_out, c, sigma,
                                                    _NUMPY)
@@ -508,9 +645,11 @@ def langer_regular_array(z, nu):
 
 
 #: ``_kernels``' backends with this module's scalar or array Airy and Langer forms
-_MATH = SimpleNamespace(**vars(K._MATH), airy=airy_ai_both, phase=langer_phase,
-                        langer_airy=langer_airy, langer_regular=langer_regular)
-_NUMPY = SimpleNamespace(**vars(K._NUMPY), airy=airy_ai_both_array, phase=langer_phase_array,
+_MATH = SimpleNamespace(**vars(K._MATH), airy=airy_ai_both, airy_node=_airy_node,
+                        phase=langer_phase, langer_airy=langer_airy,
+                        langer_regular=langer_regular)
+_NUMPY = SimpleNamespace(**vars(K._NUMPY), airy=airy_ai_both_array,
+                         airy_node=_airy_node_array, phase=langer_phase_array,
                          langer_airy=langer_airy_array, langer_regular=langer_regular_array)
 
 

@@ -24,7 +24,11 @@ from coulomb_sc.uniform import ua_constants
 
 NU = 5.3
 TOL = 1e-11  # of max|G|
-N_CLOUD = 5000 - 300  # with the constructed points, not a multiple of FIELD_BLOCK
+N_CLOUD = 5000 - 300  # with the constructed points, not a multiple of SMALL_BLOCK
+#: the field tests run at the production FIELD_BLOCK and at a block size that
+#: splits each point set into many blocks, the last one partial
+SMALL_BLOCK = 97
+BLOCKS = (SMALL_BLOCK, K.FIELD_BLOCK)
 
 
 def elliptic_points(rp, u, v, z=0.0):
@@ -54,6 +58,14 @@ def scalar_map(point_kernel, R, rp_vec, *args):
     vals = np.array([o[0] for o in out], dtype=complex)
     return (vals, np.array([o[1] for o in out], dtype=np.int8),
             np.array([o[2] for o in out], dtype=np.int8))
+
+
+def assert_field(monkeypatch, field, R, rp_vec, args, scalar_result):
+    """field(R, rp_vec, *args) against the scalar result at every block size."""
+    assert R.shape[0] > SMALL_BLOCK and R.shape[0] % SMALL_BLOCK != 0
+    for block in BLOCKS:
+        monkeypatch.setattr(K, "FIELD_BLOCK", block)
+        assert_same(field(R, rp_vec, *args), scalar_result)
 
 
 def assert_same(array_result, scalar_result):
@@ -95,7 +107,7 @@ def sc_points(rng, rp, a, ndim):
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
-def test_sc_field_matches_point_kernel(ndim):
+def test_sc_field_matches_point_kernel(monkeypatch, ndim):
     params = cs.SystemParams(ndim=ndim)
     spec = cs.energy_from_nu(NU, params)
     args = sc_constants(spec, params)
@@ -105,9 +117,8 @@ def test_sc_field_matches_point_kernel(ndim):
     for rp in (0.35 * spec.a, 2.5 * spec.a):
         rp_vec = np.array([rp, 0.0, 0.0])
         R = sc_points(rng, rp, spec.a, ndim)
-        assert R.shape[0] % K.FIELD_BLOCK != 0
         ref = scalar_map(K.sc_bound_point, R, rp_vec, *args)
-        assert_same(K.sc_bound_field(R, rp_vec, *args), ref)
+        assert_field(monkeypatch, K.sc_bound_field, R, rp_vec, args, ref)
         _, _, _, ap, am = K.lambert_arrays(R, rp_vec)
         four_a = 4.0 * spec.a
         for reg, st, a_m in zip(ref[1], ref[2], am):
@@ -360,7 +371,7 @@ def test_odd_n_values_have_a_positive_zero_imaginary_part(ndim):
         assert signs >= {-1.0, 1.0}
 
 
-def test_ua_field_matches_point_kernel():
+def test_ua_field_matches_point_kernel(monkeypatch):
     params = cs.AU
     spec = cs.energy_from_nu(NU, params)
     args = ua_constants(spec, params)
@@ -369,19 +380,14 @@ def test_ua_field_matches_point_kernel():
     z_out = 2.0 * nu + d
     z_in = 1.0 / z_out
     rng = np.random.default_rng(20261019)
-    # relative offsets from each turning point: across the TP_WINDOW = 2e-4
-    # window where the amplitude is summed from its Taylor series, and well
-    # outside it.  Just outside the window the closed forms of zeta and f'
-    # cancel terms of order 1/t and amplify rounding by about (z/t)^2, so
-    # one-ulp differences between NumPy's and libm's asinh/exp/pow there
-    # exceed the comparison's tolerance in both directions.
+    # relative offsets from each turning point: across the TP_WINDOW = 0.1
+    # window, where the amplitude is summed from its series, and outside it,
+    # where the closed forms of zeta and f' cancel terms of order 1/t and
+    # lose about 5e-16 (z_turn / t)^2
     offsets = np.array([0.0, 1e-9, -1e-9, 1e-7, -1e-7, 3e-6, -3e-6, 9e-6, -9e-6,
-                        1e-2, -1e-2])
-    # farther into the window, with the other leg at a fixed alpha (rp, or
-    # 3.5 rp): drawing it from rng would move every later random point, and
-    # the cloud's points deep beyond z_out already sit close to TOL, where
-    # Ai(-zeta) for -zeta near 7 carries the Maclaurin series' cancellation
-    window = np.array([5e-5, -5e-5, 1.5e-4, -1.5e-4])
+                        1e-2, -1e-2, 0.0999, -0.0999, 0.1001, -0.1001, 0.3, -0.3])
+    # across the window, with the other leg at a fixed alpha (rp, or 3.5 rp)
+    window = np.array([0.03, -0.03, 0.08, -0.08])
     ok_x, ok_y = [], []
     reached = set()
     for rp in (20.0, 60.0, 0.05):
@@ -400,9 +406,8 @@ def test_ua_field_matches_point_kernel():
             am = np.geomspace(am_in[0], min(2.0 * rp, 40.0 * am_in[0]), 60)
             parts.append(elliptic_points(rp, rng.uniform(rp, 4.0 * rp, am.size), am - rp))
         R = np.concatenate(parts)
-        assert R.shape[0] % K.FIELD_BLOCK != 0
         ref = scalar_map(U.ua_point, R, rp_vec, *args)
-        assert_same(U.ua_field(R, rp_vec, *args), ref)
+        assert_field(monkeypatch, U.ua_field, R, rp_vec, args, ref)
         _, _, _, ap, am = K.lambert_arrays(R, rp_vec)
         ok = ref[2] == K.STATUS_OK
         ok_x.append(kappa * ap[ok])

@@ -75,6 +75,18 @@ def test_scan_all_matches_row_by_row(monkeypatch, block):
     assert ",focal_line\n" in text
 
 
+def test_scan_bytes_do_not_depend_on_the_field_block(monkeypatch):
+    # the array kernels evaluate FIELD_BLOCK points at a time: a tiny scan
+    # split into six blocks, the last one partial, writes the bytes of one
+    def config():
+        return ScanConfig(method="all", nu=5.3, source=(20.0, 0.0, 0.0),
+                          grids=[("x", -20.0, 40.0, 31), ("y", 0.0, 30.0, 16)])
+
+    whole = scan.run_scan(config())
+    monkeypatch.setattr(K, "FIELD_BLOCK", 97)
+    assert scan.run_scan(config()) == whole
+
+
 def test_cut_matches_row_by_row(monkeypatch):
     monkeypatch.setattr(scan, "CSV_BLOCK", 7)
     cfg = ScanConfig(nu=5.3, source=(20.0, 0.0, 0.0), grids=[("x", -20.0, 40.0, 61)],

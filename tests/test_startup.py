@@ -1,5 +1,5 @@
 """What a command loads: the package exports its names lazily, and a scan
-imports the UA and exact-reference modules only for the methods it runs.
+imports the SC, UA and exact-reference modules only for the methods it runs.
 
 The module sets are read in fresh interpreters, because the test process
 has imported every module already."""
@@ -15,10 +15,9 @@ import pytest
 import coulomb_sc as cs
 
 ROOT = Path(__file__).resolve().parents[1]
-# the modules `import coulomb_sc.cli` loads, which are all an SC scan runs
-SC_SCAN_MODULES = {"coulomb_sc", "coulomb_sc.errors", "coulomb_sc.cli", "coulomb_sc.scan",
-                   "coulomb_sc._kernels", "coulomb_sc.geometry", "coulomb_sc.model",
-                   "coulomb_sc.semiclassical"}
+# the modules `import coulomb_sc.cli` loads: what every command shares
+CLI_MODULES = {"coulomb_sc", "coulomb_sc.errors", "coulomb_sc.cli", "coulomb_sc.scan",
+               "coulomb_sc._kernels", "coulomb_sc.geometry", "coulomb_sc.model"}
 TINY_SCAN = ["scan", "--nu", "9.7", "--source", "50,0,0", "--grid=x:-40:100:4",
              "--grid=y:-40:40:3"]
 TINY_CUT = ["cut", "--nu", "5.3", "--source", "20,0,0", "--cut=x:-15:40:12", "--fix=y:10"]
@@ -33,9 +32,8 @@ import coulomb_sc.cli as cli
 stages["cli"] = loaded()
 stages["numpy"] = "numpy" in sys.modules
 stages["collector_on"] = gc.isenabled()
-for method in ("sc", "ua"):
-    code = cli.main(sys.argv[2:] + ["--method", method, "--out", sys.argv[1]])
-    stages[method] = [code, loaded()]
+code = cli.main(sys.argv[3:] + ["--method", sys.argv[2], "--out", sys.argv[1]])
+stages["scan"] = [code, loaded()]
 print(json.dumps(stages))
 """
 
@@ -51,34 +49,44 @@ def run_python(args, **kw):
 
 @pytest.fixture(scope="module")
 def stages(tmp_path_factory):
+    """The modules loaded at each stage of an SC scan and of a UA scan, each
+    in its own interpreter."""
     out = tmp_path_factory.mktemp("startup") / "scan.csv"
-    proc = run_python(["-c", PROBE, str(out), *TINY_SCAN])
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])  # after the scans' "written to"
+    found = {}
+    for method in ("sc", "ua"):
+        proc = run_python(["-c", PROBE, str(out), method, *TINY_SCAN])
+        assert proc.returncode == 0, proc.stderr
+        found[method] = json.loads(proc.stdout.splitlines()[-1])  # after "written to"
+    return found
 
 
 def test_package_import_loads_only_the_errors(stages):
-    assert stages["package"] == ["coulomb_sc", "coulomb_sc.errors"]
+    for found in stages.values():
+        assert found["package"] == ["coulomb_sc", "coulomb_sc.errors"]
 
 
-def test_cli_import_loads_what_an_sc_scan_runs_and_no_more(stages):
-    assert set(stages["cli"]) == SC_SCAN_MODULES
-    assert stages["numpy"]
+def test_cli_import_loads_the_shared_modules_and_no_more(stages):
+    for found in stages.values():
+        assert set(found["cli"]) == CLI_MODULES
+        assert found["numpy"]
 
 
 def test_cli_import_leaves_the_collector_on(stages):
     # only the process entry (`run`, `python -m coulomb_sc.cli`) turns it off
-    assert stages["collector_on"]
+    assert all(found["collector_on"] for found in stages.values())
 
 
-def test_sc_scan_loads_no_further_module(stages):
-    assert stages["sc"] == [0, stages["cli"]]
+def test_sc_scan_adds_only_semiclassical(stages):
+    code, modules = stages["sc"]["scan"]
+    assert code == 0
+    assert set(modules) == CLI_MODULES | {"coulomb_sc.semiclassical"}
 
 
 def test_ua_scan_loads_uniform_but_not_the_exact_reference(stages):
-    code, modules = stages["ua"]
+    # nor the SC assembly: uniform takes FieldSample from geometry
+    code, modules = stages["ua"]["scan"]
     assert code == 0
-    assert "coulomb_sc.uniform" in modules and "coulomb_sc.qm_oracle" not in modules
+    assert set(modules) == CLI_MODULES | {"coulomb_sc.uniform"}
 
 
 # with the collector off, the cyclic garbage each command leaves behind
