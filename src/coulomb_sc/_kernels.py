@@ -319,8 +319,8 @@ def sc_bound_point(s, ap, am, a, k, ndim, mu, hbar, sk, cv, pref_merged, sinpk):
 # array drivers: the scalar kernels' dispatch over blocks of points
 # ==========================================================================
 
-#: points per block of the array drivers: it bounds the temporaries, and a
-#: block of the UA kernel issues several hundred NumPy calls whatever its size
+#: points per block of the array kernels: it bounds the temporaries, and a
+#: block of the UA kernel makes several hundred NumPy calls whatever its size
 FIELD_BLOCK = 16384
 
 

@@ -447,7 +447,7 @@ def test_airy_array_matches_scalar():
     ok = ~np.isnan(x)
     np.testing.assert_allclose(ai[ok], ref[ok, 0], rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(aip[ok], ref[ok, 1], rtol=1e-12, atol=1e-14)
-    # the Maclaurin series adds the same terms in the same order: equal to the bit
+    # the Taylor steps add the same terms in the same order: equal to the bit
     mid = np.abs(x) <= 7.0
     np.testing.assert_array_equal(ai[mid], ref[mid, 0])
     np.testing.assert_array_equal(aip[mid], ref[mid, 1])
