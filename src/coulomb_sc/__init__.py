@@ -6,11 +6,14 @@ onto collinear motion through the two distance combinations
 alpha_+- = r + r' +- s: reduced actions, travel times and the
 Van Vleck-Pauli-Morette amplitude determinants all come out in closed
 form, and the infinite loop sum collapses to a cotangent factor whose
-poles are the exact bound-state energies.  A Langer-uniform Airy
-approximation built on Hostler's closed form (n = 3) repairs the caustic,
-a complex-action continuation covers classically forbidden points, and an
-exact reference (n = 3, Hostler's form on one Numerov-integrated radial
-channel) backs the validation suite and the comparison CLI.
+poles are the exact bound-state energies.  Each branch of the
+semiclassical value is one real closed form times one prefactor: the
+merged two-path bracket where the point is allowed, and beyond the caustic
+a bracket that decays like e^(-Im W_+/hbar), with the inner leg allowed or
+continued past its own turning point.  A Langer-uniform Airy approximation
+built on Hostler's closed form (n = 3) repairs the caustic, and an exact
+reference (n = 3, Hostler's form on one Numerov-integrated radial channel)
+backs the validation suite and the comparison CLI.
 
 Each public name is imported from its submodule on first access (PEP 562),
 so that importing the package, or a command that needs a few of its

@@ -14,7 +14,7 @@ from . import _kernels as K
 from .errors import RegionError
 from .geometry import (ALLOWED_SIDE, FORBIDDEN_SIDE, LambertPair, barrier_region,
                        refuse_region)
-from .model import EnergySpec, SystemParams, bound_regime, scattering_regime
+from .model import EnergySpec, SystemParams, bound_regime, record, scattering_regime
 from .vvpm import _morse_bases
 
 
@@ -100,9 +100,9 @@ def _bound_legs(pair: LambertPair, spec: EnergySpec, params: SystemParams):
     gp = K.gamma_angle(pair.alpha_plus, a)
     gm = K.gamma_angle(pair.alpha_minus, a)
     sin_p, sin_m = math.sin(gp), math.sin(gm)
-    b = BasicActions(sk * a * (gp + sin_p), sk * a * (gm + sin_m),
-                     ts * (gp - sin_p), ts * (gm - sin_m),
-                     2.0 * math.pi * sk * a, 2.0 * math.pi * ts)
+    b = record(BasicActions, (sk * a * (gp + sin_p), sk * a * (gm + sin_m),
+                              ts * (gp - sin_p), ts * (gm - sin_m),
+                              2.0 * math.pi * sk * a, 2.0 * math.pi * ts))
     return b, sk, ts, gp
 
 
@@ -143,10 +143,10 @@ def four_paths(pair: LambertPair, spec: EnergySpec, params: SystemParams) -> lis
     w2, t2 = b.w_plus + b.w_minus, b.t_plus + b.t_minus
     m1, m2, m3, m4 = _morse_bases(params.ndim)
     return [
-        PathQuantity(1, w1, t1, m1, 0),
-        PathQuantity(2, w2, t2, m2, 0),
-        PathQuantity(3, b.w_2pi - w1, b.t_2pi - t1, m3, 0),
-        PathQuantity(4, b.w_2pi - w2, b.t_2pi - t2, m4, 0),
+        record(PathQuantity, (1, w1, t1, m1, 0)),
+        record(PathQuantity, (2, w2, t2, m2, 0)),
+        record(PathQuantity, (3, b.w_2pi - w1, b.t_2pi - t1, m3, 0)),
+        record(PathQuantity, (4, b.w_2pi - w2, b.t_2pi - t2, m4, 0)),
     ]
 
 

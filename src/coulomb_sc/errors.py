@@ -50,6 +50,11 @@ class IllConditionedError(CoulombSCError, ArithmeticError):
     (step underflow or noise), or a closed form overflowed."""
 
 
+class MeshTooLargeError(CoulombSCError, ValueError):
+    """The exact reference would need a radial mesh above its size cap
+    (``qm_oracle.MAX_MESH_POINTS``)."""
+
+
 class UnsupportedDimensionError(CoulombSCError, ValueError):
     """Operation only implemented for specific spatial dimensions."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import (DimensionMismatchError, FocalLineError, ForbiddenRegionError,
                      IllConditionedError, OnCausticError, RegionError)
-from .model import EnergySpec, SystemParams, check_bound_interaction
+from .model import EnergySpec, SystemParams, check_bound_interaction, record
 
 
 class LambertPair(NamedTuple):
@@ -101,7 +101,7 @@ def endpoint_lists(r_vec, rp_vec, params: SystemParams | None = None):
     # a non-finite component makes r or rp inf or NaN, and with it ap
     if not math.isfinite(ap):
         raise ValueError(f"endpoints {x} and {xp} have a non-finite component or length")
-    return x, xp, LambertPair(r, rp, s, ap, r + rp - s)
+    return x, xp, record(LambertPair, (r, rp, s, ap, r + rp - s))
 
 
 def lambert_variables(r_vec, rp_vec, params: SystemParams | None = None) -> LambertPair:
@@ -176,7 +176,7 @@ def barrier_region(alpha: float, four_a: float) -> int:
 def bound_class(code: int, pair: LambertPair, four_a: float) -> RegionClass:
     """The RegionClass of a pair for E < 0 attractive from its
     ``_kernels`` REGION_* code; four_a = 4a."""
-    return RegionClass(REGIONS[code], (four_a - pair.alpha_plus) / four_a)
+    return record(RegionClass, (REGIONS[code], (four_a - pair.alpha_plus) / four_a))
 
 
 def classify_region(pair: LambertPair, spec: EnergySpec,

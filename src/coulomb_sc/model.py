@@ -12,6 +12,12 @@ from typing import NamedTuple
 
 from .errors import PoleError
 
+#: ``record(Cls, (field, ...))``: a named-tuple record built from all its
+#: fields, in ``Cls._fields`` order, in one C call (what the tuple's own
+#: ``_make`` does, minus its length check).  The per-point evaluators build
+#: their results with it; the constructor is a Python-level ``__new__``.
+record = tuple.__new__
+
 
 class _SystemFields(NamedTuple):
     mu: float = 1.0
@@ -105,7 +111,7 @@ class EnergySpec(NamedTuple):
         else:
             k = math.nan
             nu = math.nan
-        return cls(E=E, a=a, k=k, nu=nu)
+        return record(cls, (E, a, k, nu))
 
 
 # --- the regime rule: which (E, interaction) each closed form takes ----------

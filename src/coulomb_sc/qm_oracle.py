@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import IllConditionedError, RegionError, UnsupportedDimensionError
+from .errors import (IllConditionedError, MeshTooLargeError, RegionError,
+                     UnsupportedDimensionError)
 from .geometry import FieldSample, classify_region, lambert_variables
 from .model import EnergySpec, SystemParams, bound_regime, check_pole
 
@@ -72,6 +73,27 @@ def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple
     ell0 = params.hbar**2 / (params.mu * params.Kc)  # natural length unit
     h = min(0.025 * ell0, a / 400.0)
     return float(r_max), float(h)
+
+
+#: the most points qm_field's radial mesh may have, fixed a priori: 2**24
+#: points are 128 MiB per float64 array, and a sweep holds several at once.
+#: The criterion-8 cut scaled by (nu/29.2)^2 takes 10,502,618 points at
+#: nu = 300.3 (a `cut` peaks at about 1.5 GB), and would take 116,532,591
+#: at nu = 1000.3
+MAX_MESH_POINTS = 2**24
+
+
+def capped_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple[float, float]:
+    """``default_mesh``'s (r_max, h), whose sweeps hold round(r_max/h) + 1
+    points.  Above MAX_MESH_POINTS it raises MeshTooLargeError, before
+    anything is allocated."""
+    r_max, h = default_mesh(spec, params, r_need)
+    points = round(r_max / h) + 1
+    if points > MAX_MESH_POINTS:
+        raise MeshTooLargeError(
+            f"the exact reference at nu = {spec.nu:.6g} needs a radial mesh of {points:,} "
+            f"points out to r = {r_max:.6g}, above the cap of {MAX_MESH_POINTS:,}")
+    return r_max, h
 
 
 def _ode_terms(E: float, params: SystemParams) -> tuple[float, float]:
@@ -255,6 +277,7 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
     square overflows) raises ValueError.  A point whose stencil holds an
     underflowed (or non-finite) mesh value is NaN: one mesh for rho_+ far
     apart can span more than float64's range of the solutions' growth.
+    A mesh above MAX_MESH_POINTS raises MeshTooLargeError (``capped_mesh``).
     """
     if params.ndim != 3:
         raise UnsupportedDimensionError("the quantum reference is implemented for n = 3")
@@ -278,7 +301,7 @@ def qm_field(R, rp_vec, spec: EnergySpec, params: SystemParams) -> np.ndarray:
     # r + r' - s >= 0 by the triangle inequality; rounding can undershoot
     rho_m = np.maximum(0.5 * am, 0.0)
 
-    r_max, h = default_mesh(spec, params, float(np.max(rho_p)))
+    r_max, h = capped_mesh(spec, params, float(np.max(rho_p)))
     # where the points' rho_+ spread over more than float64's range of the
     # growth, the rescaled sweeps underflow (or the normalization
     # overflows); interp_u makes those points NaN, quietly

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as K
-from .errors import ConfigError, PoleError
+from .errors import ConfigError, MeshTooLargeError, PoleError
 from .geometry import REGIONS
 from .model import (EnergySpec, SystemParams, bound_regime, check_pole, energy_eigenvalue,
                     energy_from_nu, quantization_action)
@@ -318,7 +318,16 @@ class ScanConfig:
         if not (math.isfinite(self.exclude_radius) and self.exclude_radius >= 0.0):
             raise ConfigError(f"exclude radius must be finite and >= 0, "
                               f"got {self.exclude_radius}")
-        self.energy_spec(self.params())
+        spec = self.energy_spec(self.params())
+        if want_grids == 1 or self.method in ("qm", "all"):
+            # a cut and a qm/all scan run the exact reference, whose mesh
+            # reaches the largest rho_+ = alpha_+/2; r + r' + s is convex in
+            # the point, so on the grid it is largest at a corner
+            from .qm_oracle import capped_mesh
+            try:
+                capped_mesh(spec, self.params(), 0.5 * float(np.max(lengths[3])))
+            except MeshTooLargeError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def energy_spec(self, params: SystemParams) -> EnergySpec:
         spec = bound_energy_spec(self.nu, self.energy, params)

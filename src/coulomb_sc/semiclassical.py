@@ -39,7 +39,7 @@ from .geometry import (
     refuse_region,
 )
 from .model import (POLE_GUARD, EnergySpec, SystemParams, bound_regime, check_pole,
-                    scattering_regime)
+                    record, scattering_regime)
 
 
 def loop_factor(w_2pi: float, ndim: int, hbar: float) -> complex:
@@ -97,8 +97,8 @@ def _green_sc(r_vec, rp_vec, spec: EnergySpec, params: SystemParams,
     refuse_region(region, accepts, hint)
     if status == K.STATUS_CAUSTIC:
         raise OnCausticError("inner leg on its turning point alpha_minus = 4a")
-    return FieldSample(tuple(x), tuple(xp), spec.E, "SC", val,
-                       bound_class(region, pair, 4.0 * spec.a))
+    return record(FieldSample, (tuple(x), tuple(xp), spec.E, "SC", val,
+                                bound_class(region, pair, 4.0 * spec.a)))
 
 
 @refuse_overflow("value")

@@ -45,7 +45,7 @@ from . import _kernels as K
 from .errors import RegionError, UnsupportedDimensionError
 from .geometry import (FieldSample, bound_class, endpoint_lists, lambert_variables,
                        refuse_overflow, refuse_point)
-from .model import EnergySpec, SystemParams, bound_regime, check_pole
+from .model import EnergySpec, SystemParams, bound_regime, check_pole, record
 
 
 class UniformInputs(NamedTuple):
@@ -120,8 +120,8 @@ def green_uniform(r_vec, rp_vec, spec: EnergySpec, params: SystemParams) -> Fiel
             "the inner leg is at or past its turning point (doubly forbidden)" if am > 4.0 * a
             else "the inner leg is within 0.1% of its turning point z_out" if am > 2.0 * a
             else "both legs lie inside the inner turning point z_in"))
-    return FieldSample(tuple(x), tuple(xp), spec.E, "UA", val,
-                       bound_class(region, pair, 4.0 * spec.a))
+    return record(FieldSample, (tuple(x), tuple(xp), spec.E, "UA", val,
+                                bound_class(region, pair, 4.0 * spec.a)))
 
 
 # ==========================================================================

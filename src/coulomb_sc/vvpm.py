@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import _kernels as K
 from .geometry import (ALLOWED_ONLY, LambertPair, refuse_overflow, refuse_point,
                        refuse_region)
-from .model import EnergySpec, SystemParams, bound_regime
+from .model import EnergySpec, SystemParams, bound_regime, record
 
 PATH_IDS = (1, 2, 3, 4)
 
@@ -96,4 +96,4 @@ def vvpm_det(path_id: int, pair: LambertPair, spec: EnergySpec,
     f = (-params.mu * (vp + vm) / (2.0 * pair.s) if path_id % 2
          else four_a * params.mu * cv * cv / (ap * am * (vp + vm)))
     d = f ** (params.ndim - 1) / (vp * vm)
-    return VvpmValue(path_id, -d if path_id in (2, 3) else d, f)
+    return record(VvpmValue, (path_id, -d if path_id in (2, 3) else d, f))

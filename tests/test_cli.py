@@ -16,6 +16,14 @@ from coulomb_sc.cli import _scan_config, build_parser, main
 from coulomb_sc.scan import ScanConfig, eigenvalue_table, fmt, run_cut, run_scan
 
 
+# the criterion-8 cut (source 1232 Bohr, y = 400 Bohr at nu = 29.2) scaled
+# by (nu/29.2)^2 to nu = 1000.3, and a 5 x 3 plane through it
+NU1000_CUT = ["--nu", "1000.3", "--source", "1445791,0,0", "--cut=x:-586766:2347063:51",
+              "--fix=y:469413"]
+NU1000_PLANE = ["--nu", "1000.3", "--source", "1445791,0,0", "--grid=x:-586766:2347063:5",
+                "--grid=y:0:469413:3"]
+
+
 def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
@@ -151,6 +159,31 @@ def test_numerical_failure_exits_three(capsys):
                              capsys)
     assert code == 3
     assert "numerical failure: endpoint pair lies beyond the caustic" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["cut", *NU1000_CUT],
+    ["scan", *NU1000_PLANE, "--method", "qm"],
+    ["scan", *NU1000_PLANE, "--method", "all"],
+], ids=["cut", "scan_qm", "scan_all"])
+def test_reference_mesh_above_the_cap_exits_two(args, capsys, monkeypatch):
+    # the criterion-8 cut scaled to nu = 1000.3 needs 116,532,591 mesh
+    # points (889 MiB per array): refused while the configuration is read
+    from coulomb_sc import qm_oracle
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("solve_radial called")
+
+    monkeypatch.setattr(qm_oracle, "solve_radial", no_sweep)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: the exact reference at nu = 1000.3 needs a radial mesh")
+
+
+def test_sc_and_ua_scans_take_no_mesh_cap(capsys):
+    for method in ("sc", "ua"):
+        code, out, _ = run_cli(["scan", *NU1000_PLANE, "--method", method], capsys)
+        assert code == 0 and len(out.splitlines()) == 16
 
 
 def test_tof_table(capsys):

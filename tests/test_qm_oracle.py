@@ -13,8 +13,9 @@ from scipy.special import eval_legendre
 
 import coulomb_sc as cs
 from coulomb_sc.cli import main
-from coulomb_sc.errors import IllConditionedError, PoleError, RegionError
-from coulomb_sc.qm_oracle import default_mesh, qm_field, solve_radial
+from coulomb_sc import qm_oracle
+from coulomb_sc.errors import IllConditionedError, MeshTooLargeError, PoleError, RegionError
+from coulomb_sc.qm_oracle import MAX_MESH_POINTS, capped_mesh, default_mesh, qm_field, solve_radial
 
 from oracles import eval_irr, eval_reg, radial_green
 
@@ -244,6 +245,25 @@ def test_qm_field_rejects_non_finite_points(au, bad):
             qm_field(pts, rp, spec, au)
         with pytest.raises(ValueError, match="no finite Lambert lengths"):
             cs.green_qm(pts[1], rp, spec, au)
+
+
+def test_a_mesh_above_the_cap_is_refused_before_it_is_built(au, monkeypatch):
+    # nu = 1000.3 needs about 1e8 points; no sweep may start
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("solve_radial called")
+
+    monkeypatch.setattr(qm_oracle, "solve_radial", no_sweep)
+    spec = cs.energy_from_nu(1000.3, au)
+    r_max, h = default_mesh(spec, au, 40.0)
+    assert round(r_max / h) + 1 > MAX_MESH_POINTS
+    with pytest.raises(MeshTooLargeError, match=r"radial mesh of [\d,]+ points") as info:
+        qm_field(np.array([[10.0, 13.0, 0.0]]), np.array([40.0, 0.0, 0.0]), spec, au)
+    assert isinstance(info.value, cs.errors.CoulombSCError)
+    # below the cap the mesh is default_mesh's
+    spec = cs.energy_from_nu(300.3, au)
+    r_max, h = capped_mesh(spec, au, 40.0)
+    assert (r_max, h) == default_mesh(spec, au, 40.0)
+    assert round(r_max / h) + 1 <= MAX_MESH_POINTS
 
 
 def test_underflowed_points_are_unconverged(au, capsys):
