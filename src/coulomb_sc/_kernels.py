@@ -248,7 +248,9 @@ def _sc_allowed(s, ap, am, a, k, ndim, mu, hbar, sk, cv, xp):
     wm = _half_action(am, a, sk, xp)
     den = xp.sqrt(vp * vm)
     sd1 = (mu * (vp + vm) / (2.0 * s)) ** p / den
-    sd2 = (mu * (vm - vp) / (2.0 * s)) ** p / den
+    # mu (v_- - v_+)/2s as vvpm_det takes it, without the difference, which
+    # cancels as the endpoints close in: v_-^2 - v_+^2 = 8 a s cv^2/(alpha_+ alpha_-)
+    sd2 = (4.0 * a * mu * cv * cv / (ap * am * (vp + vm))) ** p / den
     w1 = wp - wm
     w2 = wp + wm
     return (sd1 * xp.cos(w1 / hbar - math.pi * ((ndim - 1.0) / 4.0 + k))

@@ -2,6 +2,7 @@
 determinant of the full (n+1) x (n+1) second-derivative matrix."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import coulomb_sc as cs
 from coulomb_sc import _kernels as K
 from coulomb_sc.errors import FocalLineError, OnCausticError, RegionError
+from coulomb_sc.model import bound_regime
 
 from conftest import random_allowed_pair
 from oracles import dimensional_factor, vvpm_det_numeric
@@ -102,7 +104,10 @@ def test_focal_line_is_the_region_rule(au):
 @pytest.mark.parametrize("s", [1e-6, 1e-10, 1e-14])
 def test_paths_2_and_4_keep_their_digits_as_the_endpoints_close_in(ndim, s):
     # -mu (v+ - v-)/2s subtracts two velocities whose alphas differ by 2s;
-    # the reference evaluates that closed form at 50 digits
+    # the reference evaluates that closed form at 50 digits.  The SC
+    # kernel's second path family takes the same factor: with cos -> 0 and
+    # sin -> 1 in its backend, the allowed bracket is that family's
+    # amplitude alone, (mu (v- - v+)/2s)^p / sqrt(v+ v-), p = (n - 1)/2
     par = cs.SystemParams(ndim=ndim)
     spec = cs.energy_from_nu(9.7, par)
     pad = [0.0] * (ndim - 3)
@@ -112,10 +117,20 @@ def test_paths_2_and_4_keep_their_digits_as_the_endpoints_close_in(ndim, s):
         cv = mp.sqrt(2 * abs(mp.mpf(spec.E)) / par.mu)
         rsum = 30 + mp.sqrt(ss * ss + 900)
         vp, vm = (cv * mp.sqrt((4 * a - al) / al) for al in (rsum + ss, rsum - ss))
-        d2 = -(-par.mu * (vp - vm) / (2 * ss)) ** (ndim - 1) / (vp * vm)
+        f2 = par.mu * (vm - vp) / (2 * ss)
+        d2 = -f2 ** (ndim - 1) / (vp * vm)
         for path_id, ref in ((2, d2), (4, -d2)):
             got = cs.vvpm_det(path_id, pair, spec, par).D
             assert abs(got - ref) <= 1e-12 * abs(ref), (path_id, got, float(ref))
+        ref = f2 ** (mp.mpf(ndim - 1) / 2) / mp.sqrt(vp * vm)
+    sk, cv, _ = bound_regime(spec, par)
+    lengths = (pair.s, pair.alpha_plus, pair.alpha_minus)
+    for xp, args in ((K._MATH, lengths), (K._NUMPY, [np.array([v]) for v in lengths])):
+        second = SimpleNamespace(**{**vars(xp), "cos": lambda x: 0.0 * x,
+                                    "sin": lambda x: 0.0 * x + 1.0})
+        got = np.atleast_1d(K._sc_allowed(*args, spec.a, spec.k, ndim, par.mu, par.hbar,
+                                          sk, cv, second))[0]
+        assert abs(got - ref) <= 1e-12 * ref, (got, float(ref))
 
 
 def test_bound_regime_only(au):
