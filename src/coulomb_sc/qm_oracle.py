@@ -76,10 +76,10 @@ def default_mesh(spec: EnergySpec, params: SystemParams, r_need: float) -> tuple
 
 
 #: the most points qm_field's radial mesh may have, fixed a priori: 2**24
-#: points are 128 MiB per float64 array, and a sweep holds several at once.
-#: The criterion-8 cut scaled by (nu/29.2)^2 takes 10,502,618 points at
-#: nu = 300.3 (a `cut` peaks at about 1.5 GB), and would take 116,532,591
-#: at nu = 1000.3
+#: points are 128 MiB per float64 array, and a sweep holds several at once
+#: (a `cut` on 9.4 million points peaks at 1.4 GB).  The criterion-8 cut
+#: scaled by (nu/29.2)^2 takes 10,502,618 points at nu = 300.3, and would
+#: take 116,532,591 at nu = 1000.3
 MAX_MESH_POINTS = 2**24
 
 

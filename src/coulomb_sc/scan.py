@@ -318,14 +318,15 @@ class ScanConfig:
         if not (math.isfinite(self.exclude_radius) and self.exclude_radius >= 0.0):
             raise ConfigError(f"exclude radius must be finite and >= 0, "
                               f"got {self.exclude_radius}")
-        spec = self.energy_spec(self.params())
+        params = self.params()
+        spec = self.energy_spec(params)
         if want_grids == 1 or self.method in ("qm", "all"):
             # a cut and a qm/all scan run the exact reference, whose mesh
             # reaches the largest rho_+ = alpha_+/2; r + r' + s is convex in
             # the point, so on the grid it is largest at a corner
             from .qm_oracle import capped_mesh
             try:
-                capped_mesh(spec, self.params(), 0.5 * float(np.max(lengths[3])))
+                capped_mesh(spec, params, 0.5 * float(np.max(lengths[3])))
             except MeshTooLargeError as exc:
                 raise ConfigError(str(exc)) from exc
 
